@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 Exponents = tuple[int, int, int]
 ScalarLike = Union["Fraction", int]
@@ -506,50 +506,37 @@ def euler_apply(p: Poly, weights: WeightSystem) -> Poly:
     return Poly(terms)
 
 
-def infer_weights(p: Poly, bound: int = 64) -> WeightSystem:
+def _cross(u: Exponents, v: Exponents) -> Exponents:
+    return (u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def infer_weights(p: Poly) -> WeightSystem:
     """Find the unique primitive weight system making ``p`` homogeneous.
 
-    Searches positive integer triples with entries at most ``bound`` and
-    gcd 1.  Raises WeightInferenceError if none fits or if more than one
-    does (e.g. for a single monomial, which every weight system grades
-    homogeneously).
+    The weights span the kernel of the matrix of exponent differences.
+    When that matrix has rank 2 the kernel is spanned by the cross product
+    of two independent differences, made primitive and positive.  Raises
+    WeightInferenceError for a smaller rank, where many systems fit (e.g.
+    a single monomial), and when no positive weight system fits.
     """
     if p.is_zero():
         raise WeightInferenceError("cannot infer weights for the zero polynomial")
-    exps = p.exponents()
-    base = exps[0]
-    constraints: list[Exponents] = []
-    for e in exps[1:]:
-        delta = (e[0] - base[0], e[1] - base[1], e[2] - base[2])
-        if delta != (0, 0, 0):
-            constraints.append(delta)
-    pinned = [c for c in constraints if c[2] != 0]
-    solutions: list[tuple[int, int, int]] = []
-    for w1 in range(1, bound + 1):
-        for w2 in range(1, bound + 1):
-            if pinned:
-                c1, c2, c3 = pinned[0]
-                numerator = -(c1 * w1 + c2 * w2)
-                if numerator % c3 != 0:
-                    continue
-                w3 = numerator // c3
-                if not 1 <= w3 <= bound:
-                    continue
-                candidates: Iterable[int] = (w3,)
-            else:
-                candidates = range(1, bound + 1)
-            for w3 in candidates:
-                if math.gcd(w1, w2, w3) != 1:
-                    continue
-                if all(c[0] * w1 + c[1] * w2 + c[2] * w3 == 0 for c in constraints):
-                    solutions.append((w1, w2, w3))
-                    if len(solutions) > 1:
-                        raise WeightInferenceError(
-                            "ambiguous weight system: at least "
-                            f"{solutions[0]} and {solutions[1]} both fit"
-                        )
-    if not solutions:
+    base, *rest = p.exponents()
+    diffs = [tuple(e - b for e, b in zip(exps, base)) for exps in rest]
+    crosses = (_cross(diffs[0], v) for v in diffs[1:])
+    kernel = next((c for c in crosses if any(c)), None) if diffs else None
+    if kernel is None:
         raise WeightInferenceError(
-            f"no positive weight system with entries <= {bound} fits"
+            "ambiguous weight system: the exponent differences have rank "
+            "below 2, so more than one weight system fits"
         )
-    return WeightSystem(solutions[0])
+    g = math.gcd(*kernel)
+    if kernel[0] < 0:
+        g = -g
+    weights = tuple(k // g for k in kernel)
+    fits = all(sum(w * e for w, e in zip(weights, diff)) == 0 for diff in diffs)
+    if not fits or min(weights) <= 0:
+        raise WeightInferenceError("no positive weight system fits")
+    return WeightSystem(weights)

@@ -22,19 +22,15 @@ import sys
 from typing import Optional, Sequence
 
 from .algebra import (
-    Poly,
     PolyParseError,
     WeightInferenceError,
     WeightSystem,
     infer_weights,
     parse_poly,
     poly_str,
+    weighted_degree,
 )
-from .cohomology import (
-    SliceCapExceededError,
-    class_str,
-    enumerate_basis,
-)
+from .cohomology import CohomologyError, class_str, enumerate_basis
 from .deform import (
     CoeffFamily,
     InvalidFamilyError,
@@ -53,7 +49,7 @@ _DOMAIN_ERRORS = (
     SingularityError,
     InvalidFamilyError,
     ArityCapExceededError,
-    SliceCapExceededError,
+    CohomologyError,
     OSError,
     json.JSONDecodeError,
 )
@@ -97,7 +93,7 @@ def _load_data(args) -> tuple[SingularityData, bool]:
     if args.weights is not None:
         weights = _parse_weights(args.weights)
         inferred = False
-        if not _is_homogeneous(phi, weights):
+        if weighted_degree(phi, weights) is None:
             raise CLIUsageError(
                 f"{poly_str(phi)} is not weight-homogeneous for weights "
                 f"{weights.weights}"
@@ -108,9 +104,9 @@ def _load_data(args) -> tuple[SingularityData, bool]:
     return milnor_basis(phi, weights), inferred
 
 
-def _is_homogeneous(phi: Poly, weights: WeightSystem) -> bool:
-    degrees = {weights.monomial_weight(e) for e in phi.exponents()}
-    return len(degrees) == 1
+def _check_weight_cap(args) -> None:
+    if args.weight_cap is not None and args.weight_cap < 0:
+        raise CLIUsageError("--weight-cap must be nonnegative")
 
 
 def _potential_block(data: SingularityData, inferred: bool) -> dict:
@@ -150,6 +146,7 @@ def _load_family(path: Optional[str]) -> CoeffFamily:
 
 
 def cmd_analyze(args) -> int:
+    _check_weight_cap(args)
     data, inferred = _load_data(args)
     cap = args.weight_cap if args.weight_cap is not None else 2 * data.d
     basis = {
@@ -199,6 +196,7 @@ def cmd_deform(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_weight_cap(args)
     data, inferred = _load_data(args)
     names = args.suites if args.suites else list(SUITE_NAMES)
     for name in names:

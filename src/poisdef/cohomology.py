@@ -29,9 +29,11 @@ Lie algebra used by the transfer machinery.
 
 Projections and coboundary solves are performed one weight slice at a
 time: for fixed (cochain degree, weight) the slice of multivector fields
-is finite-dimensional, and one exact row reduction of
-[class representatives | coboundary images] is cached per slice and
-reused for every solve against it.
+is finite-dimensional, and one exact elimination of
+[coboundary images | class representatives] is cached per slice and
+reused for every solve against it.  Building it also checks that the
+class representatives are independent modulo coboundaries: a
+representative that is a coboundary raises CohomologyError.
 """
 
 from __future__ import annotations
@@ -39,10 +41,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
-from .algebra import Exponents, Poly, ScalarLike, monomial_key
-from .linalg import PreparedSolver
+from .algebra import Exponents, Poly, ScalarLike
+from .linalg import Eliminator
 from .multivec import (
     SLOTS,
     MultiVec,
@@ -354,55 +356,42 @@ def _monovec(degree: int, slot: int, exps: Exponents) -> MultiVec:
     return MultiVec(degree, tuple(comps))
 
 
-def _vector_of(mv: MultiVec, index: dict[tuple[int, Exponents], int],
-               size: int) -> list[Fraction]:
-    vec = [Fraction(0)] * size
-    for slot, comp in enumerate(mv.comps):
-        for exps, coeff in comp.items():
-            vec[index[(slot, exps)]] = coeff
-    return vec
+def _vector_of(mv: MultiVec,
+               index: dict[tuple[int, Exponents], int]) -> dict[int, Fraction]:
+    return {index[(slot, exps)]: coeff
+            for slot, comp in enumerate(mv.comps)
+            for exps, coeff in comp.items()}
 
 
-def _projection_solver(data: SingularityData, degree: int, weight: int):
-    """Cached solver expressing a slice cocycle as classes + coboundary."""
-    key = ("cohomology/projection", degree, weight)
+def _slice_solver(data: SingularityData, degree: int, weight: int):
+    """Cached eliminator of [coboundary images | class representatives].
+
+    Coboundary images are tagged by their (slot, monomial) preimage and
+    inserted first, so they select the same pivots as the coboundaries
+    alone; class representatives follow, tagged by their label.  A
+    representative that reduces to zero is a coboundary, which means the
+    stored basis is wrong for this potential.
+    """
+    key = ("cohomology/slice", degree, weight)
     cached = data._scratch.get(key)
     if cached is not None:
         return cached
-    slice_basis = _slice_monovecs(data, degree, weight)
-    index = {sm: i for i, sm in enumerate(slice_basis)}
-    labels = labels_of_weight(data, degree - 1, weight)
-    columns = [
-        _vector_of(realize(label, data), index, len(slice_basis))
-        for label in labels
-    ]
-    delta = data.d - data.weights.total
-    for slot, m in _slice_monovecs(data, degree - 1, weight - delta):
-        image = coboundary(_monovec(degree - 1, slot, m), data.phi)
-        columns.append(_vector_of(image, index, len(slice_basis)))
-    solver = PreparedSolver.from_columns(columns, len(slice_basis))
-    entry = (labels, index, solver)
-    data._scratch[key] = entry
-    return entry
-
-
-def _coboundary_solver(data: SingularityData, degree: int, weight: int):
-    """Cached solver inverting the differential onto one target slice."""
-    key = ("cohomology/coboundary", degree, weight)
-    cached = data._scratch.get(key)
-    if cached is not None:
-        return cached
-    slice_basis = _slice_monovecs(data, degree, weight)
-    index = {sm: i for i, sm in enumerate(slice_basis)}
+    index = {sm: i for i, sm in enumerate(_slice_monovecs(data, degree, weight))}
     delta = data.d - data.weights.total
     pre_basis = _slice_monovecs(data, degree - 1, weight - delta)
-    columns = [
-        _vector_of(coboundary(_monovec(degree - 1, slot, m), data.phi),
-                   index, len(slice_basis))
-        for slot, m in pre_basis
-    ]
-    solver = PreparedSolver.from_columns(columns, len(slice_basis))
-    entry = (pre_basis, index, solver)
+    labels = labels_of_weight(data, degree - 1, weight)
+    eliminator = Eliminator()
+    for slot, m in pre_basis:
+        image = coboundary(_monovec(degree - 1, slot, m), data.phi)
+        eliminator.add(_vector_of(image, index), (slot, m))
+    for label in labels:
+        rep = _vector_of(realize(label, data), index)
+        if eliminator.add(rep, label) is None:
+            raise CohomologyError(
+                f"basis class {label} is dependent on the coboundaries and "
+                f"the other classes of weight {weight}"
+            )
+    entry = (labels, index, eliminator)
     data._scratch[key] = entry
     return entry
 
@@ -428,17 +417,17 @@ def project(p: MultiVec, data: SingularityData,
             raise SliceCapExceededError(
                 f"projection needs weight slice {weight} > cap {weight_cap}"
             )
-        labels, index, solver = _projection_solver(data, p.degree, weight)
-        solution = solver.solve(_vector_of(part, index, solver.n_rows))
+        labels, index, eliminator = _slice_solver(data, p.degree, weight)
+        solution = eliminator.solve(_vector_of(part, index))
         if solution is None:
             raise CohomologyError(
                 f"closed slice of weight {weight} lies outside span of "
                 "basis classes and coboundaries; the stored basis is "
                 "incomplete for this potential"
             )
-        for label, value in zip(labels, solution[: len(labels)]):
-            if value:
-                coeffs[label] = coeffs.get(label, Fraction(0)) + value
+        for label in labels:
+            if label in solution:
+                coeffs[label] = coeffs.get(label, Fraction(0)) + solution[label]
     return CohClass.make(g, coeffs)
 
 
@@ -450,21 +439,21 @@ def solve_coboundary(target: MultiVec, data: SingularityData,
     differential; the answer is the canonical pivot solution, so repeated
     calls are deterministic.
     """
-    result = MultiVec.zero(target.degree - 1)
     if target.degree not in SLOTS or target.is_zero():
-        return result
+        return MultiVec.zero(target.degree - 1)
+    terms: list[dict[Exponents, Fraction]] = [
+        {} for _ in SLOTS.get(target.degree - 1, ())]
     for weight, part in multivec_weight_parts(target, data.weights).items():
         if weight_cap is not None and weight > weight_cap:
             raise SliceCapExceededError(
                 f"coboundary solve needs weight slice {weight} > cap {weight_cap}"
             )
-        pre_basis, index, solver = _coboundary_solver(data, target.degree, weight)
-        solution = solver.solve(_vector_of(part, index, solver.n_rows))
-        if solution is None:
+        labels, index, eliminator = _slice_solver(data, target.degree, weight)
+        solution = eliminator.solve(_vector_of(part, index))
+        if solution is None or any(label in solution for label in labels):
             raise NotACoboundaryError(
                 f"weight {weight} slice of the target is not a coboundary"
             )
-        for (slot, m), value in zip(pre_basis, solution):
-            if value:
-                result = result + _monovec(target.degree - 1, slot, m) * value
-    return result
+        for (slot, m), value in solution.items():
+            terms[slot][m] = value
+    return MultiVec(target.degree - 1, tuple(Poly(t) for t in terms))

@@ -44,10 +44,11 @@ vanish.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 from .algebra import Poly, ScalarLike
 from .cohomology import BasisLabel, CohClass, f1, project
@@ -58,7 +59,8 @@ from .cohomology import a_index_range
 
 
 class InvalidFamilyError(ValueError):
-    """A coefficient family refers to indices that do not exist."""
+    """A coefficient family is malformed, inexact, or refers to indices
+    that do not exist."""
 
 
 @dataclass(frozen=True)
@@ -152,21 +154,41 @@ class CoeffFamily:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "CoeffFamily":
+        """Read the JSON form.  Indices must be JSON integers and values
+        integers or "p/q" strings, so no inexact number gets in."""
         if not isinstance(payload, dict):
             raise InvalidFamilyError("family JSON must be an object")
-        c: dict[tuple[int, int, int], Fraction] = {}
-        for entry in payload.get("c", []):
-            if len(entry) != 4:
-                raise InvalidFamilyError(f"c entry {entry!r} must be [n,l,i,value]")
-            n, l, i, value = entry
-            c[(int(n), int(l), int(i))] = Fraction(value)
-        cbar: dict[tuple[int, int], Fraction] = {}
-        for entry in payload.get("cbar", []):
-            if len(entry) != 3:
-                raise InvalidFamilyError(f"cbar entry {entry!r} must be [n,r,value]")
-            n, r, value = entry
-            cbar[(int(n), int(r))] = Fraction(value)
-        return cls.make(c, cbar)
+        tables = []
+        for name, width, shape in (("c", 4, "[n,l,i,value]"),
+                                   ("cbar", 3, "[n,r,value]")):
+            entries = payload.get(name, [])
+            if not isinstance(entries, list):
+                raise InvalidFamilyError(f"{name} must be a list of {shape}")
+            table = {}
+            for entry in entries:
+                if (not isinstance(entry, list)
+                        or len(entry) != width
+                        or any(type(i) is not int for i in entry[:-1])):
+                    raise InvalidFamilyError(
+                        f"{name} entry {entry!r} must be {shape} with "
+                        "integer indices")
+                table[tuple(entry[:-1])] = _exact_value(entry[-1], name, entry)
+            tables.append(table)
+        return cls.make(*tables)
+
+
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]*[1-9][0-9]*)?")
+
+
+def _exact_value(value, name: str, entry: list) -> Fraction:
+    """An integer or a "p/q" string (q nonzero) as a Fraction."""
+    if type(value) is int:
+        return Fraction(value)
+    if isinstance(value, str) and _RATIONAL_RE.fullmatch(value):
+        return Fraction(value)
+    raise InvalidFamilyError(
+        f"{name} entry {entry!r}: value must be an integer or a \"p/q\" "
+        "string with nonzero q")
 
 
 def gamma_classes(fam: CoeffFamily, data: SingularityData, m: int) -> NuSeries:

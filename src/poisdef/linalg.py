@@ -1,124 +1,107 @@
-"""Exact linear algebra over the rationals for small dense systems.
+"""Exact sparse linear algebra over the rationals.
 
-Everything here works on lists of ``fractions.Fraction`` rows.  Row
-reduction uses ordinary Gauss-Jordan elimination with leftmost-pivot
-selection, which is deterministic and exact over Fraction.
+Vectors are dictionaries mapping an index to a nonzero ``Fraction``.  One
+incremental eliminator serves every weight slice in the package: the
+Jacobian-ideal slices of :mod:`poisdef.singularity` and the cohomology
+slices of :mod:`poisdef.cohomology`.  Its pivot set is that of the
+leftmost-pivot reduced echelon form, and its solutions are the ones that
+set every free variable to zero, so results do not depend on how the
+elimination is organised.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import insort
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Hashable, Mapping, Optional
 
-Row = list[Fraction]
-
-_ZERO = Fraction(0)
+SparseVec = dict[int, Fraction]
 
 
-def rref(matrix: Sequence[Sequence[Fraction]]) -> tuple[list[Row], list[int]]:
-    """Reduced row echelon form.
-
-    Returns (reduced rows, pivot column indices).  Zero rows are dropped.
-    Pivot selection scans columns left to right and rows top down, so the
-    result is canonical for a given row order.
-    """
-    rows: list[Row] = [list(row) for row in matrix]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        lead = rows[rank][col]
-        if lead != 1:
-            inv = Fraction(1) / lead
-            rows[rank] = [v * inv for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    return rows[:rank], pivots
+def _axpy(out: dict, scale: Fraction, vec: Mapping) -> None:
+    """out += scale * vec, dropping entries that cancel."""
+    for key, value in vec.items():
+        acc = out.get(key)
+        if acc is None:
+            out[key] = scale * value
+        else:
+            acc += scale * value
+            if acc:
+                out[key] = acc
+            else:
+                del out[key]
 
 
-@dataclass
-class PreparedSolver:
-    """Factorization of a column system A*x = t reused across many targets.
+class Eliminator:
+    """Echelon basis of the span of the vectors added so far.
 
-    Columns of A are supplied once; solving a new right-hand side is a
-    single matrix-vector product against the stored elimination operator.
-    ``transform`` holds E with E*A in reduced echelon form, ``pivots[r]``
-    is the column of A that row r of E*A pivots on, and rows of E beyond
-    ``rank`` span the left null space of A (consistency checks).
+    Each stored vector pivots on its leftmost nonzero index, where it has
+    entry 1.  A vector is reduced by the stored vectors at existing pivots
+    in increasing order; since a stored vector has no entry left of its
+    pivot, the result vanishes at every pivot.  Adding vectors one by one
+    therefore keeps exactly the inputs that are not in the span of the
+    earlier ones.
+
+    A vector added with a ``tag`` (distinct from earlier tags) also
+    records its stored form as a combination of the tagged inputs, which
+    is what :meth:`solve` reads.
     """
 
-    n_rows: int
-    n_cols: int
-    rank: int
-    pivots: list[int]
-    transform: list[Row]
+    def __init__(self) -> None:
+        self._rows: dict[int, SparseVec] = {}
+        self._combos: dict[int, dict[Hashable, Fraction]] = {}
+        self._pivots: list[int] = []
 
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[Fraction]],
-                     n_rows: int) -> "PreparedSolver":
-        n_cols = len(columns)
-        # Row-reduce [A | I] so the identity block accumulates E with
-        # E*A in reduced echelon form; E then solves every target.
-        augmented: list[Row] = []
-        for r in range(n_rows):
-            row = [column[r] for column in columns]
-            row.extend(Fraction(1) if s == r else _ZERO for s in range(n_rows))
-            augmented.append(row)
-        pivots: list[int] = []
-        rank = 0
-        for col in range(n_cols):
-            pivot_row = None
-            for r in range(rank, n_rows):
-                if augmented[r][col]:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                continue
-            augmented[rank], augmented[pivot_row] = (augmented[pivot_row],
-                                                     augmented[rank])
-            lead = augmented[rank][col]
-            if lead != 1:
-                inv = Fraction(1) / lead
-                augmented[rank] = [v * inv for v in augmented[rank]]
-            for r in range(n_rows):
-                if r != rank and augmented[r][col]:
-                    factor = augmented[r][col]
-                    augmented[r] = [v - factor * w
-                                    for v, w in zip(augmented[r], augmented[rank])]
-            pivots.append(col)
-            rank += 1
-        transform = [row[n_cols:] for row in augmented]
-        return cls(n_rows=n_rows, n_cols=n_cols, rank=rank,
-                   pivots=pivots, transform=transform)
+    @property
+    def rank(self) -> int:
+        return len(self._pivots)
 
-    def solve(self, target: Sequence[Fraction]) -> Optional[list[Fraction]]:
-        """One solution of A*x = target, or None if inconsistent.
+    @property
+    def pivots(self) -> list[int]:
+        """Pivot indices in increasing order."""
+        return list(self._pivots)
 
-        Free variables are set to zero, so the answer is canonical: each
-        pivot column receives the corresponding entry of E*target.
-        """
-        if len(target) != self.n_rows:
-            raise ValueError("target length does not match the system")
-        reduced = [sum((e * t for e, t in zip(row, target)), _ZERO)
-                   for row in self.transform]
-        if any(reduced[r] for r in range(self.rank, self.n_rows)):
+    def _eliminate(self, vec: Mapping[int, Fraction],
+                   combo: Optional[dict]) -> SparseVec:
+        out = {i: Fraction(v) for i, v in vec.items() if v}
+        for pivot in self._pivots:
+            coeff = out.get(pivot)
+            if coeff:
+                _axpy(out, -coeff, self._rows[pivot])
+                if combo is not None:
+                    _axpy(combo, coeff, self._combos[pivot])
+        return out
+
+    def reduce(self, vec: Mapping[int, Fraction]) -> SparseVec:
+        """Canonical representative of vec modulo the span (zero at pivots)."""
+        return self._eliminate(vec, None)
+
+    def add(self, vec: Mapping[int, Fraction],
+            tag: Optional[Hashable] = None) -> Optional[int]:
+        """Insert vec; return its new pivot, or None if it lies in the span."""
+        combo: Optional[dict] = None if tag is None else {}
+        out = self._eliminate(vec, combo)
+        if not out:
             return None
-        solution = [_ZERO] * self.n_cols
-        for r in range(self.rank):
-            solution[self.pivots[r]] = reduced[r]
-        return solution
+        pivot = min(out)
+        inv = 1 / out[pivot]
+        self._rows[pivot] = {i: v * inv for i, v in out.items()}
+        if combo is not None:
+            # out = vec - (the stored vectors recorded in combo)
+            stored = {t: -v * inv for t, v in combo.items()}
+            stored[tag] = inv
+            self._combos[pivot] = stored
+        insort(self._pivots, pivot)
+        return pivot
+
+    def solve(self, target: Mapping[int, Fraction]) -> Optional[dict]:
+        """Coefficients of tagged inputs summing to target, or None.
+
+        Only inputs that became pivots appear, so the answer is the
+        solution with every free variable set to zero.  Every stored
+        vector must have been added with a tag.
+        """
+        combo: dict = {}
+        if self._eliminate(target, combo):
+            return None
+        return combo

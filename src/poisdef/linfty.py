@@ -60,7 +60,6 @@ from .cohomology import (
     CohClass,
     CohomologyError,
     f1,
-    label_weight,
     project,
     realize,
     solve_coboundary,

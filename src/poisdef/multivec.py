@@ -33,9 +33,8 @@ Sign conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Optional, Sequence, Union
+from typing import Sequence
 
 from .algebra import (
     Poly,
@@ -344,40 +343,38 @@ def multivec_weight_parts(mv: MultiVec,
     }
 
 
-def multivec_weight(mv: MultiVec, weights: WeightSystem) -> Optional[int]:
-    """Weight of a weight-homogeneous multivector; None if zero or mixed."""
-    parts = multivec_weight_parts(mv, weights)
-    if len(parts) == 1:
-        return next(iter(parts))
-    return None
-
-
 # -- import-time convention check ---------------------------------------------
 
 
 def _convention_self_test() -> None:
     """Cheap exact checks pinning down the sign conventions above."""
+
+    def check(ok: bool, what: str) -> None:
+        if not ok:
+            raise RuntimeError(f"multivector sign convention violated: {what}")
+
     x, y, z = VARIABLE_POLYS
     phi = x * x + y * y + z * z
     pi = poisson_from_potential(phi)
     # {x, y} = dphi/dz for the exact bivector of phi.
-    assert pi.evaluate([x, y]) == 2 * z
-    assert coordinate_volume().evaluate([x, y, z]) == Poly.one()
+    check(pi.evaluate([x, y]) == 2 * z, "{x, y} = dphi/dz")
+    check(coordinate_volume().evaluate([x, y, z]) == Poly.one(),
+          "D[x, y, z] = 1")
     # [P, F] = P[F] for functions; [F, V] = -V[F].
     v = MultiVec.vector(y, Poly.zero(), x * x)
     f = MultiVec.function(x * y)
-    assert schouten(v, f) == MultiVec.function(v.evaluate([x * y]))
-    assert schouten(f, v) == -MultiVec.function(v.evaluate([x * y]))
+    v_of_f = MultiVec.function(v.evaluate([x * y]))
+    check(schouten(v, f) == v_of_f, "[V, F] = V[F]")
+    check(schouten(f, v) == -v_of_f, "[F, V] = -V[F]")
     # graded antisymmetry [P, Q] = -(-1)^((p-1)(q-1)) [Q, P] on samples.
     samples = [f, v, pi, MultiVec.trivector(x + z)]
     for a in samples:
         for b in samples:
             sign = -1 if ((a.degree - 1) * (b.degree - 1)) % 2 else 1
-            lhs = schouten(a, b)
-            rhs = schouten(b, a) * (-sign)
-            assert lhs == rhs, (a.degree, b.degree)
+            check(schouten(a, b) == schouten(b, a) * (-sign),
+                  f"graded antisymmetry in degrees {a.degree}, {b.degree}")
     # the exact bivector of a potential is Poisson: [pi, pi] = 0.
-    assert schouten(pi, pi).is_zero()
+    check(schouten(pi, pi).is_zero(), "[pi, pi] = 0")
 
 
 _convention_self_test()

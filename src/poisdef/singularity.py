@@ -5,7 +5,7 @@ the origin, the quotient of the polynomial ring by the Jacobian ideal
 (dphi/dx, dphi/dy, dphi/dz) is a finite-dimensional graded algebra.  This
 module computes its dimension (the Milnor number), a canonical graded
 monomial basis, and normal forms modulo the Jacobian ideal, one weight
-slice at a time with exact rational row reduction.
+slice at a time with exact rational elimination.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .algebra import (
     weight_parts,
     weighted_degree,
 )
-from .linalg import rref
+from .linalg import Eliminator
 
 
 class SingularityError(ValueError):
@@ -62,47 +62,36 @@ def monomials_of_weight(weights: WeightSystem, degree: int) -> list[Exponents]:
 
 @dataclass
 class SliceReduction:
-    """Row-reduced picture of one weight slice of the Jacobian ideal.
+    """Eliminated picture of one weight slice of the Jacobian ideal.
 
     ``monomials`` lists the slice's monomial basis in canonical order;
-    ``rows`` are the reduced generators of the ideal's intersection with
-    the slice, expressed in that basis; ``pivot_columns[r]`` is the column
-    on which row r pivots.
+    ``eliminator`` holds an echelon basis of the ideal's intersection with
+    the slice, indexed by position in ``monomials``.
     """
 
     degree: int
     monomials: list[Exponents]
-    rows: list[list[Fraction]]
-    pivot_columns: list[int]
+    eliminator: Eliminator
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return self.eliminator.rank
 
     def complement(self) -> list[Exponents]:
         """Non-pivot monomials: a basis of the quotient in this slice."""
-        pivots = set(self.pivot_columns)
+        pivots = set(self.eliminator.pivots)
         return [m for i, m in enumerate(self.monomials) if i not in pivots]
-
-    def reduce_vector(self, vec: list[Fraction]) -> list[Fraction]:
-        """Subtract the row space: canonical representative mod the ideal."""
-        out = list(vec)
-        for row, col in zip(self.rows, self.pivot_columns):
-            coeff = out[col]
-            if coeff:
-                out = [v - coeff * r for v, r in zip(out, row)]
-        return out
 
 
 def jacobian_slice_reduction(phi: Poly, weights: WeightSystem,
                              degree: int) -> SliceReduction:
-    """Row-reduce the weight-``degree`` slice of the Jacobian ideal of phi."""
+    """Eliminate the weight-``degree`` slice of the Jacobian ideal of phi."""
     d = weighted_degree(phi, weights)
     if d is None:
         raise SingularityError("potential must be weight-homogeneous and nonzero")
     monomials = monomials_of_weight(weights, degree)
     index_of = {m: i for i, m in enumerate(monomials)}
-    raw_rows: list[list[Fraction]] = []
+    eliminator = Eliminator()
     for v in range(3):
         generator = phi.diff(v)
         if generator.is_zero():
@@ -110,27 +99,10 @@ def jacobian_slice_reduction(phi: Poly, weights: WeightSystem,
         gen_weight = d - weights.weights[v]
         for m in monomials_of_weight(weights, degree - gen_weight):
             product = Poly.monomial(m) * generator
-            row = [Fraction(0)] * len(monomials)
-            for exps, coeff in product.items():
-                row[index_of[exps]] = coeff
-            raw_rows.append(row)
-    if raw_rows:
-        rows, pivots = rref(raw_rows)
-    else:
-        rows, pivots = [], []
+            eliminator.add({index_of[exps]: coeff
+                            for exps, coeff in product.items()})
     return SliceReduction(degree=degree, monomials=monomials,
-                          rows=rows, pivot_columns=pivots)
-
-
-def jacobian_slice(phi: Poly, weights: WeightSystem,
-                   degree: int) -> list[Poly]:
-    """Canonical reduced spanning set of one weight slice of the ideal."""
-    reduction = jacobian_slice_reduction(phi, weights, degree)
-    out = []
-    for row in reduction.rows:
-        terms = {m: c for m, c in zip(reduction.monomials, row) if c}
-        out.append(Poly(terms))
-    return out
+                          eliminator=eliminator)
 
 
 def check_isolated(phi: Poly, weights: WeightSystem) -> int:
@@ -252,10 +224,8 @@ def normal_form(p: Poly, data: SingularityData) -> Poly:
     for degree, part in weight_parts(p, data.weights).items():
         reduction = data.slice_reduction(degree)
         index_of = {m: i for i, m in enumerate(reduction.monomials)}
-        vec = [Fraction(0)] * len(reduction.monomials)
-        for exps, coeff in part.items():
-            vec[index_of[exps]] = coeff
-        reduced = reduction.reduce_vector(vec)
-        terms = {m: c for m, c in zip(reduction.monomials, reduced) if c}
-        total = total + Poly(terms)
+        reduced = reduction.eliminator.reduce(
+            {index_of[exps]: coeff for exps, coeff in part.items()})
+        total = total + Poly({reduction.monomials[i]: c
+                              for i, c in reduced.items()})
     return total

@@ -62,6 +62,7 @@ from .cohomology import (
     a_index_range,
     class_str,
     enumerate_basis,
+    label_weight,
     realize,
 )
 from .deform import (
@@ -351,7 +352,7 @@ def run_tables_suite(data: SingularityData, config: SuiteConfig,
         expected = [BasisLabel("Eul", (i,))
                     for i in range(cocycle_cap // data.d + 1)]
         ok = degree0 == [lab for lab in expected
-                         if i_weight(data, lab) <= cocycle_cap]
+                         if label_weight(lab, data) <= cocycle_cap]
         _record(checks, "degree0_family_is_euler_multiples", ok,
                 cases=len(degree0),
                 detail=f"got {[str(l) for l in degree0]}")
@@ -375,11 +376,6 @@ def run_tables_suite(data: SingularityData, config: SuiteConfig,
             cases=n_cases, detail="; ".join(bad_pairs[:6]))
 
     return _finish("tables", checks)
-
-
-def i_weight(data: SingularityData, label: BasisLabel) -> int:
-    """Weight of a degree-0 label (multiples of the potential weight)."""
-    return label.indices[0] * data.d
 
 
 # -- transfer suite ------------------------------------------------------------

@@ -153,6 +153,7 @@ def test_infer_weights_examples():
     assert infer_weights(parse_poly("x^3 + y^3 + z^3")).weights == (1, 1, 1)
     assert infer_weights(parse_poly("x^2 + y^2 + z^2")).weights == (1, 1, 1)
     assert infer_weights(parse_poly("x^3 + y^4 + y*z^2")).weights == (8, 6, 9)
+    assert infer_weights(parse_poly("x^2 + y^5 + z^13")).weights == (65, 26, 10)
 
 
 def test_infer_weights_ambiguous_or_impossible():

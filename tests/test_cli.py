@@ -89,6 +89,12 @@ def test_analyze_inhomogeneous_for_given_weights(capsys):
     assert error["error"]["type"] == "CLIUsageError"
 
 
+def test_analyze_large_weights_inferred(capsys):
+    code, report, _ = run_json(capsys, "analyze", "--phi", "x^2 + y^5 + z^13")
+    assert code == 0
+    assert report["potential"]["weights"] == [65, 26, 10]
+
+
 def test_bad_weights_format_exit_1(capsys):
     code, _, error = run_json(
         capsys, "analyze", "--phi", "x^2 + y^2 + z^2", "--weights", "1,1")
@@ -139,6 +145,27 @@ def test_deform_invalid_family_exit_1(capsys, tmp_path):
         capsys, "deform", "--phi", "x^2 + y^3 + z^5",
         "--order", "2", "--family", str(fam_path))
     assert code == 1
+    assert error["error"]["type"] == "InvalidFamilyError"
+
+
+@pytest.mark.parametrize("payload", [
+    {"c": ["1,0,1,1"]},                  # a row that is not a list
+    {"c": [[1, 0, 1, 0.1]]},             # float value
+    {"c": [[1.5, 0, 1, "1"]]},           # float order
+    {"c": [[True, 0, 1, "1"]]},          # bool index
+    {"c": [[1, 0, 1, "abc"]]},           # not a rational
+    {"c": [[1, 0, 1, "1/0"]]},           # zero denominator
+    {"cbar": [[1, 1, "0.5"]]},           # decimal string
+    {"cbar": {"n": 1}},                  # table that is not a list
+], ids=["row", "float", "order", "bool", "abc", "div0", "decimal", "table"])
+def test_deform_inexact_family_exit_1(capsys, tmp_path, payload):
+    fam_path = tmp_path / "family.json"
+    fam_path.write_text(json.dumps(payload))
+    code, report, error = run_json(
+        capsys, "deform", "--phi", "x^2 + y^3 + z^5",
+        "--order", "2", "--family", str(fam_path))
+    assert code == 1
+    assert report is None
     assert error["error"]["type"] == "InvalidFamilyError"
 
 
@@ -220,6 +247,29 @@ def test_verify_weight_cap_flag(capsys):
         "--weight-cap", "2")
     assert code == 0
     assert report["config"]["weight_cap"] == 2
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_negative_weight_cap_exit_1(capsys, command):
+    code, report, error = run_json(
+        capsys, command, "--phi", "x^2 + y^2 + z^2", "--weight-cap", "-1")
+    assert code == 1
+    assert report is None
+    assert error["error"]["type"] == "CLIUsageError"
+
+
+def test_cohomology_errors_are_domain_errors(capsys, monkeypatch):
+    import poisdef.cli as cli_module
+    from poisdef.cohomology import CohomologyError
+
+    def broken_run_suites(names, data, config):
+        raise CohomologyError("synthetic")
+
+    monkeypatch.setattr(cli_module, "run_suites", broken_run_suites)
+    code, _, error = run_json(
+        capsys, "verify", "schouten", "--phi", "x^2 + y^2 + z^2")
+    assert code == 1
+    assert error["error"]["type"] == "CohomologyError"
 
 
 # -- determinism of stdout reports ---------------------------------------------------

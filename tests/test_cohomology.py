@@ -23,12 +23,15 @@ from poisdef import (
     f1,
     label_weight,
     labels_of_weight,
+    milnor_basis,
     parse_label,
+    parse_poly,
     poisson_from_potential,
     project,
     realize,
     solve_coboundary,
     validate_label,
+    WeightSystem,
 )
 
 # -- labels ----------------------------------------------------------------------
@@ -206,6 +209,25 @@ def test_solve_coboundary_canonical(brieskorn):
     second = solve_coboundary(pi, brieskorn)
     assert first == second
     assert coboundary(first, brieskorn.phi) == pi
+
+
+def test_solve_coboundary_rejects_class_in_same_slice(brieskorn):
+    # a coboundary plus z * pi, both of weight 5: the slice solve
+    # succeeds only by using the A(0,1) class column
+    field = euler_field(brieskorn.weights).mul_poly(parse_poly("z"))
+    target = coboundary(field, brieskorn.phi) + realize(parse_label("A(0,1)"),
+                                                        brieskorn)
+    with pytest.raises(NotACoboundaryError):
+        solve_coboundary(target, brieskorn)
+
+
+def test_class_that_is_a_coboundary_is_rejected(monkeypatch):
+    import poisdef.cohomology as cohomology
+    data = milnor_basis(parse_poly("x^2 + y^2 + z^2"), WeightSystem((1, 1, 1)))
+    monkeypatch.setattr(cohomology, "realize",
+                        lambda label, data: MultiVec.zero(label.g_degree + 1))
+    with pytest.raises(CohomologyError, match=r"Top\(0,0\)"):
+        project(coordinate_volume(), data)
 
 
 # -- classes and f1 ---------------------------------------------------------------

@@ -118,6 +118,15 @@ def test_poisson_from_potential_convention():
     assert pi.evaluate([Z, X]) == phi.diff(1)
 
 
+def test_convention_self_test_raises(monkeypatch):
+    # a real exception, so the import-time check survives python -O
+    import poisdef.multivec as multivec
+    monkeypatch.setattr(multivec, "schouten",
+                        lambda a, b: MultiVec.zero(a.degree + b.degree - 1))
+    with pytest.raises(RuntimeError, match="convention"):
+        multivec._convention_self_test()
+
+
 def test_volume_and_euler_evaluation():
     assert coordinate_volume().evaluate([X, Y, Z]) == Poly.one()
     e = euler_field(WeightSystem((15, 10, 6)))
