@@ -92,11 +92,6 @@ from .suites import (
     SUITE_NAMES,
     SuiteConfig,
     all_basis_labels,
-    random_family,
-    random_fraction,
-    random_gauge_series,
-    random_multivector,
-    random_polynomial,
     run_suite,
     run_suites,
 )
@@ -159,11 +154,6 @@ __all__ = [
     "poisson_from_potential",
     "poly_str",
     "project",
-    "random_family",
-    "random_fraction",
-    "random_gauge_series",
-    "random_multivector",
-    "random_polynomial",
     "realize",
     "run_suite",
     "run_suites",

@@ -55,6 +55,11 @@ _DOMAIN_ERRORS = (
 )
 
 
+# Largest --order accepted, so that no command line can demand an
+# unbounded truncation order.
+MAX_ORDER = 32
+
+
 class CLIUsageError(ValueError):
     """Unusable command line (unknown flag, bad literal, missing value)."""
 
@@ -102,6 +107,11 @@ def _load_data(args) -> tuple[SingularityData, bool]:
         weights = infer_weights(phi)
         inferred = True
     return milnor_basis(phi, weights), inferred
+
+
+def _check_order(args) -> None:
+    if not 1 <= args.order <= MAX_ORDER:
+        raise CLIUsageError(f"--order must be between 1 and {MAX_ORDER}")
 
 
 def _check_weight_cap(args) -> None:
@@ -165,9 +175,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_deform(args) -> int:
+    _check_order(args)
     data, inferred = _load_data(args)
-    if args.order < 1:
-        raise CLIUsageError("--order must be at least 1")
     fam = _load_family(args.family)
     series = build_deformation(data, fam, args.order)
     residual = jacobi_residual(series)
@@ -197,6 +206,7 @@ def cmd_deform(args) -> int:
 
 def cmd_verify(args) -> int:
     _check_weight_cap(args)
+    _check_order(args)
     data, inferred = _load_data(args)
     names = args.suites if args.suites else list(SUITE_NAMES)
     for name in names:
@@ -204,8 +214,6 @@ def cmd_verify(args) -> int:
             raise CLIUsageError(
                 f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}"
             )
-    if args.order < 1:
-        raise CLIUsageError("--order must be at least 1")
     if args.arity_cap < 2:
         raise CLIUsageError("--arity-cap must be at least 2")
     config = SuiteConfig(

@@ -2,20 +2,22 @@
 
 A deformation is a bivector series pi_0 + gamma_1 nu + gamma_2 nu^2 + ...
 truncated at a fixed order; it is Poisson up to that order when the
-Schouten self-bracket vanishes order by order.  Working in the cohomology
-label basis, every truncated deformation is generated by a finite family
-of rational coefficients
+Schouten self-bracket vanishes order by order.  In three variables
+f * pi_psi is Poisson for every pair of polynomials f and psi, and every
+formal deformation of pi_phi can be written (Pichereau) as
 
-    c[n, l, i]    multiplying  phi^l * u_i * pi      (A-type directions)
-    cbar[n, r]    multiplying  the exact bivector of u_r  (B-type)
+    (1 + F(nu)) * pi_{phi + Psi(nu)},
 
-through the closed order-n formula implemented in
-:func:`build_deformation`:
+a conformal factor F and a potential shift Psi generated by a finite
+family of rational coefficients in the cohomology label basis:
 
-    gamma_n = sum_{a+b=n} sum_{(l,i),r} c[a,l,i] * cbar[b,r] *
-                  phi^l * u_i * (exact bivector of u_r)
-            + sum_{(l,i)} c[n,l,i] * phi^l * u_i * pi
-            + sum_r cbar[n,r] * (exact bivector of u_r).
+    F   = sum c[n, l, i] nu^n phi^l u_i      (A-type directions),
+    Psi = sum cbar[n, r] nu^n u_r            (B-type directions).
+
+Since pi_psi is linear in psi, putting F_0 = 1 and Psi_0 = phi gives the
+order-n coefficient evaluated by :func:`build_deformation`:
+
+    gamma_n = sum_{a+b=n} F_a * pi_{Psi_b}.
 
 The same series arises from the transferred L-infinity structure: the
 Maurer-Cartan image of the class series gamma_n = sum c A + sum cbar B is
@@ -51,11 +53,15 @@ from math import factorial
 from typing import Optional
 
 from .algebra import Poly, ScalarLike
-from .cohomology import BasisLabel, CohClass, f1, project
+from .cohomology import BasisLabel, CohClass, a_index_range, f1, project
 from .linfty import TransferState
 from .multivec import MultiVec, poisson_from_potential, schouten
 from .singularity import SingularityData
-from .cohomology import a_index_range
+
+
+# Largest power of the potential a family entry may name, so that one
+# entry of a family file cannot demand an unbounded computation.
+MAX_PHI_POWER = 16
 
 
 class InvalidFamilyError(ValueError):
@@ -121,19 +127,14 @@ class CoeffFamily:
         return cls(tuple(sorted(c_clean.items())),
                    tuple(sorted(cbar_clean.items())))
 
-    def c_dict(self) -> dict[tuple[int, int, int], Fraction]:
-        return dict(self.c)
-
-    def cbar_dict(self) -> dict[tuple[int, int], Fraction]:
-        return dict(self.cbar)
-
     def validate(self, data: SingularityData) -> None:
         allowed = a_index_range(data)
         for (n, l, i), _ in self.c:
             if n < 1:
                 raise InvalidFamilyError(f"c[{n},{l},{i}]: order must be >= 1")
-            if l < 0:
-                raise InvalidFamilyError(f"c[{n},{l},{i}]: phi power must be >= 0")
+            if not 0 <= l <= MAX_PHI_POWER:
+                raise InvalidFamilyError(
+                    f"c[{n},{l},{i}]: phi power outside 0..{MAX_PHI_POWER}")
             if i not in allowed:
                 raise InvalidFamilyError(
                     f"c[{n},{l},{i}]: u-index {i} outside {list(allowed)!r}"
@@ -194,63 +195,49 @@ def _exact_value(value, name: str, entry: list) -> Fraction:
 def gamma_classes(fam: CoeffFamily, data: SingularityData, m: int) -> NuSeries:
     """The family as a series of degree-1 cohomology classes."""
     fam.validate(data)
-    coeffs = []
-    c = fam.c_dict()
-    cbar = fam.cbar_dict()
-    for n in range(1, m + 1):
-        parts: dict[BasisLabel, Fraction] = {}
-        for (order, l, i), value in c.items():
-            if order == n:
-                parts[BasisLabel("A", (l, i))] = value
-        for (order, r), value in cbar.items():
-            if order == n:
-                parts[BasisLabel("B", (r,))] = value
-        coeffs.append(CohClass.make(1, parts))
-    return NuSeries(order_cap=m, coeffs=tuple(coeffs))
+    parts: list[dict[BasisLabel, Fraction]] = [{} for _ in range(m)]
+    for (n, l, i), value in fam.c:
+        if n <= m:
+            parts[n - 1][BasisLabel("A", (l, i))] = value
+    for (n, r), value in fam.cbar:
+        if n <= m:
+            parts[n - 1][BasisLabel("B", (r,))] = value
+    return NuSeries(order_cap=m,
+                    coeffs=tuple(CohClass.make(1, p) for p in parts))
 
 
 def build_deformation(data: SingularityData, fam: CoeffFamily,
                       m: int) -> NuSeries:
     """Truncated Poisson deformation generated by a coefficient family.
 
-    Evaluates the closed order-n formula in the module docstring with
-    exact arithmetic and returns the anchored bivector series.  The
-    result satisfies the Poisson condition up to order m for every
-    family, which :func:`jacobi_residual` can confirm.
+    Reads the family once into the conformal factor F and the potential
+    shift Psi, order by order (F_0 = 1, Psi_0 = phi), and returns the
+    series gamma_n = sum_{a+b=n} F_a * pi_{Psi_b} anchored at pi_phi.
+    The result is Poisson up to order m for every family, which
+    :func:`jacobi_residual` can confirm.
     """
     if m < 1:
         raise ValueError("truncation order must be at least 1")
     fam.validate(data)
     phi = data.phi
-    c = fam.c_dict()
-    cbar = fam.cbar_dict()
-    a_reps: dict[tuple[int, int], MultiVec] = {}
-    b_reps: dict[int, MultiVec] = {}
-    pi = poisson_from_potential(phi)
-    for (_, l, i) in c:
-        if (l, i) not in a_reps:
-            a_reps[(l, i)] = pi.mul_poly((phi ** l) * Poly.monomial(data.basis[i]))
-    for (_, r) in cbar:
-        if r not in b_reps:
-            b_reps[r] = poisson_from_potential(Poly.monomial(data.basis[r]))
+    u = data.basis_polys
+    factor = [Poly.one()] + [Poly.zero()] * m
+    shift = [phi] + [Poly.zero()] * m
+    for (n, l, i), value in fam.c:
+        if n <= m:
+            factor[n] = factor[n] + (phi ** l) * u[i] * value
+    for (n, r), value in fam.cbar:
+        if n <= m:
+            shift[n] = shift[n] + u[r] * value
+    pis = [poisson_from_potential(psi) for psi in shift]
     coeffs = []
     for n in range(1, m + 1):
         gamma_n = MultiVec.zero(2)
-        for (order, l, i), value in c.items():
-            if order == n:
-                gamma_n = gamma_n + a_reps[(l, i)] * value
-        for (order, r), value in cbar.items():
-            if order == n:
-                gamma_n = gamma_n + b_reps[r] * value
-        for (oa, l, i), va in c.items():
-            if oa >= n:
-                continue
-            for (ob, r), vb in cbar.items():
-                if oa + ob == n:
-                    factor = (phi ** l) * Poly.monomial(data.basis[i]) * (va * vb)
-                    gamma_n = gamma_n + b_reps[r].mul_poly(factor)
+        for a in range(n + 1):
+            if factor[a] and shift[n - a]:
+                gamma_n = gamma_n + pis[n - a].mul_poly(factor[a])
         coeffs.append(gamma_n)
-    return NuSeries(order_cap=m, coeffs=tuple(coeffs), anchor=pi)
+    return NuSeries(order_cap=m, coeffs=tuple(coeffs), anchor=pis[0])
 
 
 def jacobi_residual(series: NuSeries, order: Optional[int] = None) -> NuSeries:

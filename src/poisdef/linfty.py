@@ -263,27 +263,42 @@ class TransferState:
 
     def ell(self, classes: Sequence[CohClass]) -> CohClass:
         """ell_n extended multilinearly to rational class combinations."""
-        n = len(classes)
-        g_out = sum(c.g_degree for c in classes) + 2 - n
-        result = CohClass.zero(g_out)
-        for combo in product(*[c.coeffs for c in classes]):
-            coeff = Fraction(1)
-            for _, value in combo:
-                coeff *= value
-            result = result + self.ell_labels([lab for lab, _ in combo]) * coeff
-        return result
+        return _multilinear(self.ell_labels, classes, CohClass.zero)
 
     def f(self, classes: Sequence[CohClass]) -> MultiVec:
         """f_n extended multilinearly to rational class combinations."""
-        n = len(classes)
-        degree_out = sum(c.g_degree for c in classes) + 2 - n
-        result = MultiVec.zero(degree_out)
-        for combo in product(*[c.coeffs for c in classes]):
-            coeff = Fraction(1)
-            for _, value in combo:
-                coeff *= value
-            result = result + self.f_labels([lab for lab, _ in combo]) * coeff
-        return result
+        return _multilinear(self.f_labels, classes, MultiVec.zero)
+
+
+def _multilinear(on_labels, classes: Sequence[CohClass], zero):
+    """Extend a map on label tuples multilinearly to class combinations;
+    ``zero(k)`` builds the zero of output degree k."""
+    n = len(classes)
+    result = zero(sum(c.g_degree for c in classes) + 2 - n)
+    for combo in product(*[c.coeffs for c in classes]):
+        coeff = Fraction(1)
+        for _, value in combo:
+            coeff *= value
+        result = result + on_labels([lab for lab, _ in combo]) * coeff
+    return result
+
+
+def _nested_sum(state: TransferState, outer, classes: Sequence[CohClass],
+                zero):
+    """The sum S_n (``outer = state.f``) or J_n (``outer = state.ell``) of
+    the module docstring; ``zero(k)`` builds the zero of output degree k."""
+    n = len(classes)
+    degrees = [c.g_degree for c in classes]
+    total = zero(sum(degrees) + 3 - n)
+    for i in range(2, n):
+        j = n + 1 - i
+        outer_sign = -1 if (i * (j - 1)) % 2 else 1
+        for sigma in shuffles(i, n - i):
+            chi = koszul_chi(sigma, degrees)
+            inner = state.ell([classes[sigma[m] - 1] for m in range(i)])
+            rest = [classes[sigma[m] - 1] for m in range(i, n)]
+            total = total + outer([inner] + rest) * (chi * outer_sign)
+    return total
 
 
 def transfer_step(state: TransferState, m: int,
@@ -311,18 +326,8 @@ def compute_T(state: TransferState, n: int,
     if len(classes) != n:
         raise ValueError(f"expected {n} classes, got {len(classes)}")
     degrees = [c.g_degree for c in classes]
-    degree_out = sum(degrees) + 3 - n
-    total = MultiVec.zero(degree_out)
     # S_n: homotopy applied after a lower bracket
-    for k in range(2, n):
-        j = n + 1 - k
-        outer_sign = -1 if (k * (j - 1)) % 2 else 1
-        for sigma in shuffles(k, n - k):
-            chi = koszul_chi(sigma, degrees)
-            inner = state.ell([classes[sigma[m] - 1] for m in range(k)])
-            rest = [classes[sigma[m] - 1] for m in range(k, n)]
-            term = state.f([inner] + rest)
-            total = total + term * (chi * outer_sign)
+    total = _nested_sum(state, state.f, classes, MultiVec.zero)
     # U_n: Schouten bracket of two lower homotopies
     for s in range(1, n):
         t = n - s
@@ -363,15 +368,4 @@ def jacobiator(state: TransferState, n: int,
     """
     if len(classes) != n:
         raise ValueError(f"expected {n} classes, got {len(classes)}")
-    degrees = [c.g_degree for c in classes]
-    total = CohClass.zero(sum(degrees) + 3 - n)
-    for i in range(2, n):
-        j = n + 1 - i
-        outer_sign = -1 if (i * (j - 1)) % 2 else 1
-        for sigma in shuffles(i, n - i):
-            chi = koszul_chi(sigma, degrees)
-            inner = state.ell([classes[sigma[m] - 1] for m in range(i)])
-            rest = [classes[sigma[m] - 1] for m in range(i, n)]
-            term = state.ell([inner] + rest)
-            total = total + term * (chi * outer_sign)
-    return total
+    return _nested_sum(state, state.ell, classes, CohClass.zero)

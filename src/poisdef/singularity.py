@@ -116,6 +116,13 @@ def check_isolated(phi: Poly, weights: WeightSystem) -> int:
     critical locus.  The count is cross-checked against the product
     formula prod_i (d - w_i) / w_i.
     """
+    return _isolated_slices(phi, weights)[0]
+
+
+def _isolated_slices(phi: Poly, weights: WeightSystem
+                     ) -> tuple[int, dict[int, SliceReduction]]:
+    """:func:`check_isolated`, also returning the eliminated Jacobian
+    slices of weights 0 to the socle degree."""
     d = weighted_degree(phi, weights)
     if d is None or phi.is_zero():
         raise SingularityError("potential must be weight-homogeneous and nonzero")
@@ -124,11 +131,13 @@ def check_isolated(phi: Poly, weights: WeightSystem) -> int:
     socle = 3 * d - 2 * weights.total
     window_end = socle + max(d, weights.total)
     mu = 0
+    slices: dict[int, SliceReduction] = {}
     for degree in range(0, max(socle, window_end) + 1):
         reduction = jacobian_slice_reduction(phi, weights, degree)
         missing = len(reduction.monomials) - reduction.rank
         if degree <= socle:
             mu += missing
+            slices[degree] = reduction
         elif missing:
             raise NotIsolatedError(
                 f"Jacobian ideal misses {missing} monomial(s) in weight "
@@ -148,7 +157,7 @@ def check_isolated(phi: Poly, weights: WeightSystem) -> int:
             "Milnor number is zero: the potential has no critical point "
             "at the origin (it is regular there)",
         )
-    return mu
+    return mu, slices
 
 
 @dataclass
@@ -192,15 +201,10 @@ class SingularityData:
 
 def milnor_basis(phi: Poly, weights: WeightSystem) -> SingularityData:
     """Milnor number and canonical monomial basis of the quotient algebra."""
-    mu = check_isolated(phi, weights)
+    mu, slices = _isolated_slices(phi, weights)
     d = weighted_degree(phi, weights)
     socle = 3 * d - 2 * weights.total
-    basis: list[Exponents] = []
-    slices: dict[int, SliceReduction] = {}
-    for degree in range(0, socle + 1):
-        reduction = jacobian_slice_reduction(phi, weights, degree)
-        slices[degree] = reduction
-        basis.extend(reduction.complement())
+    basis = [m for reduction in slices.values() for m in reduction.complement()]
     if len(basis) != mu:
         raise AssertionError(
             f"basis size {len(basis)} disagrees with Milnor number {mu}"

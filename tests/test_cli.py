@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from poisdef.cli import main
+from poisdef.cli import MAX_ORDER, main
 
 # -- helpers --------------------------------------------------------------------
 
@@ -157,7 +157,9 @@ def test_deform_invalid_family_exit_1(capsys, tmp_path):
     {"c": [[1, 0, 1, "1/0"]]},           # zero denominator
     {"cbar": [[1, 1, "0.5"]]},           # decimal string
     {"cbar": {"n": 1}},                  # table that is not a list
-], ids=["row", "float", "order", "bool", "abc", "div0", "decimal", "table"])
+    {"c": [[1, 17, 1, "1"]]},            # phi power above MAX_PHI_POWER
+], ids=["row", "float", "order", "bool", "abc", "div0", "decimal", "table",
+        "power"])
 def test_deform_inexact_family_exit_1(capsys, tmp_path, payload):
     fam_path = tmp_path / "family.json"
     fam_path.write_text(json.dumps(payload))
@@ -181,6 +183,16 @@ def test_deform_bad_order_exit_1(capsys):
     code, _, error = run_json(
         capsys, "deform", "--phi", "x^2 + y^2 + z^2", "--order", "0")
     assert code == 1
+    assert error["error"]["type"] == "CLIUsageError"
+
+
+@pytest.mark.parametrize("command", ["deform", "verify"])
+def test_order_above_cap_exit_1(capsys, command):
+    code, report, error = run_json(
+        capsys, command, "--phi", "x^2 + y^2 + z^2",
+        "--order", str(MAX_ORDER + 1))
+    assert code == 1
+    assert report is None
     assert error["error"]["type"] == "CLIUsageError"
 
 

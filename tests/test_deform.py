@@ -27,6 +27,7 @@ from poisdef import (
     schouten,
 )
 from poisdef.cohomology import CohClass
+from poisdef.deform import MAX_PHI_POWER
 from poisdef.suites import random_family, random_gauge_series
 
 # -- families --------------------------------------------------------------------
@@ -56,6 +57,7 @@ def test_family_validation(brieskorn):
         CoeffFamily.make({}, {(1, 8): 1}).validate(brieskorn)  # r < mu
     with pytest.raises(InvalidFamilyError):
         CoeffFamily.make({}, {(1, 0): 1}).validate(brieskorn)  # r >= 1
+    CoeffFamily.make({(1, MAX_PHI_POWER, 1): 1}, {}).validate(brieskorn)
 
 
 def test_family_validation_special(cubic):
@@ -122,16 +124,21 @@ def test_truncation_prefix_property(brieskorn):
             assert trunc.coefficient(n) == full.coefficient(n)
 
 
-# -- dual route: closed formula vs Maurer-Cartan image -------------------------------
+# -- dual route: pair form vs Maurer-Cartan image ------------------------------------
 
 
-def test_build_matches_mc_image(brieskorn, brieskorn_state):
+@pytest.mark.parametrize("name", ["brieskorn", "cubic"])
+def test_build_matches_mc_image(request, name):
+    """The pair form and the Maurer-Cartan image agree; the balanced cubic
+    also exercises A labels on u_0."""
+    data = request.getfixturevalue(name)
+    state = request.getfixturevalue(f"{name}_state")
     rng = random.Random(31)
     for _ in range(4):
-        fam = random_family(rng, brieskorn, order=3, phi_power_cap=2)
-        series = build_deformation(brieskorn, fam, 3)
-        gamma = gamma_classes(fam, brieskorn, 3)
-        image = mc_image(brieskorn_state, gamma, 3)
+        fam = random_family(rng, data, order=3, phi_power_cap=2)
+        series = build_deformation(data, fam, 3)
+        gamma = gamma_classes(fam, data, 3)
+        image = mc_image(state, gamma, 3)
         for n in range(1, 4):
             assert series.coefficient(n) == image.coefficient(n)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 import sympy
 
@@ -126,6 +128,24 @@ def test_slice_ranks_match_independent_oracle(phi_text, weights):
         dim, rank = sympy_slice_rank(phi_text, weights, weight)
         assert len(red.monomials) == dim
         assert red.rank == rank
+
+
+def test_milnor_basis_eliminates_each_slice_once(monkeypatch):
+    """The isolation check and the basis share one pass over the slices."""
+    import poisdef.singularity as singularity
+
+    calls = Counter()
+    original = singularity.jacobian_slice_reduction
+
+    def counting(phi, weights, degree):
+        calls[degree] += 1
+        return original(phi, weights, degree)
+
+    monkeypatch.setattr(singularity, "jacobian_slice_reduction", counting)
+    data = milnor_basis(parse_poly("x^2 + y^3 + z^5"),
+                        WeightSystem((15, 10, 6)))
+    window_end = data.socle + max(data.d, data.weights.total)
+    assert calls == Counter(range(window_end + 1))
 
 
 def test_basis_defect_counts_match_oracle(brieskorn):
