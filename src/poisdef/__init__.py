@@ -32,7 +32,6 @@ from .cohomology import (
     CohomologyError,
     NotACoboundaryError,
     NotACocycleError,
-    SliceCapExceededError,
     a_index_range,
     class_str,
     enumerate_basis,
@@ -66,7 +65,6 @@ from .linfty import (
     jacobiator,
     koszul_chi,
     koszul_sign,
-    transfer_step,
 )
 from .multivec import (
     MultiVec,
@@ -115,7 +113,6 @@ __all__ = [
     "SUITE_NAMES",
     "SingularityData",
     "SingularityError",
-    "SliceCapExceededError",
     "SuiteConfig",
     "TransferState",
     "WeightInferenceError",
@@ -160,7 +157,6 @@ __all__ = [
     "schouten",
     "shuffles",
     "solve_coboundary",
-    "transfer_step",
     "validate_label",
     "wedge",
 ]

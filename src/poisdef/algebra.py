@@ -108,14 +108,6 @@ class Poly:
         """(exponents, coefficient) pairs in canonical order."""
         return [(e, self._terms[e]) for e in self.exponents()]
 
-    def total_degree(self) -> Optional[int]:
-        if not self._terms:
-            return None
-        return max(a + b + c for (a, b, c) in self._terms)
-
-    def constant_term(self) -> Fraction:
-        return self._terms.get((0, 0, 0), Fraction(0))
-
     def __len__(self) -> int:
         return len(self._terms)
 
@@ -490,20 +482,6 @@ def weight_parts(p: Poly, weights: WeightSystem) -> dict[int, Poly]:
     for exps, coeff in p.items():
         buckets.setdefault(weights.monomial_weight(exps), {})[exps] = coeff
     return {w: Poly(terms) for w, terms in sorted(buckets.items())}
-
-
-def euler_apply(p: Poly, weights: WeightSystem) -> Poly:
-    """Apply the weighted Euler vector field w1*x*d/dx + w2*y*d/dy + w3*z*d/dz.
-
-    On a monomial this multiplies by its weight, so a weight-homogeneous
-    polynomial of weight d is an eigenvector with eigenvalue d.
-    """
-    terms: dict[Exponents, Fraction] = {}
-    for exps, coeff in p.items():
-        w = weights.monomial_weight(exps)
-        if w:
-            terms[exps] = coeff * w
-    return Poly(terms)
 
 
 def _cross(u: Exponents, v: Exponents) -> Exponents:

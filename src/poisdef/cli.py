@@ -216,6 +216,13 @@ def cmd_verify(args) -> int:
             )
     if args.arity_cap < 2:
         raise CLIUsageError("--arity-cap must be at least 2")
+    if data.special and "gauge" in names and args.order > args.arity_cap:
+        # the class-level gauge action brackets up to --order classes
+        raise CLIUsageError(
+            f"the gauge suite on a balanced potential needs brackets of "
+            f"arity up to --order {args.order}, above --arity-cap "
+            f"{args.arity_cap}"
+        )
     config = SuiteConfig(
         order=args.order,
         weight_cap=args.weight_cap,

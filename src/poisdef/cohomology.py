@@ -70,10 +70,6 @@ class NotACoboundaryError(CohomologyError):
     """The multivector is not in the image of the Poisson differential."""
 
 
-class SliceCapExceededError(CohomologyError):
-    """A computation needed a weight slice above the caller's cap."""
-
-
 KINDS = ("Cas", "Eul", "A", "B", "Top")
 _KIND_RANK = {kind: i for i, kind in enumerate(KINDS)}
 _KIND_DEGREE = {"Cas": -1, "Eul": 0, "A": 1, "B": 1, "Top": 2}
@@ -396,12 +392,10 @@ def _slice_solver(data: SingularityData, degree: int, weight: int):
     return entry
 
 
-def project(p: MultiVec, data: SingularityData,
-            weight_cap: Optional[int] = None) -> CohClass:
+def project(p: MultiVec, data: SingularityData) -> CohClass:
     """Cohomology class of a closed multivector in the label basis.
 
-    Raises NotACocycleError if [pi, p] != 0, and SliceCapExceededError if
-    a weight slice above ``weight_cap`` (when given) would be needed.
+    Raises NotACocycleError if [pi, p] != 0.
     """
     g = p.degree - 1
     if p.degree not in SLOTS or p.is_zero():
@@ -413,10 +407,6 @@ def project(p: MultiVec, data: SingularityData,
         )
     coeffs: dict[BasisLabel, Fraction] = {}
     for weight, part in multivec_weight_parts(p, data.weights).items():
-        if weight_cap is not None and weight > weight_cap:
-            raise SliceCapExceededError(
-                f"projection needs weight slice {weight} > cap {weight_cap}"
-            )
         labels, index, eliminator = _slice_solver(data, p.degree, weight)
         solution = eliminator.solve(_vector_of(part, index))
         if solution is None:
@@ -431,8 +421,7 @@ def project(p: MultiVec, data: SingularityData,
     return CohClass.make(g, coeffs)
 
 
-def solve_coboundary(target: MultiVec, data: SingularityData,
-                     weight_cap: Optional[int] = None) -> MultiVec:
+def solve_coboundary(target: MultiVec, data: SingularityData) -> MultiVec:
     """A multivector y with [pi, y] = target, free part chosen zero.
 
     Raises NotACoboundaryError if the target is not in the image of the
@@ -444,10 +433,6 @@ def solve_coboundary(target: MultiVec, data: SingularityData,
     terms: list[dict[Exponents, Fraction]] = [
         {} for _ in SLOTS.get(target.degree - 1, ())]
     for weight, part in multivec_weight_parts(target, data.weights).items():
-        if weight_cap is not None and weight > weight_cap:
-            raise SliceCapExceededError(
-                f"coboundary solve needs weight slice {weight} > cap {weight_cap}"
-            )
         labels, index, eliminator = _slice_solver(data, target.degree, weight)
         solution = eliminator.solve(_vector_of(part, index))
         if solution is None or any(label in solution for label in labels):

@@ -240,7 +240,7 @@ def build_deformation(data: SingularityData, fam: CoeffFamily,
     return NuSeries(order_cap=m, coeffs=tuple(coeffs), anchor=pis[0])
 
 
-def jacobi_residual(series: NuSeries, order: Optional[int] = None) -> NuSeries:
+def jacobi_residual(series: NuSeries) -> NuSeries:
     """Order-by-order Schouten self-bracket of an anchored bivector series.
 
     Coefficient n of the result is sum over a + b = n of [pi_a, pi_b]
@@ -249,9 +249,7 @@ def jacobi_residual(series: NuSeries, order: Optional[int] = None) -> NuSeries:
     """
     if series.anchor is None:
         raise ValueError("jacobi_residual needs an anchored series")
-    m = series.order_cap if order is None else order
-    if not 1 <= m <= series.order_cap:
-        raise ValueError(f"order {m} outside 1..{series.order_cap}")
+    m = series.order_cap
     terms = [series.anchor] + list(series.coeffs)
     out = []
     for n in range(1, m + 1):
@@ -294,20 +292,17 @@ def first_order_class(series: NuSeries, data: SingularityData) -> CohClass:
     return project(series.coefficient(1), data)
 
 
-def gauge_apply(series: NuSeries, xi: NuSeries,
-                order: Optional[int] = None) -> NuSeries:
+def gauge_apply(series: NuSeries, xi: NuSeries) -> NuSeries:
     """Exponential of the adjoint action of a vector-field series.
 
     ``xi`` is a series of polynomial vector fields starting at order 1;
     the result is the anchored series of e^{ad_xi} applied to ``series``,
-    truncated at ``order`` (default: the series cap).  Nested brackets
-    beyond the truncation order vanish because xi has no order-0 term.
+    truncated at the series cap.  Nested brackets beyond the truncation
+    order vanish because xi has no order-0 term.
     """
     if series.anchor is None:
         raise ValueError("gauge_apply needs an anchored series")
-    m = series.order_cap if order is None else order
-    if not 1 <= m <= series.order_cap:
-        raise ValueError(f"order {m} outside 1..{series.order_cap}")
+    m = series.order_cap
     if xi.order_cap < m:
         raise ValueError("gauge series must reach the truncation order")
     for n in range(1, m + 1):
@@ -332,8 +327,8 @@ def gauge_apply(series: NuSeries, xi: NuSeries,
     return NuSeries(order_cap=m, coeffs=tuple(result[1:]), anchor=series.anchor)
 
 
-def gauge_special(state: TransferState, gamma: NuSeries, xi: NuSeries,
-                  m: Optional[int] = None) -> NuSeries:
+def gauge_special(state: TransferState, gamma: NuSeries,
+                  xi: NuSeries) -> NuSeries:
     """Class-level gauge action of a series of degree-0 classes.
 
     Implements gamma -> gamma - sum_{k>=2} ((-1)^(k(k-1)/2)/(k-1)!) *
@@ -342,10 +337,7 @@ def gauge_special(state: TransferState, gamma: NuSeries, xi: NuSeries,
     only possibility for unbalanced potentials, whose degree-0 cohomology
     vanishes) the input is returned unchanged.
     """
-    if m is None:
-        m = gamma.order_cap
-    if not 1 <= m <= gamma.order_cap:
-        raise ValueError(f"order {m} outside 1..{gamma.order_cap}")
+    m = gamma.order_cap
     if xi.order_cap < m:
         raise ValueError("gauge series must reach the truncation order")
     for n in range(1, m + 1):

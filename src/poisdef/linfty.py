@@ -301,21 +301,6 @@ def _nested_sum(state: TransferState, outer, classes: Sequence[CohClass],
     return total
 
 
-def transfer_step(state: TransferState, m: int,
-                  tuples: Sequence[Sequence[BasisLabel]]) -> TransferState:
-    """Warm the caches of one transfer stage.
-
-    Evaluates ell_m and f_m on every given label tuple (each of arity m)
-    so later queries are cache hits; returns the same state.
-    """
-    for labels in tuples:
-        if len(labels) != m:
-            raise ValueError(f"expected arity {m} tuples, got {len(labels)}")
-        state.ell_labels(tuple(labels))
-        state.f_labels(tuple(labels))
-    return state
-
-
 def compute_T(state: TransferState, n: int,
               classes: Sequence[CohClass]) -> MultiVec:
     """The order-n obstruction T_n = S_n - U_n (see module docstring).

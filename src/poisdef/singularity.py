@@ -24,6 +24,11 @@ from .algebra import (
 )
 from .linalg import Eliminator
 
+# Largest Milnor number analysed, so that no potential can demand an
+# unbounded elimination; x^17+y^17+z^17 (mu = 4096) is the largest
+# Fermat potential inside it.
+MAX_MILNOR = 4096
+
 
 class SingularityError(ValueError):
     """Raised when a potential fails the preconditions of this module."""
@@ -114,7 +119,8 @@ def check_isolated(phi: Poly, weights: WeightSystem) -> int:
     slices strictly above that socle degree, up to socle + max(d, |w|),
     must therefore vanish; the first nonzero one witnesses a non-isolated
     critical locus.  The count is cross-checked against the product
-    formula prod_i (d - w_i) / w_i.
+    formula prod_i (d - w_i) / w_i; a formula value above MAX_MILNOR
+    raises SingularityError before any slice is eliminated.
     """
     return _isolated_slices(phi, weights)[0]
 
@@ -128,6 +134,13 @@ def _isolated_slices(phi: Poly, weights: WeightSystem
         raise SingularityError("potential must be weight-homogeneous and nonzero")
     if d == 0:
         raise SingularityError("potential must be nonconstant")
+    w1, w2, w3 = weights.weights
+    expected = Fraction(d - w1, w1) * Fraction(d - w2, w2) * Fraction(d - w3, w3)
+    if expected > MAX_MILNOR:
+        raise SingularityError(
+            f"Milnor number {expected} (product formula) exceeds the budget "
+            f"of {MAX_MILNOR}"
+        )
     socle = 3 * d - 2 * weights.total
     window_end = socle + max(d, weights.total)
     mu = 0
@@ -145,8 +158,6 @@ def _isolated_slices(phi: Poly, weights: WeightSystem
                 "point is not isolated",
                 offending_degree=degree,
             )
-    w1, w2, w3 = weights.weights
-    expected = Fraction(d - w1, w1) * Fraction(d - w2, w2) * Fraction(d - w3, w3)
     if expected != mu:
         raise NotIsolatedError(
             f"slice count {mu} disagrees with the product formula "

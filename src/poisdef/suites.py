@@ -89,6 +89,10 @@ from .singularity import SingularityData
 
 SUITE_NAMES = ("schouten", "tables", "transfer", "deform", "gauge")
 
+# Largest power of the potential in the closed identity sweeps and in
+# random coefficient families.
+PHI_POWER_CAP = 2
+
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -97,15 +101,12 @@ class SuiteConfig:
     ``weight_cap`` bounds the label weight of enumerated bases; when
     None, sweeps over pairs/triples use twice the potential degree and
     the cocycle sweep uses three times the potential degree.
-    ``phi_power_cap`` bounds the power of the potential appearing in
-    closed identity sweeps and in random coefficient families.
     """
 
     order: int = 3
     weight_cap: Optional[int] = None
     arity_cap: int = 4
     seed: int = 0
-    phi_power_cap: int = 2
     n_families: int = 20
     n_gauges: int = 10
     n_samples: int = 10
@@ -120,11 +121,11 @@ class SuiteConfig:
 # -- seeded samplers -----------------------------------------------------------
 
 
-def random_fraction(rng: random.Random, *, zero_ok: bool = False) -> Fraction:
-    """Small random rational with numerator in -9..9, denominator 1..4."""
+def random_fraction(rng: random.Random) -> Fraction:
+    """Small nonzero random rational: numerator in -9..9, denominator 1..4."""
     while True:
         num = rng.randint(-9, 9)
-        if num != 0 or zero_ok:
+        if num != 0:
             return Fraction(num, rng.randint(1, 4))
 
 
@@ -139,17 +140,15 @@ def random_polynomial(rng: random.Random, *, max_exponent: int = 2,
 
 
 def random_multivector(rng: random.Random, degree: int, *,
-                       max_exponent: int = 2, max_terms: int = 2) -> MultiVec:
+                       max_terms: int = 2) -> MultiVec:
     """Random multivector with random polynomial components."""
-    comps = tuple(
-        random_polynomial(rng, max_exponent=max_exponent, max_terms=max_terms)
-        for _ in SLOTS[degree]
-    )
+    comps = tuple(random_polynomial(rng, max_terms=max_terms)
+                  for _ in SLOTS[degree])
     return MultiVec(degree, comps)
 
 
 def random_family(rng: random.Random, data: SingularityData, *, order: int,
-                  phi_power_cap: int = 2, max_entries: int = 3) -> CoeffFamily:
+                  phi_power_cap: int = PHI_POWER_CAP) -> CoeffFamily:
     """Random coefficient family supported on the degree-1 basis.
 
     Every generated index is valid for ``data``: Hamiltonian-type
@@ -162,7 +161,7 @@ def random_family(rng: random.Random, data: SingularityData, *, order: int,
     a_indices = list(a_index_range(data))
     b_indices = list(range(1, data.mu))
     for n in range(1, order + 1):
-        for _ in range(rng.randint(1, max_entries)):
+        for _ in range(rng.randint(1, 3)):
             use_a = a_indices and (not b_indices or rng.random() < 0.6)
             if use_a:
                 key = (n, rng.randint(0, phi_power_cap), rng.choice(a_indices))
@@ -173,14 +172,9 @@ def random_family(rng: random.Random, data: SingularityData, *, order: int,
     return CoeffFamily.make(c, cbar)
 
 
-def random_gauge_series(rng: random.Random, order: int, *,
-                        max_exponent: int = 2, max_terms: int = 2) -> NuSeries:
+def random_gauge_series(rng: random.Random, order: int) -> NuSeries:
     """Random series of polynomial vector fields (orders 1..order)."""
-    coeffs = tuple(
-        random_multivector(rng, 1, max_exponent=max_exponent,
-                           max_terms=max_terms)
-        for _ in range(order)
-    )
+    coeffs = tuple(random_multivector(rng, 1) for _ in range(order))
     return NuSeries(order_cap=order, coeffs=coeffs)
 
 
@@ -235,12 +229,12 @@ def run_schouten_suite(data: SingularityData, config: SuiteConfig,
 
     # Degree-1 representative families entering the closed identities.
     powers = [Poly.one()]
-    for _ in range(config.phi_power_cap):
+    for _ in range(PHI_POWER_CAP):
         powers.append(powers[-1] * phi)
     u = data.basis_polys
     hamiltonian = {
         (a, k): pi.mul_poly(powers[a] * u[k])
-        for a in range(config.phi_power_cap + 1)
+        for a in range(PHI_POWER_CAP + 1)
         for k in range(data.mu)
     }
     exact = {r: poisson_from_potential(u[r]) for r in range(1, data.mu)}
@@ -461,8 +455,7 @@ def run_deform_suite(data: SingularityData, config: SuiteConfig,
     m = config.order
 
     families = [
-        random_family(rng, data, order=m, phi_power_cap=config.phi_power_cap)
-        for _ in range(config.n_families)
+        random_family(rng, data, order=m) for _ in range(config.n_families)
     ]
 
     bad_mc: list[int] = []
@@ -531,8 +524,7 @@ def run_gauge_suite(data: SingularityData, config: SuiteConfig,
     rng = random.Random(config.seed)
     m = config.order
 
-    fam = random_family(rng, data, order=m,
-                        phi_power_cap=config.phi_power_cap)
+    fam = random_family(rng, data, order=m)
     base = build_deformation(data, fam, m)
     base_class = first_order_class(base, data)
 

@@ -128,7 +128,7 @@ def test_criterion_03_cocycle_bases(quadric, cubic, brieskorn):
 
 
 def test_criterion_04_bracket_identities(cubic, brieskorn):
-    config = SuiteConfig(order=2, phi_power_cap=2, seed=0, n_samples=2)
+    config = SuiteConfig(order=2, seed=0, n_samples=2)
     for data in (cubic, brieskorn):
         report = run_schouten_suite(data, config)
         gens = 3 * data.mu  # phi powers 0..2 times u_0..u_(mu-1)

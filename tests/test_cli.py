@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poisdef.cli import MAX_ORDER, main
 
@@ -93,6 +98,17 @@ def test_analyze_large_weights_inferred(capsys):
     code, report, _ = run_json(capsys, "analyze", "--phi", "x^2 + y^5 + z^13")
     assert code == 0
     assert report["potential"]["weights"] == [65, 26, 10]
+
+
+def test_analyze_above_milnor_budget_fails_fast(capsys):
+    start = time.perf_counter()
+    code, report, error = run_json(
+        capsys, "analyze", "--phi", "x^40+y^40+z^40", "--weight-cap", "0")
+    assert time.perf_counter() - start < 2.0
+    assert code == 1
+    assert report is None
+    assert error["error"]["type"] == "SingularityError"
+    assert "budget" in error["error"]["message"]
 
 
 def test_bad_weights_format_exit_1(capsys):
@@ -253,6 +269,29 @@ def test_verify_arity_cap_flag(capsys):
     assert not any("order4" in name for name in names)
 
 
+@pytest.mark.parametrize("suites", [[], ["gauge"]])
+def test_verify_gauge_order_above_arity_cap_fails_fast(capsys, suites):
+    """On a balanced potential the class-level gauge action needs ell_k up
+    to k = --order, so an order above --arity-cap is refused up front."""
+    start = time.perf_counter()
+    code, report, error = run_json(
+        capsys, "verify", *suites, "--phi", "x^3+y^3+z^3",
+        "--weight-cap", "2", "--order", "5")
+    assert time.perf_counter() - start < 2.0
+    assert code == 1
+    assert report is None
+    assert error["error"]["type"] == "CLIUsageError"
+    assert "--arity-cap 4" in error["error"]["message"]
+
+
+def test_verify_order_above_arity_cap_without_gauge_runs(capsys):
+    code, report, _ = run_json(
+        capsys, "verify", "schouten", "--phi", "x^3+y^3+z^3",
+        "--weight-cap", "2", "--order", "5", "--arity-cap", "2")
+    assert code == 0
+    assert report["status"] == "pass"
+
+
 def test_verify_weight_cap_flag(capsys):
     code, report, _ = run_json(
         capsys, "verify", "tables", "--phi", "x^2 + y^2 + z^2",
@@ -293,3 +332,97 @@ def test_stdout_reports_deterministic(capsys):
     code_b, out_b, _ = run_cli(capsys, *args)
     assert code_a == code_b == 0
     assert out_a == out_b
+
+
+# -- fuzzed input -------------------------------------------------------------------
+
+# Tokens of the --phi grammar; joining them with spaces keeps every integer
+# literal a single digit, so no exponent exceeds 8.
+_PHI_TOKENS = ["x", "y", "z", "+", "-", "*", "^", "/", "(", ")",
+               *"012345678"]
+
+
+@st.composite
+def _monomial_sums(draw):
+    """Sums of monomials: well-formed text that often reaches the analysis."""
+    terms = draw(st.lists(
+        st.tuples(st.integers(-3, 3),
+                  st.tuples(*[st.integers(0, 8)] * 3)),
+        min_size=1, max_size=4))
+    pieces = []
+    for coeff, exps in terms:
+        factors = [str(coeff)] + [f"{name}^{e}"
+                                  for name, e in zip("xyz", exps) if e]
+        pieces.append("*".join(factors))
+    return " + ".join(pieces)
+
+
+_phi_texts = st.one_of(
+    st.lists(st.sampled_from(_PHI_TOKENS), max_size=12).map(" ".join),
+    _monomial_sums(),
+    st.sampled_from(["x^2 + y^2 + z^2", "x^3 + y^3 + z^3",
+                     "x^2 + y^3 + z^5", "x^2 + y^2 + z^4", "x*y*z"]),
+)
+_weight_texts = st.one_of(
+    st.none(),
+    st.text(alphabet="0123456789,- ", max_size=10),
+    st.tuples(*[st.integers(-1, 9)] * 3).map(
+        lambda w: ",".join(map(str, w))),
+)
+_json_atoms = st.one_of(st.integers(-2, 3), st.floats(allow_nan=False),
+                        st.text(alphabet="0123456789/-abc", max_size=4))
+_json_values = st.recursive(_json_atoms, lambda inner: st.lists(inner, max_size=4),
+                            max_leaves=12)
+_families = st.one_of(
+    _json_values,
+    st.fixed_dictionaries({}, optional={
+        "c": st.one_of(_json_values, st.lists(
+            st.lists(_json_atoms, min_size=3, max_size=5), max_size=3)),
+        "cbar": st.one_of(_json_values, st.lists(
+            st.lists(_json_atoms, min_size=2, max_size=4), max_size=3)),
+    }),
+)
+
+
+def _run_in_process(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_one_json_document(code: int, out: str, err: str) -> None:
+    assert code in (0, 1, 2)
+    text = out if code in (0, 2) else err
+    assert not (out if code == 1 else err)
+    json.loads(text)  # exactly one document, no traceback
+
+
+_FUZZ = settings(max_examples=50, deadline=None)
+
+
+@_FUZZ
+@given(phi=_phi_texts, weights=_weight_texts,
+       cap=st.one_of(st.none(), st.integers(-2, 6)))
+def test_fuzz_analyze_ends_in_json(phi, weights, cap):
+    argv = ["analyze", "--phi", phi]
+    if weights is not None:
+        argv += ["--weights", weights]
+    if cap is not None:
+        argv += ["--weight-cap", str(cap)]
+    _assert_one_json_document(*_run_in_process(argv))
+
+
+@_FUZZ
+@given(phi=_phi_texts, weights=_weight_texts, order=st.one_of(st.integers(1, 3), st.integers(-2, 40)),
+       family=st.one_of(st.none(), _families))
+def test_fuzz_deform_ends_in_json(tmp_path_factory, phi, weights, order,
+                                  family):
+    argv = ["deform", "--phi", phi, "--order", str(order)]
+    if weights is not None:
+        argv += ["--weights", weights]
+    if family is not None:
+        path = tmp_path_factory.mktemp("family") / "family.json"
+        path.write_text(json.dumps(family))
+        argv += ["--family", str(path)]
+    _assert_one_json_document(*_run_in_process(argv))

@@ -22,9 +22,7 @@ from poisdef import (
     jacobi_residual,
     mc_image,
     parse_label,
-    parse_poly,
     poisson_from_potential,
-    schouten,
 )
 from poisdef.cohomology import CohClass
 from poisdef.deform import MAX_PHI_POWER

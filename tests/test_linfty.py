@@ -26,7 +26,6 @@ from poisdef import (
     poisson_from_potential,
     project,
     solve_coboundary,
-    transfer_step,
 )
 from poisdef.suites import all_basis_labels
 
@@ -230,15 +229,6 @@ def test_arity_cap_enforced(brieskorn):
                    ("Cas(1)", "Cas(1)", "Cas(1)", "Top(0,0)"))
     with pytest.raises(ArityCapExceededError):
         state.ell_labels(labels)
-
-
-def test_transfer_step_warms_cache(brieskorn):
-    state = TransferState(data=brieskorn, arity_cap=4)
-    labels = (parse_label("Cas(1)"), parse_label("Cas(1)"),
-              parse_label("Top(0,0)"))
-    transfer_step(state, 3, [labels])
-    assert state.ell_labels(labels) == \
-        CohClass.single(parse_label("Cas(1)"), Fraction(60))
 
 
 def test_repeated_even_degree_label_forces_zero(brieskorn_state):

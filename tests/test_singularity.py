@@ -177,6 +177,30 @@ def test_regular_point_rejected():
         check_isolated(parse_poly("x + y + z"), WeightSystem((1, 1, 1)))
 
 
+def test_milnor_budget_checked_before_elimination(monkeypatch):
+    """The product formula is compared with MAX_MILNOR before any slice
+    is eliminated; a value at the budget is still analysed."""
+    import poisdef.singularity as singularity
+
+    calls = Counter()
+    original = singularity.jacobian_slice_reduction
+
+    def counting(phi, weights, degree):
+        calls[degree] += 1
+        return original(phi, weights, degree)
+
+    monkeypatch.setattr(singularity, "jacobian_slice_reduction", counting)
+    with pytest.raises(SingularityError, match="budget"):
+        check_isolated(parse_poly("x^40 + y^40 + z^40"),
+                       WeightSystem((1, 1, 1)))
+    assert not calls
+    monkeypatch.setattr(singularity, "MAX_MILNOR", 8)
+    assert check_isolated(parse_poly("x^3 + y^3 + z^3"),
+                          WeightSystem((1, 1, 1))) == 8
+    with pytest.raises(SingularityError, match="budget"):
+        check_isolated(parse_poly("x^2 + y^3 + z^7"), WeightSystem((21, 14, 6)))
+
+
 def test_monomial_slice_enumeration():
     w = WeightSystem((15, 10, 6))
     assert monomials_of_weight(w, 0) == [(0, 0, 0)]

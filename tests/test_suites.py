@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from poisdef import SUITE_NAMES, SuiteConfig, TransferState
+from poisdef import SUITE_NAMES, SuiteConfig
 from poisdef.suites import (
     all_basis_labels,
     random_family,
