@@ -275,6 +275,11 @@ def poly_str(p: Poly) -> str:
 
 _TOKEN_CHARS = {"+", "-", "*", "^", "/", "(", ")"}
 
+# Most terms a product or power in a parsed expression may expand to, by
+# a bound checked before the expansion, so that a short input such as
+# "(x+y+z)^100000" is refused instead of expanded.
+MAX_EXPANSION_TERMS = 2000
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """Split into (kind, value, position) tokens; kinds: int, name, op."""
@@ -362,7 +367,9 @@ class _Parser:
                 self._reject_implicit_multiplication()
                 return result
             self.advance()
-            result = result * self.factor()
+            factor = self.factor()
+            _check_expansion(len(result) * len(factor), "product", token[2])
+            result = result * factor
 
     def _reject_implicit_multiplication(self) -> None:
         token = self.peek()
@@ -382,7 +389,13 @@ class _Parser:
                 raise PolyParseError(
                     "'^' takes a nonnegative integer exponent", exp_token[2]
                 )
-            return base ** int(exp_token[1])
+            exponent = int(exp_token[1])
+            if len(base) > 1:
+                # at most the number of monomials of degree e in len(base)
+                # symbols
+                _check_expansion(math.comb(len(base) + exponent - 1, exponent),
+                                 "power", token[2])
+            return base ** exponent
         return base
 
     def atom(self) -> Poly:
@@ -419,13 +432,21 @@ class _Parser:
         raise PolyParseError(f"unexpected token {value!r}", position)
 
 
+def _check_expansion(bound: int, what: str, position: int) -> None:
+    if bound > MAX_EXPANSION_TERMS:
+        raise PolyParseError(
+            f"{what} may expand to {bound} terms, above the "
+            f"{MAX_EXPANSION_TERMS}-term limit", position)
+
+
 def parse_poly(text: str) -> Poly:
     """Parse a polynomial from text.
 
     Grammar: variables x, y, z; integer and p/q rational literals; operators
     +, -, * and ^ (with nonnegative integer exponents); parentheses; unary
     minus.  Whitespace is insignificant and implicit multiplication is not
-    allowed.
+    allowed.  A product or power whose expansion may exceed
+    MAX_EXPANSION_TERMS terms raises PolyParseError before it is expanded.
     """
     return _Parser(text).parse()
 

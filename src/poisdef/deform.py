@@ -55,7 +55,7 @@ from typing import Optional
 from .algebra import Poly, ScalarLike
 from .cohomology import BasisLabel, CohClass, a_index_range, f1, project
 from .linfty import TransferState
-from .multivec import MultiVec, poisson_from_potential, schouten
+from .multivec import MultiVec, curl, poisson_from_potential, schouten, wedge
 from .singularity import SingularityData
 
 
@@ -245,18 +245,20 @@ def jacobi_residual(series: NuSeries) -> NuSeries:
 
     Coefficient n of the result is sum over a + b = n of [pi_a, pi_b]
     with pi_0 the anchor; the series is Poisson to order m when all
-    coefficients up to m vanish.
+    coefficients up to m vanish.  Since [A, B] = a . curl b + b . curl a,
+    the sum is 2 sum_{a+b=n} pi_a . curl pi_b, one curl per term.
     """
     if series.anchor is None:
         raise ValueError("jacobi_residual needs an anchored series")
     m = series.order_cap
     terms = [series.anchor] + list(series.coeffs)
+    curls = [curl(t) for t in terms]
     out = []
     for n in range(1, m + 1):
         residual = MultiVec.zero(3)
         for a in range(0, n + 1):
-            residual = residual + schouten(terms[a], terms[n - a])
-        out.append(residual)
+            residual = residual + wedge(curls[n - a], terms[a])
+        out.append(residual * 2)
     return NuSeries(order_cap=m, coeffs=tuple(out))
 
 

@@ -18,16 +18,37 @@ Sign conventions used throughout the package:
   of the matrix whose (r, s) entry is dF_s/dx_{i_r}; in particular the
   coordinate volume trivector D satisfies D[x, y, z] = 1.
 * the Schouten bracket of P (degree p) and Q (degree q) is the degree
-  p+q-1 multivector acting on functions F_1, ..., F_{p+q-1} by
+  p+q-1 multivector acting on functions F_1, ..., F_{p+q-1} by the
+  shuffle sum
 
       sum over (q, p-1)-shuffles s of sign(s) *
           P[Q[F_{s(1)}, ..., F_{s(q)}], F_{s(q+1)}, ...]
       - (-1)^((p-1)(q-1)) * (same with P and Q swapped),
 
   which gives [P, F] = P[F] for a function F and graded antisymmetry
-  [P, Q] = -(-1)^((p-1)(q-1)) [Q, P].
+  [P, Q] = -(-1)^((p-1)(q-1)) [Q, P].  The tests implement this sum as
+  the oracle for :func:`schouten`.
 * for a bivector B, the Jacobi identity for the bracket {F, G} = B[F, G]
   holds if and only if [B, B] = 0.
+
+:func:`schouten` evaluates the bracket by one vector-calculus formula per
+degree pair (Pichereau's 3-D forms).  A vector V = (V1, V2, V3); a
+bivector with components on (dy^dz, dz^dx, dx^dy) is read as the vector
+b of its components; a trivector t dx^dy^dz is read as the function t;
+V(f) = V . grad f.  Then
+
+    [V, F] = V(F)          [B, F] = b x grad F      [T, F] = t grad F
+    [V, W]_i = V(W_i) - W(V_i)
+    [V, B]_i = V(b_i) + b . d_i V - div(V) b_i
+    [V, T] = V(t) - t div V
+    [A, B] = a . curl b + b . curl a
+
+and graded antisymmetry gives the pairs in the other order: [F, V] =
+-V(F), [F, B] = [B, F], [F, T] = -[T, F], [B, V] = -[V, B], [T, V] =
+-[V, T].  A result degree outside 0..3 gives the zero carrier.  For the
+exact bivector of a potential, curl grad phi = 0 turns [pi_phi, .] into
+d0 F = grad phi x grad F, d1 V = div(V) grad phi - grad(V . grad phi) and
+d2 B = grad phi . curl b.
 """
 
 from __future__ import annotations
@@ -211,6 +232,46 @@ def multivec_str(mv: MultiVec) -> str:
     return " + ".join(pieces) if pieces else "0"
 
 
+# -- vector calculus on components --------------------------------------------
+
+# A vector field and a bivector read as a vector are component triples; a
+# function and a trivector are 1-tuples.
+Comps = tuple[Poly, ...]
+
+
+def _grad(f: Poly) -> Comps:
+    return (f.diff(0), f.diff(1), f.diff(2))
+
+
+def _derive(v: Comps, f: Poly) -> Poly:
+    """V(f) = V . grad f."""
+    total = Poly.zero()
+    for i, c in enumerate(v):
+        if c:
+            total = total + c * f.diff(i)
+    return total
+
+
+def _dot(u: Comps, v: Comps) -> Poly:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _div(v: Comps) -> Poly:
+    return v[0].diff(0) + v[1].diff(1) + v[2].diff(2)
+
+
+def _curl(b: Comps) -> Comps:
+    return (b[2].diff(1) - b[1].diff(2),
+            b[0].diff(2) - b[2].diff(0),
+            b[1].diff(0) - b[0].diff(1))
+
+
+def _cross(u: Comps, v: Comps) -> Comps:
+    return (u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
 # -- wedge product ------------------------------------------------------------
 
 
@@ -225,15 +286,9 @@ def wedge(p: MultiVec, q: MultiVec) -> MultiVec:
     if dq == 0:
         return p.mul_poly(q.comps[0])
     if dp == 1 and dq == 1:
-        v, w = p.comps, q.comps
-        return MultiVec.bivector(
-            v[1] * w[2] - v[2] * w[1],
-            v[2] * w[0] - v[0] * w[2],
-            v[0] * w[1] - v[1] * w[0],
-        )
+        return MultiVec(2, _cross(p.comps, q.comps))
     if dp == 1 and dq == 2:
-        v, b = p.comps, q.comps
-        return MultiVec.trivector(v[0] * b[0] + v[1] * b[1] + v[2] * b[2])
+        return MultiVec.trivector(_dot(p.comps, q.comps))
     if dp == 2 and dq == 1:
         # graded commutativity: degrees 2 and 1 commute without sign
         return wedge(q, p)
@@ -243,41 +298,85 @@ def wedge(p: MultiVec, q: MultiVec) -> MultiVec:
 # -- Schouten bracket ---------------------------------------------------------
 
 
-def _bracket_on_functions(p: MultiVec, q: MultiVec, args: Sequence[Poly]) -> Poly:
-    """Evaluate [p, q] on len(args) = deg p + deg q - 1 polynomials."""
-    dp, dq = p.degree, q.degree
-    n = len(args)
-    total = Poly.zero()
-    for sigma in shuffles(dq, dp - 1):
-        inner = q.evaluate([args[sigma[m] - 1] for m in range(dq)])
-        outer = [inner] + [args[sigma[m] - 1] for m in range(dq, n)]
-        term = p.evaluate(outer)
-        total = total + (term if perm_sign(sigma) > 0 else -term)
-    swap_sign = -1 if ((dp - 1) * (dq - 1)) % 2 else 1
-    for sigma in shuffles(dp, dq - 1):
-        inner = p.evaluate([args[sigma[m] - 1] for m in range(dp)])
-        outer = [inner] + [args[sigma[m] - 1] for m in range(dp, n)]
-        term = q.evaluate(outer)
-        sign = perm_sign(sigma) * swap_sign
-        total = total - (term if sign > 0 else -term)
-    return total
+def _vector_function(v: Comps, f: Comps) -> MultiVec:
+    """[V, F] = V(F)."""
+    return MultiVec.function(_derive(v, f[0]))
+
+
+def _bivector_function(b: Comps, f: Comps) -> MultiVec:
+    """[B, F] = b x grad F."""
+    return MultiVec(1, _cross(b, _grad(f[0])))
+
+
+def _trivector_function(t: Comps, f: Comps) -> MultiVec:
+    """[T, F] = t grad F."""
+    return MultiVec(2, tuple(g * t[0] for g in _grad(f[0])))
+
+
+def _vector_vector(v: Comps, w: Comps) -> MultiVec:
+    """[V, W]_i = V(W_i) - W(V_i)."""
+    return MultiVec.vector(*(_derive(v, w[i]) - _derive(w, v[i])
+                             for i in range(3)))
+
+
+def _vector_bivector(v: Comps, b: Comps) -> MultiVec:
+    """[V, B]_i = V(b_i) + b . d_i V - div(V) b_i."""
+    div = _div(v)
+    return MultiVec(2, tuple(
+        _derive(v, b[i])
+        + _dot(b, (v[0].diff(i), v[1].diff(i), v[2].diff(i)))
+        - div * b[i]
+        for i in range(3)))
+
+
+def _vector_trivector(v: Comps, t: Comps) -> MultiVec:
+    """[V, T] = V(t) - t div V."""
+    return MultiVec.trivector(_derive(v, t[0]) - _div(v) * t[0])
+
+
+def _bivector_bivector(a: Comps, b: Comps) -> MultiVec:
+    """[A, B] = a . curl b + b . curl a."""
+    return MultiVec.trivector(_dot(a, _curl(b)) + _dot(b, _curl(a)))
+
+
+# One closed form per (deg p, deg q) with a result in degrees 0..3; the
+# pairs in the other order follow by graded antisymmetry.
+_CLOSED_FORMS = {
+    (1, 0): _vector_function,
+    (2, 0): _bivector_function,
+    (3, 0): _trivector_function,
+    (1, 1): _vector_vector,
+    (1, 2): _vector_bivector,
+    (1, 3): _vector_trivector,
+    (2, 2): _bivector_bivector,
+}
 
 
 def schouten(p: MultiVec, q: MultiVec) -> MultiVec:
     """Schouten bracket of two multivector fields.
 
-    The result has degree deg p + deg q - 1 and is reconstructed from its
-    values on coordinate tuples, which determine a multiderivation in
-    three variables.
+    The result has degree deg p + deg q - 1; it is evaluated by the
+    closed form of its degree pair (see the module docstring).
     """
     degree = p.degree + q.degree - 1
     if degree < 0 or degree > 3 or p.is_zero() or q.is_zero():
         return MultiVec.zero(degree)
-    comps = []
-    for slot in SLOTS[degree]:
-        args = [VARIABLE_POLYS[i] for i in slot]
-        comps.append(_bracket_on_functions(p, q, args))
-    return MultiVec(degree, tuple(comps))
+    form = _CLOSED_FORMS.get((p.degree, q.degree))
+    if form is not None:
+        return form(p.comps, q.comps)
+    # [P, Q] = -(-1)^((p-1)(q-1)) [Q, P]
+    swapped = _CLOSED_FORMS[(q.degree, p.degree)](q.comps, p.comps)
+    return swapped if (p.degree - 1) * (q.degree - 1) % 2 else -swapped
+
+
+def curl(b: MultiVec) -> MultiVec:
+    """Curl of a bivector read as a vector, returned as a vector field.
+
+    [A, B] = a . curl b + b . curl a is wedge(curl(B), A) + wedge(curl(A), B).
+    """
+    if b.degree != 2:
+        raise ValueError(f"curl takes a bivector, got degree {b.degree}")
+    return MultiVec(1, _curl(b.comps))
 
 
 # -- standard fields ----------------------------------------------------------
@@ -366,6 +465,36 @@ def _convention_self_test() -> None:
     v_of_f = MultiVec.function(v.evaluate([x * y]))
     check(schouten(v, f) == v_of_f, "[V, F] = V[F]")
     check(schouten(f, v) == -v_of_f, "[F, V] = -V[F]")
+    # each closed form against the shuffle sum on sample functions, through
+    # evaluation alone: [V, W] is the commutator, [B, F] = B[F, .] and
+    # [T, F] = T[F, ., .], and V acts on B and T as a Lie derivative.
+    w = MultiVec.vector(z, x * y, Poly.one())
+    b = MultiVec.bivector(x * z, y, x + y * y)
+    t = MultiVec.trivector(y * z + x)
+    g, h = y + z * z, x * z
+    check(schouten(v, w).evaluate([g])
+          == v.evaluate([w.evaluate([g])]) - w.evaluate([v.evaluate([g])]),
+          "[V, W] = VW - WV")
+    check(schouten(b, MultiVec.function(g)).evaluate([h])
+          == b.evaluate([g, h]), "[B, F][G] = B[F, G]")
+    check(schouten(t, MultiVec.function(g)).evaluate([h, x])
+          == t.evaluate([g, h, x]), "[T, F][G, H] = T[F, G, H]")
+    # w has nonzero divergence, so the div V terms are pinned too
+    wg, wh = w.evaluate([g]), w.evaluate([h])
+    check(schouten(w, b).evaluate([g, h])
+          == w.evaluate([b.evaluate([g, h])])
+          - b.evaluate([wg, h]) - b.evaluate([g, wh]),
+          "[V, B] = L_V B")
+    check(schouten(w, t).evaluate([g, h, x])
+          == w.evaluate([t.evaluate([g, h, x])]) - t.evaluate([wg, h, x])
+          - t.evaluate([g, wh, x]) - t.evaluate([g, h, w.evaluate([x])]),
+          "[V, T] = L_V T")
+    check(schouten(pi, b).evaluate([g, h, x])
+          == sum((a.evaluate([c.evaluate([g, h]), x])
+                  - a.evaluate([c.evaluate([g, x]), h])
+                  + a.evaluate([c.evaluate([h, x]), g])
+                  for a, c in ((pi, b), (b, pi))), Poly.zero()),
+          "[A, B] shuffle sum")
     # graded antisymmetry [P, Q] = -(-1)^((p-1)(q-1)) [Q, P] on samples.
     samples = [f, v, pi, MultiVec.trivector(x + z)]
     for a in samples:

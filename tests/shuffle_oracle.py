@@ -1,0 +1,46 @@
+"""The Schouten bracket as the generic shuffle sum: the test oracle.
+
+This is the definition stated in the ``poisdef.multivec`` docstring,
+evaluated on coordinate functions, which determine a multiderivation in
+three variables.  It shares nothing with the closed forms in
+``multivec.schouten`` except ``MultiVec.evaluate``.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from poisdef import MultiVec, Poly
+from poisdef.algebra import VARIABLE_POLYS
+from poisdef.multivec import SLOTS, perm_sign, shuffles
+
+
+def _bracket_on_functions(p: MultiVec, q: MultiVec,
+                          args: Sequence[Poly]) -> Poly:
+    """Evaluate [p, q] on len(args) = deg p + deg q - 1 polynomials."""
+    dp, dq = p.degree, q.degree
+    n = len(args)
+    total = Poly.zero()
+    for sigma in shuffles(dq, dp - 1):
+        inner = q.evaluate([args[sigma[m] - 1] for m in range(dq)])
+        outer = [inner] + [args[sigma[m] - 1] for m in range(dq, n)]
+        term = p.evaluate(outer)
+        total = total + (term if perm_sign(sigma) > 0 else -term)
+    swap_sign = -1 if ((dp - 1) * (dq - 1)) % 2 else 1
+    for sigma in shuffles(dp, dq - 1):
+        inner = p.evaluate([args[sigma[m] - 1] for m in range(dp)])
+        outer = [inner] + [args[sigma[m] - 1] for m in range(dp, n)]
+        term = q.evaluate(outer)
+        sign = perm_sign(sigma) * swap_sign
+        total = total - (term if sign > 0 else -term)
+    return total
+
+
+def shuffle_sum(p: MultiVec, q: MultiVec) -> MultiVec:
+    """[p, q] rebuilt from its values on coordinate tuples."""
+    degree = p.degree + q.degree - 1
+    if degree < 0 or degree > 3:
+        return MultiVec.zero(degree)
+    return MultiVec(degree, tuple(
+        _bracket_on_functions(p, q, [VARIABLE_POLYS[i] for i in slot])
+        for slot in SLOTS[degree]))

@@ -17,6 +17,7 @@ from poisdef import (
     parse_poly,
     poly_str,
 )
+from poisdef.algebra import MAX_EXPANSION_TERMS
 
 # -- strategies ----------------------------------------------------------------
 
@@ -114,6 +115,27 @@ def test_parse_examples(text, expected):
 def test_parse_rejects(text):
     with pytest.raises(PolyParseError):
         parse_poly(text)
+
+
+def _power_of_sum(n_terms: int, exponent: int) -> str:
+    return "(" + "+".join(f"x^{i}" for i in range(n_terms)) + f")^{exponent}"
+
+
+def test_parse_expansion_budget():
+    # a power of an n-term sum is bounded by C(n + e - 1, e) terms and a
+    # product by the product of the term counts, checked before expanding
+    assert MAX_EXPANSION_TERMS == 2000
+    assert len(parse_poly(_power_of_sum(62, 2))) == 123      # C(63, 2) = 1953
+    with pytest.raises(PolyParseError, match="2016 terms"):  # C(64, 2)
+        parse_poly(_power_of_sum(63, 2))
+    with pytest.raises(PolyParseError, match="2016 terms"):  # C(64, 62)
+        parse_poly("(x+y+z)^62")
+    assert len(parse_poly("(x+y)^30*(x+y)^60")) == 91        # 31 * 61 terms
+    with pytest.raises(PolyParseError, match="product may expand to 2201"):
+        parse_poly("(x+y)^30*(x+y)^70")
+    # a single monomial raised to any power is one term
+    assert parse_poly("y^4097") == Poly.monomial((0, 4097, 0))
+    assert parse_poly("(2*x*y)^300") == Poly.monomial((300, 300, 0), 2 ** 300)
 
 
 @given(polys())

@@ -111,6 +111,27 @@ def test_analyze_above_milnor_budget_fails_fast(capsys):
     assert "budget" in error["error"]["message"]
 
 
+def test_phi_power_above_expansion_budget_fails_fast(capsys):
+    start = time.perf_counter()
+    code, report, error = run_json(
+        capsys, "analyze", "--phi", "(x+y+z)^100000", "--weight-cap", "0")
+    assert time.perf_counter() - start < 2.0
+    assert code == 1
+    assert report is None
+    assert error["error"]["type"] == "PolyParseError"
+    assert "2000-term limit" in error["error"]["message"]
+
+
+def test_phi_power_within_expansion_budget_parses(capsys):
+    # 1891 terms: parsed, then refused by the Milnor budget
+    code, report, error = run_json(
+        capsys, "analyze", "--phi", "(x+y+z)^60", "--weight-cap", "0")
+    assert code == 1
+    assert report is None
+    assert error["error"]["type"] == "SingularityError"
+    assert "Milnor number 205379" in error["error"]["message"]
+
+
 def test_bad_weights_format_exit_1(capsys):
     code, _, error = run_json(
         capsys, "analyze", "--phi", "x^2 + y^2 + z^2", "--weights", "1,1")

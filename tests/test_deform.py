@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from poisdef import (
     CoeffFamily,
@@ -27,6 +29,7 @@ from poisdef import (
 from poisdef.cohomology import CohClass
 from poisdef.deform import MAX_PHI_POWER
 from poisdef.suites import random_family, random_gauge_series
+from shuffle_oracle import shuffle_sum
 
 # -- families --------------------------------------------------------------------
 
@@ -259,3 +262,40 @@ def test_jacobi_residual_flags_bad_series(brieskorn):
     residual = jacobi_residual(naive)
     assert residual.coefficient(1).is_zero()  # first order is a cocycle
     assert not residual.coefficient(2).is_zero()  # missing correction
+
+
+@st.composite
+def bivector_series(draw):
+    """An anchored series of random (not necessarily Poisson) bivectors."""
+    monomials = st.tuples(
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+        st.fractions(min_value=-9, max_value=9, max_denominator=4))
+
+    def bivector():
+        return MultiVec(2, tuple(
+            sum((Poly.monomial(e, c) for e, c in
+                 draw(st.lists(monomials, max_size=3))), Poly.zero())
+            for _ in range(3)))
+
+    m = draw(st.integers(1, 3))
+    return NuSeries(order_cap=m, coeffs=tuple(bivector() for _ in range(m)),
+                    anchor=bivector())
+
+
+@given(bivector_series())
+def test_jacobi_residual_matches_shuffle_sum(series):
+    """2 sum pi_a . curl pi_b equals sum [pi_a, pi_b] by the shuffle sum."""
+    residual = jacobi_residual(series)
+    for n in range(1, series.order_cap + 1):
+        expected = MultiVec.zero(3)
+        for a in range(n + 1):
+            expected = expected + shuffle_sum(series.coefficient(a),
+                                              series.coefficient(n - a))
+        assert residual.coefficient(n) == expected
+
+
+def test_jacobi_residual_rejects_non_bivectors():
+    series = NuSeries(order_cap=1, coeffs=(MultiVec.zero(1),),
+                      anchor=MultiVec.zero(2))
+    with pytest.raises(ValueError, match="bivector"):
+        jacobi_residual(series)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poisdef import (
@@ -23,6 +23,7 @@ from poisdef import (
     wedge,
 )
 from poisdef.multivec import SLOTS
+from shuffle_oracle import shuffle_sum
 
 rationals = st.fractions(
     min_value=Fraction(-20), max_value=Fraction(20), max_denominator=6
@@ -136,6 +137,21 @@ def test_volume_and_euler_evaluation():
 
 
 # -- Schouten bracket ----------------------------------------------------------
+
+
+def multivecs_or_zero(degree):
+    return st.one_of(st.just(MultiVec.zero(degree)), multivecs(degree))
+
+
+@pytest.mark.parametrize("dq", range(4))
+@pytest.mark.parametrize("dp", range(4))
+@settings(max_examples=12)
+@given(data=st.data())
+def test_schouten_matches_shuffle_sum(dp, dq, data):
+    """The closed form of each degree pair equals the generic shuffle sum."""
+    p = data.draw(multivecs_or_zero(dp))
+    q = data.draw(multivecs_or_zero(dq))
+    assert schouten(p, q) == shuffle_sum(p, q)
 
 
 @given(multivecs(1), polys())
