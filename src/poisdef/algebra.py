@@ -53,7 +53,7 @@ def monomial_key(exponents: Exponents) -> tuple[int, tuple[int, int, int]]:
 class Poly:
     """Immutable sparse polynomial in x, y, z with Fraction coefficients."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Optional[Mapping[Exponents, ScalarLike]] = None):
         cleaned: dict[Exponents, Fraction] = {}
@@ -66,7 +66,13 @@ class Poly:
                         raise ValueError(f"negative exponent in monomial {exps}")
                     cleaned[(a, b, c)] = frac
         self._terms = cleaned
-        self._hash: Optional[int] = None
+
+    @staticmethod
+    def _wrap(terms: dict[Exponents, Fraction]) -> "Poly":
+        """A Poly owning ``terms``, which must hold no zero coefficient."""
+        result = Poly.__new__(Poly)
+        result._terms = terms
+        return result
 
     # -- constructors ------------------------------------------------------
 
@@ -134,16 +140,10 @@ class Poly:
                     terms[exps] = acc
                 else:
                     del terms[exps]
-        result = Poly.__new__(Poly)
-        result._terms = terms
-        result._hash = None
-        return result
+        return Poly._wrap(terms)
 
     def __neg__(self) -> "Poly":
-        result = Poly.__new__(Poly)
-        result._terms = {e: -c for e, c in self._terms.items()}
-        result._hash = None
-        return result
+        return Poly._wrap({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
@@ -168,18 +168,12 @@ class Poly:
                             terms[exps] = acc
                         else:
                             del terms[exps]
-            result = Poly.__new__(Poly)
-            result._terms = terms
-            result._hash = None
-            return result
+            return Poly._wrap(terms)
         if isinstance(other, (int, Fraction)):
             frac = _as_fraction(other)
             if not frac:
                 return Poly.zero()
-            result = Poly.__new__(Poly)
-            result._terms = {e: c * frac for e, c in self._terms.items()}
-            result._hash = None
-            return result
+            return Poly._wrap({e: c * frac for e, c in self._terms.items()})
         return NotImplemented
 
     def __rmul__(self, other: ScalarLike) -> "Poly":
@@ -207,10 +201,7 @@ class Poly:
                 lowered = list(exps)
                 lowered[index] = e - 1
                 terms[tuple(lowered)] = coeff * e
-        result = Poly.__new__(Poly)
-        result._terms = terms
-        result._hash = None
-        return result
+        return Poly._wrap(terms)
 
     # -- comparisons -------------------------------------------------------
 
@@ -220,9 +211,7 @@ class Poly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
+        return hash(frozenset(self._terms.items()))
 
     def __str__(self) -> str:
         return poly_str(self)

@@ -146,10 +146,7 @@ def _load_family(path: Optional[str]) -> CoeffFamily:
     if path is None:
         return CoeffFamily.make({}, {})
     with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if not isinstance(payload, dict):
-        raise InvalidFamilyError("family file must hold a JSON object")
-    return CoeffFamily.from_json_dict(payload)
+        return CoeffFamily.from_json_dict(json.load(handle))
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -191,10 +188,8 @@ def cmd_deform(args) -> int:
         "order": args.order,
         "family": fam.to_json_dict(),
         "coefficients": [
-            {"order": 0, "multivector": multivec_str(series.coefficient(0))}
-        ] + [
             {"order": n, "multivector": multivec_str(series.coefficient(n))}
-            for n in range(1, args.order + 1)
+            for n in range(args.order + 1)
         ],
         "first_order_class": class_str(first_order_class(series, data)),
         "jacobi_residual": residual_rows,
@@ -312,18 +307,10 @@ def _error_report(exc: Exception) -> str:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except CLIUsageError as exc:
-        sys.stderr.write(_error_report(exc))
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except CLIUsageError as exc:
-        sys.stderr.write(_error_report(exc))
-        return 1
-    except _DOMAIN_ERRORS as exc:
+    except (CLIUsageError, *_DOMAIN_ERRORS) as exc:
         sys.stderr.write(_error_report(exc))
         return 1
 

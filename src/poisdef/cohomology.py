@@ -194,32 +194,22 @@ def realize(label: BasisLabel, data: SingularityData) -> MultiVec:
     raise AssertionError(kind)
 
 
-def labels_of_weight(data: SingularityData, g: int, weight: int) -> list[BasisLabel]:
-    """All basis labels of homological degree g with exactly this weight."""
-    d = data.d
-    total = data.weights.total
-    out: list[BasisLabel] = []
+def _generators(data: SingularityData, g: int) -> list[BasisLabel]:
+    """Basis labels of homological degree g at phi power 0.
+
+    Every other label is phi^i times one of these (index i, weight raised
+    by i*d); B labels carry no phi power and are their own only multiple.
+    """
     if g == -1:
-        if weight >= 0 and weight % d == 0:
-            out.append(BasisLabel("Cas", (weight // d,)))
-    elif g == 0:
-        if data.special and weight >= 0 and weight % d == 0:
-            out.append(BasisLabel("Eul", (weight // d,)))
-    elif g == 1:
-        delta = d - total
-        for q in a_index_range(data):
-            num = weight - delta - data.basis_weight(q)
-            if num >= 0 and num % d == 0:
-                out.append(BasisLabel("A", (num // d, q)))
-        for r in range(1, data.mu):
-            if data.basis_weight(r) - total == weight:
-                out.append(BasisLabel("B", (r,)))
-    elif g == 2:
-        for s in range(data.mu):
-            num = weight + total - data.basis_weight(s)
-            if num >= 0 and num % d == 0:
-                out.append(BasisLabel("Top", (num // d, s)))
-    return sorted(out, key=BasisLabel.sort_key)
+        return [BasisLabel("Cas", (0,))]
+    if g == 0:
+        return [BasisLabel("Eul", (0,))] if data.special else []
+    if g == 1:
+        return ([BasisLabel("A", (0, q)) for q in a_index_range(data)]
+                + [BasisLabel("B", (r,)) for r in range(1, data.mu)])
+    if g == 2:
+        return [BasisLabel("Top", (0, s)) for s in range(data.mu)]
+    return []
 
 
 def enumerate_basis(data: SingularityData, g: int,
@@ -227,9 +217,22 @@ def enumerate_basis(data: SingularityData, g: int,
     """All basis labels of homological degree g with weight <= weight_cap,
     ordered by (weight, kind, indices)."""
     out: list[BasisLabel] = []
-    for weight in range(-data.weights.total, weight_cap + 1):
-        out.extend(labels_of_weight(data, g, weight))
-    return out
+    for gen in _generators(data, g):
+        room = weight_cap - label_weight(gen, data)
+        if room < 0:
+            continue
+        if gen.kind == "B":
+            out.append(gen)
+        else:
+            out.extend(BasisLabel(gen.kind, (i,) + gen.indices[1:])
+                       for i in range(room // data.d + 1))
+    return sorted(out, key=lambda lab: (label_weight(lab, data), lab.sort_key()))
+
+
+def labels_of_weight(data: SingularityData, g: int, weight: int) -> list[BasisLabel]:
+    """All basis labels of homological degree g with exactly this weight."""
+    return [lab for lab in enumerate_basis(data, g, weight)
+            if label_weight(lab, data) == weight]
 
 
 # -- cohomology classes -------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from .algebra import (
     Exponents,
@@ -28,6 +28,12 @@ from .linalg import Eliminator
 # unbounded elimination; x^17+y^17+z^17 (mu = 4096) is the largest
 # Fermat potential inside it.
 MAX_MILNOR = 4096
+
+# Largest number of monomials, summed over the weight slices the isolation
+# check eliminates.  Under skewed weights the Milnor budget does not bound
+# that work: x*z+y^4097 with weights (1, 1, 4096) has mu = 4096 but passes
+# 200000 monomials by slice 631, while x^17+y^17+z^17 sweeps 43680.
+MAX_SLICE_MONOMIALS = 65536
 
 
 class SingularityError(ValueError):
@@ -46,23 +52,35 @@ class NotIsolatedError(SingularityError):
         self.offending_degree = offending_degree
 
 
+def _exponents_of_weight(weights: WeightSystem, degree: int
+                         ) -> Iterator[Exponents]:
+    """Exponent triples of the given weighted degree, in no set order.
+
+    The loops run over the two heaviest variables and solve for the
+    lightest, so skewed weights do not make a slice quadratic to list.
+    """
+    if degree < 0:
+        return
+    w = weights.weights
+    light, mid, heavy = sorted(range(3), key=lambda v: w[v])
+    exps = [0, 0, 0]
+    for e_heavy in range(degree // w[heavy] + 1):
+        rem = degree - e_heavy * w[heavy]
+        for e_mid in range(rem // w[mid] + 1):
+            rest = rem - e_mid * w[mid]
+            if rest % w[light] == 0:
+                exps[heavy], exps[mid], exps[light] = (
+                    e_heavy, e_mid, rest // w[light])
+                yield tuple(exps)
+
+
 def monomials_of_weight(weights: WeightSystem, degree: int) -> list[Exponents]:
     """All exponent triples of the given weighted degree, canonically ordered.
 
     The order agrees with :func:`poisdef.algebra.monomial_key` restricted
     to the slice.
     """
-    if degree < 0:
-        return []
-    w1, w2, w3 = weights.weights
-    found: list[Exponents] = []
-    for a in range(degree // w1, -1, -1):
-        rem_a = degree - a * w1
-        for b in range(rem_a // w2, -1, -1):
-            rem_b = rem_a - b * w2
-            if rem_b % w3 == 0:
-                found.append((a, b, rem_b // w3))
-    return sorted(found, key=monomial_key)
+    return sorted(_exponents_of_weight(weights, degree), key=monomial_key)
 
 
 @dataclass
@@ -119,7 +137,8 @@ def check_isolated(phi: Poly, weights: WeightSystem) -> int:
     slices strictly above that socle degree, up to socle + max(d, |w|),
     must therefore vanish; the first nonzero one witnesses a non-isolated
     critical locus.  The count is cross-checked against the product
-    formula prod_i (d - w_i) / w_i; a formula value above MAX_MILNOR
+    formula prod_i (d - w_i) / w_i; a formula value above MAX_MILNOR, or
+    swept slices holding more than MAX_SLICE_MONOMIALS monomials in all,
     raises SingularityError before any slice is eliminated.
     """
     return _isolated_slices(phi, weights)[0]
@@ -142,10 +161,18 @@ def _isolated_slices(phi: Poly, weights: WeightSystem
             f"of {MAX_MILNOR}"
         )
     socle = 3 * d - 2 * weights.total
-    window_end = socle + max(d, weights.total)
+    swept = range(0, socle + max(d, weights.total) + 1)
+    size = 0
+    for degree in swept:
+        size += sum(1 for _ in _exponents_of_weight(weights, degree))
+        if size > MAX_SLICE_MONOMIALS:
+            raise SingularityError(
+                f"the weight slices 0..{swept[-1]} hold more than the budget "
+                f"of {MAX_SLICE_MONOMIALS} monomials (passed at slice {degree})"
+            )
     mu = 0
     slices: dict[int, SliceReduction] = {}
-    for degree in range(0, max(socle, window_end) + 1):
+    for degree in swept:
         reduction = jacobian_slice_reduction(phi, weights, degree)
         missing = len(reduction.monomials) - reduction.rank
         if degree <= socle:

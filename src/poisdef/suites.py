@@ -15,6 +15,12 @@ given (potential, config) pair always produces the identical report.
 Every numerical check below is exact: a residual either is the zero
 polynomial object or it is not.  There are no tolerances anywhere.
 
+A sweep check holds when its identity holds on every case: ``cases`` is
+the number of cases tried, and a failing check carries a ``detail`` that
+lists the first six failing cases (basis labels as ``A(0,1)``, tuples in
+parentheses, sampled families and gauges by index).  The few checks of a
+single value record that value's verdict alone.
+
 The five suites:
 
 ``schouten``
@@ -53,7 +59,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .algebra import Poly
 from .cohomology import (
@@ -199,6 +205,32 @@ def _record(checks: list, name: str, ok: bool, *, cases: int = 1,
     checks.append(entry)
 
 
+def _case_str(case) -> str:
+    """A case in report notation: labels as A(0,1), tuples in parentheses."""
+    if isinstance(case, tuple):
+        return f"({', '.join(_case_str(part) for part in case)})"
+    return str(case)
+
+
+def _sweep(checks: list, name: str, cases: Iterable,
+           holds: Callable[..., bool], *, count: Optional[int] = None) -> None:
+    """Record ``name`` as "``holds(case)`` on every case".
+
+    Cases are tried in order, so seeded draws made inside ``holds`` keep
+    their order.  ``cases`` is the number of cases unless ``count`` is given.
+    """
+    cases = list(cases)
+    failing = [case for case in cases if not holds(case)]
+    _record(checks, name, not failing,
+            cases=len(cases) if count is None else count,
+            detail="failing cases: "
+                   + "; ".join(_case_str(case) for case in failing[:6]))
+
+
+def _classes(labels: Sequence[BasisLabel]) -> list[CohClass]:
+    return [CohClass.single(lab) for lab in labels]
+
+
 def _finish(name: str, checks: list) -> dict:
     n_pass = sum(1 for entry in checks if entry["pass"])
     return {
@@ -213,6 +245,12 @@ def _finish(name: str, checks: list) -> dict:
 
 _PAIR_DEGREES = ((1, 1), (1, 2), (2, 2), (0, 2), (1, 3))
 _TRIPLE_DEGREES = ((1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2), (0, 1, 2))
+
+
+def _samples(shapes: Sequence, n_samples: int) -> list:
+    """Each shape repeated ``n_samples // len(shapes)`` times (at least once)."""
+    per_shape = max(1, n_samples // len(shapes))
+    return [shape for shape in shapes for _ in range(per_shape)]
 
 
 def run_schouten_suite(data: SingularityData, config: SuiteConfig,
@@ -238,86 +276,53 @@ def run_schouten_suite(data: SingularityData, config: SuiteConfig,
         for k in range(data.mu)
     }
     exact = {r: poisson_from_potential(u[r]) for r in range(1, data.mu)}
-
     ham_keys = sorted(hamiltonian)
-    bad = []
-    n_cases = 0
-    for i, key_a in enumerate(ham_keys):
-        for key_b in ham_keys[i:]:
-            n_cases += 1
-            if not schouten(hamiltonian[key_a], hamiltonian[key_b]).is_zero():
-                bad.append((key_a, key_b))
-    _record(checks, "hamiltonian_pair_brackets_vanish", not bad,
-            cases=n_cases, detail=f"failing pairs: {bad[:4]}")
-
-    bad = []
-    n_cases = 0
-    for key_a in ham_keys:
-        a, k = key_a
-        for t in sorted(exact):
-            n_cases += 1
-            lhs = schouten(hamiltonian[key_a], exact[t])
-            carrier = exact[t].mul_poly(powers[a] * u[k])
-            if not (lhs + coboundary(carrier, phi)).is_zero():
-                bad.append((key_a, t))
-    _record(checks, "hamiltonian_exact_brackets_are_coboundaries", not bad,
-            cases=n_cases, detail=f"failing pairs: {bad[:4]}")
-
-    bad = []
-    n_cases = 0
     exact_keys = sorted(exact)
-    for i, s in enumerate(exact_keys):
-        for t in exact_keys[i:]:
-            n_cases += 1
-            if not schouten(exact[s], exact[t]).is_zero():
-                bad.append((s, t))
-    _record(checks, "exact_pair_brackets_vanish", not bad,
-            cases=n_cases, detail=f"failing pairs: {bad[:4]}")
+
+    _sweep(checks, "hamiltonian_pair_brackets_vanish",
+           itertools.combinations_with_replacement(ham_keys, 2),
+           lambda pair: schouten(hamiltonian[pair[0]],
+                                 hamiltonian[pair[1]]).is_zero())
+
+    def is_coboundary(case) -> bool:
+        (a, k), t = case
+        carrier = exact[t].mul_poly(powers[a] * u[k])
+        return (schouten(hamiltonian[(a, k)], exact[t])
+                + coboundary(carrier, phi)).is_zero()
+
+    _sweep(checks, "hamiltonian_exact_brackets_are_coboundaries",
+           itertools.product(ham_keys, exact_keys), is_coboundary)
+    _sweep(checks, "exact_pair_brackets_vanish",
+           itertools.combinations_with_replacement(exact_keys, 2),
+           lambda pair: schouten(exact[pair[0]], exact[pair[1]]).is_zero())
 
     # Seeded graded antisymmetry: [P,Q] = -(-1)^((p-1)(q-1)) [Q,P].
-    bad_cases: list[str] = []
-    n_cases = 0
-    for p_deg, q_deg in _PAIR_DEGREES:
-        for _ in range(max(1, config.n_samples // len(_PAIR_DEGREES))):
-            n_cases += 1
-            p = random_multivector(rng, p_deg)
-            q = random_multivector(rng, q_deg)
-            sign = -1 if ((p_deg - 1) * (q_deg - 1)) % 2 else 1
-            residual = schouten(p, q) + schouten(q, p) * sign
-            if not residual.is_zero():
-                bad_cases.append(f"degrees ({p_deg},{q_deg})")
-    _record(checks, "graded_antisymmetry_samples", not bad_cases,
-            cases=n_cases, detail="; ".join(bad_cases[:4]))
+    def antisymmetric(degrees) -> bool:
+        p_deg, q_deg = degrees
+        p = random_multivector(rng, p_deg)
+        q = random_multivector(rng, q_deg)
+        sign = -1 if ((p_deg - 1) * (q_deg - 1)) % 2 else 1
+        return (schouten(p, q) + schouten(q, p) * sign).is_zero()
+
+    _sweep(checks, "graded_antisymmetry_samples",
+           _samples(_PAIR_DEGREES, config.n_samples), antisymmetric)
 
     # Seeded graded Leibniz: [[P,Q],R] = [P,[Q,R]] - (-1)^((p-1)(q-1)) [Q,[P,R]].
-    bad_cases = []
-    n_cases = 0
-    for p_deg, q_deg, r_deg in _TRIPLE_DEGREES:
-        for _ in range(max(1, config.n_samples // len(_TRIPLE_DEGREES))):
-            n_cases += 1
-            p = random_multivector(rng, p_deg, max_terms=1)
-            q = random_multivector(rng, q_deg, max_terms=1)
-            r = random_multivector(rng, r_deg, max_terms=1)
-            sign = -1 if ((p_deg - 1) * (q_deg - 1)) % 2 else 1
-            residual = (schouten(schouten(p, q), r)
-                        - schouten(p, schouten(q, r))
-                        + schouten(q, schouten(p, r)) * sign)
-            if not residual.is_zero():
-                bad_cases.append(f"degrees ({p_deg},{q_deg},{r_deg})")
-    _record(checks, "graded_leibniz_samples", not bad_cases,
-            cases=n_cases, detail="; ".join(bad_cases[:4]))
+    def leibniz(degrees) -> bool:
+        p, q, r = (random_multivector(rng, deg, max_terms=1) for deg in degrees)
+        sign = -1 if ((degrees[0] - 1) * (degrees[1] - 1)) % 2 else 1
+        return (schouten(schouten(p, q), r)
+                - schouten(p, schouten(q, r))
+                + schouten(q, schouten(p, r)) * sign).is_zero()
+
+    _sweep(checks, "graded_leibniz_samples",
+           _samples(_TRIPLE_DEGREES, config.n_samples), leibniz)
 
     # Seeded d^2 = 0 on random multivectors of degree 0 and 1.
-    bad_cases = []
-    n_cases = 0
-    for degree in (0, 1):
-        for _ in range(max(1, config.n_samples // 2)):
-            n_cases += 1
-            p = random_multivector(rng, degree)
-            if not coboundary(coboundary(p, phi), phi).is_zero():
-                bad_cases.append(f"degree {degree}")
-    _record(checks, "coboundary_squares_to_zero_samples", not bad_cases,
-            cases=n_cases, detail="; ".join(bad_cases[:4]))
+    _sweep(checks, "coboundary_squares_to_zero_samples",
+           _samples((0, 1), config.n_samples),
+           lambda degree: coboundary(coboundary(
+               random_multivector(rng, degree), phi), phi).is_zero())
 
     return _finish("schouten", checks)
 
@@ -326,20 +331,15 @@ def run_schouten_suite(data: SingularityData, config: SuiteConfig,
 
 
 def run_tables_suite(data: SingularityData, config: SuiteConfig,
-                     state: Optional[TransferState] = None) -> dict:
+                     state: TransferState) -> dict:
     """Cocycle sweep and the order-2 morphism equation on basis pairs."""
-    if state is None:
-        state = TransferState(data=data, arity_cap=config.arity_cap)
     checks: list = []
     cocycle_cap = config.cocycle_cap(data)
-    pair_cap = config.pair_cap(data)
 
     for g in (-1, 0, 1, 2):
-        labels = enumerate_basis(data, g, cocycle_cap)
-        bad = [str(lab) for lab in labels
-               if not coboundary(realize(lab, data), data.phi).is_zero()]
-        _record(checks, f"representatives_are_cocycles_degree_{g}", not bad,
-                cases=len(labels), detail=", ".join(bad[:6]))
+        _sweep(checks, f"representatives_are_cocycles_degree_{g}",
+               enumerate_basis(data, g, cocycle_cap),
+               lambda lab: coboundary(realize(lab, data), data.phi).is_zero())
 
     degree0 = enumerate_basis(data, 0, cocycle_cap)
     if data.special:
@@ -355,19 +355,10 @@ def run_tables_suite(data: SingularityData, config: SuiteConfig,
                 cases=max(1, len(degree0)),
                 detail=f"got {[str(l) for l in degree0]}")
 
-    labels = all_basis_labels(data, pair_cap)
-    bad_pairs: list[str] = []
-    n_cases = 0
-    for i, lab_a in enumerate(labels):
-        for lab_b in labels[i:]:
-            n_cases += 1
-            residual = check_E(
-                state, 2,
-                [CohClass.single(lab_a), CohClass.single(lab_b)])
-            if not residual.is_zero():
-                bad_pairs.append(f"({lab_a}, {lab_b})")
-    _record(checks, "order2_morphism_equation_on_basis_pairs", not bad_pairs,
-            cases=n_cases, detail="; ".join(bad_pairs[:6]))
+    _sweep(checks, "order2_morphism_equation_on_basis_pairs",
+           itertools.combinations_with_replacement(
+               all_basis_labels(data, config.pair_cap(data)), 2),
+           lambda pair: check_E(state, 2, _classes(pair)).is_zero())
 
     return _finish("tables", checks)
 
@@ -376,55 +367,37 @@ def run_tables_suite(data: SingularityData, config: SuiteConfig,
 
 
 def run_transfer_suite(data: SingularityData, config: SuiteConfig,
-                       state: Optional[TransferState] = None) -> dict:
+                       state: TransferState) -> dict:
     """Obstruction vanishing, morphism equations, and Jacobi identities."""
-    if state is None:
-        state = TransferState(data=data, arity_cap=config.arity_cap)
     checks: list = []
     rng = random.Random(config.seed)
     cap = config.pair_cap(data)
 
-    h1 = enumerate_basis(data, 1, cap)
-    bad: list[str] = []
-    n_cases = 0
-    for triple in itertools.combinations_with_replacement(h1, 3):
-        n_cases += 1
-        value = compute_T(state, 3, [CohClass.single(lab) for lab in triple])
-        if not value.is_zero():
-            bad.append(str(tuple(str(lab) for lab in triple)))
-    _record(checks, "order3_obstruction_vanishes_on_degree1_triples",
-            not bad, cases=max(1, n_cases), detail="; ".join(bad[:4]))
+    triples = list(itertools.combinations_with_replacement(
+        enumerate_basis(data, 1, cap), 3))
+    _sweep(checks, "order3_obstruction_vanishes_on_degree1_triples", triples,
+           lambda triple: compute_T(state, 3, _classes(triple)).is_zero(),
+           count=max(1, len(triples)))
 
     labels = all_basis_labels(data, cap)
     arities = [n for n in (3, 4) if n <= config.arity_cap]
-    for n in arities:
-        n_tuples = max(2, config.n_samples // (2 ** (n - 3)))
-        bad = []
-        cocycle_bad: list[str] = []
-        for _ in range(n_tuples):
-            chosen = [rng.choice(labels) for _ in range(n)]
-            classes = [CohClass.single(lab) for lab in chosen]
-            t_value = compute_T(state, n, classes)
-            if not coboundary(t_value, data.phi).is_zero():
-                cocycle_bad.append(str(tuple(str(lab) for lab in chosen)))
-            if not check_E(state, n, classes).is_zero():
-                bad.append(str(tuple(str(lab) for lab in chosen)))
-        _record(checks, f"order{n}_obstructions_are_cocycles",
-                not cocycle_bad, cases=n_tuples,
-                detail="; ".join(cocycle_bad[:4]))
-        _record(checks, f"order{n}_morphism_equation_on_sampled_tuples",
-                not bad, cases=n_tuples, detail="; ".join(bad[:4]))
+
+    def sampled_tuples(n: int) -> list[tuple[BasisLabel, ...]]:
+        return [tuple(rng.choice(labels) for _ in range(n))
+                for _ in range(max(2, config.n_samples // (2 ** (n - 3))))]
 
     for n in arities:
-        n_tuples = max(2, config.n_samples // (2 ** (n - 3)))
-        bad = []
-        for _ in range(n_tuples):
-            chosen = [rng.choice(labels) for _ in range(n)]
-            classes = [CohClass.single(lab) for lab in chosen]
-            if not jacobiator(state, n, classes).is_zero():
-                bad.append(str(tuple(str(lab) for lab in chosen)))
-        _record(checks, f"order{n}_jacobi_identity_on_sampled_tuples",
-                not bad, cases=n_tuples, detail="; ".join(bad[:4]))
+        tuples = sampled_tuples(n)
+        _sweep(checks, f"order{n}_obstructions_are_cocycles", tuples,
+               lambda chosen: coboundary(compute_T(state, n, _classes(chosen)),
+                                         data.phi).is_zero())
+        _sweep(checks, f"order{n}_morphism_equation_on_sampled_tuples", tuples,
+               lambda chosen: check_E(state, n, _classes(chosen)).is_zero())
+
+    for n in arities:
+        _sweep(checks, f"order{n}_jacobi_identity_on_sampled_tuples",
+               sampled_tuples(n),
+               lambda chosen: jacobiator(state, n, _classes(chosen)).is_zero())
 
     if not data.special:
         # Closed-form value of the ternary bracket on (phi, phi, volume):
@@ -445,11 +418,28 @@ def run_transfer_suite(data: SingularityData, config: SuiteConfig,
 # -- deform suite --------------------------------------------------------------
 
 
+def _family_verdicts(data: SingularityData, state: TransferState,
+                     fam: CoeffFamily, m: int) -> tuple:
+    """(Poisson, Maurer-Cartan image, first-order class, per-lower-order
+    prefix) verdicts for one family; its series is dropped on return."""
+    series = build_deformation(data, fam, m)
+    poisson = (jacobi_residual(series).is_zero()
+               and schouten(series.anchor, series.anchor).is_zero())
+    gamma = gamma_classes(fam, data, m)
+    image = mc_image(state, gamma, m)
+    route = all(series.coefficient(n) == image.coefficient(n)
+                for n in range(1, m + 1))
+    first = first_order_class(series, data) == gamma.coefficient(1)
+    prefixes = tuple(
+        all(build_deformation(data, fam, lower).coefficient(n)
+            == series.coefficient(n) for n in range(1, lower + 1))
+        for lower in range(1, m))
+    return poisson, route, first, prefixes
+
+
 def run_deform_suite(data: SingularityData, config: SuiteConfig,
-                     state: Optional[TransferState] = None) -> dict:
+                     state: TransferState) -> dict:
     """Random truncated deformations: Poisson property and consistency."""
-    if state is None:
-        state = TransferState(data=data, arity_cap=config.arity_cap)
     checks: list = []
     rng = random.Random(config.seed)
     m = config.order
@@ -457,39 +447,15 @@ def run_deform_suite(data: SingularityData, config: SuiteConfig,
     families = [
         random_family(rng, data, order=m) for _ in range(config.n_families)
     ]
-
-    bad_mc: list[int] = []
-    bad_route: list[int] = []
-    bad_first: list[int] = []
-    bad_prefix: list[int] = []
-    for idx, fam in enumerate(families):
-        series = build_deformation(data, fam, m)
-        if not (jacobi_residual(series).is_zero()
-                and schouten(series.anchor, series.anchor).is_zero()):
-            bad_mc.append(idx)
-        gamma = gamma_classes(fam, data, m)
-        image = mc_image(state, gamma, m)
-        if any(series.coefficient(n) != image.coefficient(n)
-               for n in range(1, m + 1)):
-            bad_route.append(idx)
-        if first_order_class(series, data) != gamma.coefficient(1):
-            bad_first.append(idx)
-        for lower in range(1, m):
-            truncated = build_deformation(data, fam, lower)
-            if any(truncated.coefficient(n) != series.coefficient(n)
-                   for n in range(1, lower + 1)):
-                bad_prefix.append(idx)
-                break
-    n_fam = len(families)
-    _record(checks, "random_families_are_poisson_to_order", not bad_mc,
-            cases=n_fam, detail=f"failing family indices: {bad_mc[:6]}")
-    _record(checks, "deformation_equals_maurer_cartan_image", not bad_route,
-            cases=n_fam, detail=f"failing family indices: {bad_route[:6]}")
-    _record(checks, "first_order_class_recovered", not bad_first,
-            cases=n_fam, detail=f"failing family indices: {bad_first[:6]}")
-    _record(checks, "lower_order_builds_are_prefixes", not bad_prefix,
-            cases=n_fam * max(0, m - 1),
-            detail=f"failing family indices: {bad_prefix[:6]}")
+    verdicts = [_family_verdicts(data, state, fam, m) for fam in families]
+    indices = range(len(families))
+    for j, name in enumerate(("random_families_are_poisson_to_order",
+                              "deformation_equals_maurer_cartan_image",
+                              "first_order_class_recovered")):
+        _sweep(checks, name, indices, lambda idx: verdicts[idx][j])
+    _sweep(checks, "lower_order_builds_are_prefixes",
+           [(idx, lower) for idx in indices for lower in range(1, m)],
+           lambda case: verdicts[case[0]][3][case[1] - 1])
 
     a_indices = list(a_index_range(data))
     b_indices = list(range(1, data.mu))
@@ -516,10 +482,8 @@ def run_deform_suite(data: SingularityData, config: SuiteConfig,
 
 
 def run_gauge_suite(data: SingularityData, config: SuiteConfig,
-                    state: Optional[TransferState] = None) -> dict:
+                    state: TransferState) -> dict:
     """Gauge invariance of the Poisson property and the first-order class."""
-    if state is None:
-        state = TransferState(data=data, arity_cap=config.arity_cap)
     checks: list = []
     rng = random.Random(config.seed)
     m = config.order
@@ -528,51 +492,45 @@ def run_gauge_suite(data: SingularityData, config: SuiteConfig,
     base = build_deformation(data, fam, m)
     base_class = first_order_class(base, data)
 
-    bad_poisson: list[int] = []
-    bad_class: list[int] = []
-    for idx in range(config.n_gauges):
-        xi = random_gauge_series(rng, m)
-        gauged = gauge_apply(base, xi)
-        if not jacobi_residual(gauged).is_zero():
-            bad_poisson.append(idx)
-        if first_order_class(gauged, data) != base_class:
-            bad_class.append(idx)
-    _record(checks, "gauged_series_stay_poisson", not bad_poisson,
-            cases=config.n_gauges,
-            detail=f"failing gauge indices: {bad_poisson[:6]}")
-    _record(checks, "gauged_series_keep_first_order_class", not bad_class,
-            cases=config.n_gauges,
-            detail=f"failing gauge indices: {bad_class[:6]}")
+    def gauge_verdicts() -> tuple[bool, bool]:
+        gauged = gauge_apply(base, random_gauge_series(rng, m))
+        return (jacobi_residual(gauged).is_zero(),
+                first_order_class(gauged, data) == base_class)
+
+    verdicts = [gauge_verdicts() for _ in range(config.n_gauges)]
+    indices = range(len(verdicts))
+    _sweep(checks, "gauged_series_stay_poisson", indices,
+           lambda idx: verdicts[idx][0])
+    _sweep(checks, "gauged_series_keep_first_order_class", indices,
+           lambda idx: verdicts[idx][1])
 
     if data.special:
         gamma = gamma_classes(fam, data, m)
-        bad_mc: list[int] = []
-        bad_order1: list[int] = []
-        n_special = max(2, config.n_gauges // 2)
-        for idx in range(n_special):
+        euler = [BasisLabel("Eul", (i,)) for i in (0, 1)
+                 if i * data.d <= config.pair_cap(data)]
+
+        def class_gauge_verdicts() -> tuple[bool, bool]:
             coeffs = []
             for _ in range(m):
                 cls = CohClass.zero(0)
-                for i in (0, 1):
-                    if i * data.d <= config.pair_cap(data):
-                        cls = cls + CohClass.single(
-                            BasisLabel("Eul", (i,)), random_fraction(rng))
+                for lab in euler:
+                    cls = cls + CohClass.single(lab, random_fraction(rng))
                 coeffs.append(cls)
             xi = NuSeries(order_cap=m, coeffs=tuple(coeffs))
             gauged_gamma = gauge_special(state, gamma, xi)
-            if gauged_gamma.coefficient(1) != gamma.coefficient(1):
-                bad_order1.append(idx)
             image = mc_image(state, gauged_gamma, m)
             series = NuSeries(order_cap=m, coeffs=image.coeffs,
                               anchor=base.anchor)
-            if not jacobi_residual(series).is_zero():
-                bad_mc.append(idx)
-        _record(checks, "class_level_gauge_preserves_maurer_cartan",
-                not bad_mc, cases=n_special,
-                detail=f"failing gauge indices: {bad_mc[:6]}")
-        _record(checks, "class_level_gauge_fixes_first_order", not bad_order1,
-                cases=n_special,
-                detail=f"failing gauge indices: {bad_order1[:6]}")
+            return (jacobi_residual(series).is_zero(),
+                    gauged_gamma.coefficient(1) == gamma.coefficient(1))
+
+        verdicts = [class_gauge_verdicts()
+                    for _ in range(max(2, config.n_gauges // 2))]
+        indices = range(len(verdicts))
+        _sweep(checks, "class_level_gauge_preserves_maurer_cartan", indices,
+               lambda idx: verdicts[idx][0])
+        _sweep(checks, "class_level_gauge_fixes_first_order", indices,
+               lambda idx: verdicts[idx][1])
 
     return _finish("gauge", checks)
 
@@ -590,12 +548,17 @@ _RUNNERS = {
 
 def run_suite(name: str, data: SingularityData, config: SuiteConfig,
               state: Optional[TransferState] = None) -> dict:
-    """Run one suite by name; unknown names raise ValueError."""
+    """Run one suite by name; unknown names raise ValueError.
+
+    Without a ``state``, the suite gets a fresh transfer state of its own.
+    """
     runner = _RUNNERS.get(name)
     if runner is None:
         raise ValueError(
             f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}"
         )
+    if state is None:
+        state = TransferState(data=data, arity_cap=config.arity_cap)
     return runner(data, config, state)
 
 

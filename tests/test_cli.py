@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
+import importlib.util
 import io
 import json
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -279,6 +282,68 @@ def test_verify_failure_maps_to_exit_2(capsys, monkeypatch):
         capsys, "verify", "schouten", "--phi", "x^2 + y^2 + z^2")
     assert code == 2
     assert report["status"] == "fail"
+
+
+def test_broken_bracket_fails_the_schouten_suite(capsys, monkeypatch):
+    """A bracket whose [V, B] has the wrong sign fails the antisymmetry
+    samples with a detail naming the failing degree pair, and verify exits 2."""
+    import poisdef.suites as suites
+
+    real = suites.schouten
+
+    def flipped(p, q):
+        value = real(p, q)
+        return -value if (p.degree, q.degree) == (1, 2) else value
+
+    monkeypatch.setattr(suites, "schouten", flipped)
+    code, report, _ = run_json(
+        capsys, "verify", "schouten", "--phi", "x^2 + y^2 + z^2")
+    assert code == 2
+    assert report["status"] == "fail"
+    (suite,) = report["suites"]
+    assert suite["status"] == "fail"
+    checks = {check["name"]: check for check in suite["checks"]}
+    antisymmetry = checks["graded_antisymmetry_samples"]
+    assert antisymmetry["pass"] is False and antisymmetry["cases"] == 10
+    assert antisymmetry["detail"] == "failing cases: (1, 2); (1, 2)"
+    failed = [check for check in suite["checks"] if not check["pass"]]
+    assert all(check["detail"].startswith("failing cases: (")
+               for check in failed)
+    assert suite["counts"] == {"pass": len(checks) - len(failed),
+                               "fail": len(failed)}
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _benchmark_spec():
+    """The benchmark's fixed parameters (perfbench/spec.py imports nothing
+    from poisdef)."""
+    loader = importlib.util.spec_from_file_location(
+        "perfbench_spec", _ROOT / "perfbench" / "spec.py")
+    module = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(module)
+    return module
+
+
+# SHA-256 of two verify-reference reports, as perfbench/report_hash.py prints
+# them: a generic potential and the balanced one (Eul labels, gauge_special).
+_REFERENCE_HASHES = {
+    "quadric": "18689085d107620991412c0367ac36bc07695bc9586d9aa1b11d3c7b21d28a26",
+    "cubic": "64528b3b274beedac0304699b96a69248244ac5d2a214a4583dc7159416e91d3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_HASHES))
+def test_reference_report_is_byte_identical(capsys, name):
+    spec = _benchmark_spec()
+    phi, weights, cap = next(entry[1:] for entry in spec.REFERENCE
+                             if entry[0] == name)
+    argv = spec.verify_argv(phi, weights, cap)
+    assert argv[:2] == ["-m", "poisdef.cli"]
+    code, out, _ = run_cli(capsys, *argv[2:])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _REFERENCE_HASHES[name]
 
 
 def test_verify_arity_cap_flag(capsys):

@@ -266,3 +266,55 @@ def test_labels_of_weight_exact(brieskorn):
             for lab in labels_of_weight(brieskorn, g, weight):
                 assert label_weight(lab, brieskorn) == weight
                 assert lab.g_degree == g
+
+
+def _scan_labels_of_weight(data, g, weight):
+    """Oracle: every label of degree g and this weight, found by inverting
+    each kind's weight formula (the enumeration before forward generation)."""
+    d = data.d
+    total = data.weights.total
+    out = []
+    if g == -1:
+        if weight >= 0 and weight % d == 0:
+            out.append(BasisLabel("Cas", (weight // d,)))
+    elif g == 0:
+        if data.special and weight >= 0 and weight % d == 0:
+            out.append(BasisLabel("Eul", (weight // d,)))
+    elif g == 1:
+        for q in a_index_range(data):
+            num = weight - (d - total) - data.basis_weight(q)
+            if num >= 0 and num % d == 0:
+                out.append(BasisLabel("A", (num // d, q)))
+        for r in range(1, data.mu):
+            if data.basis_weight(r) - total == weight:
+                out.append(BasisLabel("B", (r,)))
+    elif g == 2:
+        for s in range(data.mu):
+            num = weight + total - data.basis_weight(s)
+            if num >= 0 and num % d == 0:
+                out.append(BasisLabel("Top", (num // d, s)))
+    return sorted(out, key=BasisLabel.sort_key)
+
+
+_ENUMERATION_POTENTIALS = {
+    "balanced": ("x^2 + y^4 + z^4", (2, 1, 1)),
+    "skewed": ("x*z + y^7", (1, 1, 6)),
+}
+
+
+@pytest.mark.parametrize("name", ["quadric", "cubic", "brieskorn",
+                                  *_ENUMERATION_POTENTIALS])
+def test_forward_enumeration_matches_weight_scan(request, name):
+    if name in _ENUMERATION_POTENTIALS:
+        phi, weights = _ENUMERATION_POTENTIALS[name]
+        data = milnor_basis(parse_poly(phi), WeightSystem(weights))
+    else:
+        data = request.getfixturevalue(name)
+    total = data.weights.total
+    for cap in (-total, 0, data.d - 1, 2 * data.d, 3 * data.d + 1):
+        for g in (-1, 0, 1, 2):
+            scanned = [lab for weight in range(-total, cap + 1)
+                       for lab in _scan_labels_of_weight(data, g, weight)]
+            assert enumerate_basis(data, g, cap) == scanned
+            assert labels_of_weight(data, g, cap) == \
+                _scan_labels_of_weight(data, g, cap)

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 
 import pytest
 import sympy
 
 from poisdef import (
+    cli,
     NotIsolatedError,
     SingularityError,
     WeightSystem,
@@ -18,6 +20,7 @@ from poisdef import (
     parse_poly,
     poly_str,
 )
+from poisdef.algebra import monomial_key
 
 SYM_VARS = sympy.symbols("x y z")
 
@@ -201,6 +204,36 @@ def test_milnor_budget_checked_before_elimination(monkeypatch):
         check_isolated(parse_poly("x^2 + y^3 + z^7"), WeightSystem((21, 14, 6)))
 
 
+def test_slice_budget_checked_before_elimination(monkeypatch, capsys):
+    """Skewed weights pass the Milnor budget (mu = 4096) but not the slice
+    budget, which refuses before any slice is eliminated; a sum at the
+    budget is still analysed."""
+    import poisdef.singularity as singularity
+
+    calls = Counter()
+    original = singularity.jacobian_slice_reduction
+
+    def counting(phi, weights, degree):
+        calls[degree] += 1
+        return original(phi, weights, degree)
+
+    monkeypatch.setattr(singularity, "jacobian_slice_reduction", counting)
+    code = cli.main(["analyze", "--phi", "x*z+y^4097", "--weights",
+                     "1,1,4096", "--weight-cap", "0"])
+    out, err = capsys.readouterr()
+    assert code == 1 and not out
+    error = json.loads(err)["error"]
+    assert error["type"] == "SingularityError"
+    assert "65536 monomials" in error["message"]
+    assert not calls
+    cubic = (parse_poly("x^3 + y^3 + z^3"), WeightSystem((1, 1, 1)))
+    monkeypatch.setattr(singularity, "MAX_SLICE_MONOMIALS", 84)  # 1+3+...+28
+    assert check_isolated(*cubic) == 8
+    monkeypatch.setattr(singularity, "MAX_SLICE_MONOMIALS", 83)
+    with pytest.raises(SingularityError, match="monomials"):
+        check_isolated(*cubic)
+
+
 def test_monomial_slice_enumeration():
     w = WeightSystem((15, 10, 6))
     assert monomials_of_weight(w, 0) == [(0, 0, 0)]
@@ -209,6 +242,10 @@ def test_monomial_slice_enumeration():
     assert sorted(got) == sorted(brute_force_monomials((15, 10, 6), 30))
     unit = WeightSystem((1, 1, 1))
     assert len(monomials_of_weight(unit, 4)) == 15  # C(4+2, 2)
+    for skewed in ((1, 6, 1), (7, 2, 3)):
+        for weight in (0, 5, 13):
+            assert monomials_of_weight(WeightSystem(skewed), weight) == sorted(
+                brute_force_monomials(skewed, weight), key=monomial_key)
 
 
 # -- normal forms ----------------------------------------------------------------
