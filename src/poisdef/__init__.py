@@ -23,6 +23,7 @@ from .algebra import (
     WeightInferenceError,
     WeightSystem,
     infer_weights,
+    monomials_of_weight,
     parse_poly,
     poly_str,
 )
@@ -83,7 +84,6 @@ from .singularity import (
     SingularityError,
     check_isolated,
     milnor_basis,
-    monomials_of_weight,
     normal_form,
 )
 from .suites import (

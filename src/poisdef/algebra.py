@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Iterator, Mapping, Optional, Union
 
 Exponents = tuple[int, int, int]
 ScalarLike = Union["Fraction", int]
@@ -48,6 +48,36 @@ def monomial_key(exponents: Exponents) -> tuple[int, tuple[int, int, int]]:
     """
     a, b, c = exponents
     return (a + b + c, (-a, -b, -c))
+
+
+def _exponents_of_weight(weights: WeightSystem, degree: int
+                         ) -> Iterator[Exponents]:
+    """Exponent triples of the given weighted degree, in no set order.
+
+    The loops run over the two heaviest variables and solve for the
+    lightest, so skewed weights do not make a slice quadratic to list.
+    """
+    if degree < 0:
+        return
+    w = weights.weights
+    light, mid, heavy = sorted(range(3), key=lambda v: w[v])
+    exps = [0, 0, 0]
+    for e_heavy in range(degree // w[heavy] + 1):
+        rem = degree - e_heavy * w[heavy]
+        for e_mid in range(rem // w[mid] + 1):
+            rest = rem - e_mid * w[mid]
+            if rest % w[light] == 0:
+                exps[heavy], exps[mid], exps[light] = (
+                    e_heavy, e_mid, rest // w[light])
+                yield tuple(exps)
+
+
+def monomials_of_weight(weights: WeightSystem, degree: int) -> list[Exponents]:
+    """All exponent triples of the given weighted degree, canonically ordered.
+
+    The order agrees with :func:`monomial_key` restricted to the slice.
+    """
+    return sorted(_exponents_of_weight(weights, degree), key=monomial_key)
 
 
 class Poly:
@@ -269,6 +299,10 @@ _TOKEN_CHARS = {"+", "-", "*", "^", "/", "(", ")"}
 # "(x+y+z)^100000" is refused instead of expanded.
 MAX_EXPANSION_TERMS = 2000
 
+# Deepest nesting of parentheses in a parsed expression: each level costs the
+# recursive-descent parser four stack frames, and "(" * 250 overflowed them.
+MAX_NESTING = 100
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """Split into (kind, value, position) tokens; kinds: int, name, op."""
@@ -313,6 +347,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Optional[tuple[str, str, int]]:
         if self.pos < len(self.tokens):
@@ -413,10 +448,16 @@ class _Parser:
                 f"unknown symbol {value!r}; variables are x, y, z", position
             )
         if kind == "op" and value == "(":
+            if self.depth >= MAX_NESTING:
+                raise PolyParseError(
+                    f"parentheses nest deeper than {MAX_NESTING} levels",
+                    position)
+            self.depth += 1
             inner = self.expression()
             closing = self.advance()
             if closing[0] != "op" or closing[1] != ")":
                 raise PolyParseError("expected ')'", closing[2])
+            self.depth -= 1
             return inner
         raise PolyParseError(f"unexpected token {value!r}", position)
 
@@ -435,7 +476,8 @@ def parse_poly(text: str) -> Poly:
     +, -, * and ^ (with nonnegative integer exponents); parentheses; unary
     minus.  Whitespace is insignificant and implicit multiplication is not
     allowed.  A product or power whose expansion may exceed
-    MAX_EXPANSION_TERMS terms raises PolyParseError before it is expanded.
+    MAX_EXPANSION_TERMS terms raises PolyParseError before it is expanded,
+    and so do parentheses nested more than MAX_NESTING levels deep.
     """
     return _Parser(text).parse()
 
@@ -484,14 +526,6 @@ def weighted_degree(p: Poly, weights: WeightSystem) -> Optional[int]:
         elif degree != w:
             return None
     return degree
-
-
-def weight_parts(p: Poly, weights: WeightSystem) -> dict[int, Poly]:
-    """Split a polynomial into its weight-homogeneous parts."""
-    buckets: dict[int, dict[Exponents, Fraction]] = {}
-    for exps, coeff in p.items():
-        buckets.setdefault(weights.monomial_weight(exps), {})[exps] = coeff
-    return {w: Poly(terms) for w, terms in sorted(buckets.items())}
 
 
 def _cross(u: Exponents, v: Exponents) -> Exponents:

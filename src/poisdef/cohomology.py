@@ -29,10 +29,10 @@ Lie algebra used by the transfer machinery.
 
 Projections and coboundary solves are performed one weight slice at a
 time: for fixed (cochain degree, weight) the slice of multivector fields
-is finite-dimensional, and one exact elimination of
-[coboundary images | class representatives] is cached per slice and
-reused for every solve against it.  Building it also checks that the
-class representatives are independent modulo coboundaries: a
+is finite-dimensional, and one :class:`poisdef.multivec.WeightSlice`
+eliminating [coboundary images | class representatives] is cached per
+slice and reused for every solve against it.  Building it also checks
+that the class representatives are independent modulo coboundaries: a
 representative that is a coboundary raises CohomologyError.
 """
 
@@ -44,18 +44,18 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import Exponents, Poly, ScalarLike
-from .linalg import Eliminator
 from .multivec import (
     SLOTS,
     MultiVec,
+    WeightSlice,
     coboundary,
     coordinate_volume,
     euler_field,
     multivec_weight_parts,
     poisson_from_potential,
-    slot_weight_offset,
+    slice_basis,
 )
-from .singularity import SingularityData, monomials_of_weight
+from .singularity import SingularityData
 
 
 class CohomologyError(ValueError):
@@ -336,34 +336,8 @@ def f1(cls: CohClass, data: SingularityData) -> MultiVec:
 # -- weight-slice solvers -----------------------------------------------------
 
 
-def _slice_monovecs(data: SingularityData, degree: int,
-                    weight: int) -> list[tuple[int, Exponents]]:
-    """Basis (slot, monomial) pairs of one weight slice of multivectors."""
-    if degree not in SLOTS:
-        return []
-    out: list[tuple[int, Exponents]] = []
-    for slot in range(len(SLOTS[degree])):
-        offset = slot_weight_offset(data.weights, degree, slot)
-        for m in monomials_of_weight(data.weights, weight + offset):
-            out.append((slot, m))
-    return out
-
-
-def _monovec(degree: int, slot: int, exps: Exponents) -> MultiVec:
-    comps = [Poly.zero()] * len(SLOTS[degree])
-    comps[slot] = Poly.monomial(exps)
-    return MultiVec(degree, tuple(comps))
-
-
-def _vector_of(mv: MultiVec,
-               index: dict[tuple[int, Exponents], int]) -> dict[int, Fraction]:
-    return {index[(slot, exps)]: coeff
-            for slot, comp in enumerate(mv.comps)
-            for exps, coeff in comp.items()}
-
-
-def _slice_solver(data: SingularityData, degree: int, weight: int):
-    """Cached eliminator of [coboundary images | class representatives].
+def _slice_solver(data: SingularityData, degree: int, weight: int) -> WeightSlice:
+    """Cached slice of [coboundary images | class representatives].
 
     Coboundary images are tagged by their (slot, monomial) preimage and
     inserted first, so they select the same pivots as the coboundaries
@@ -371,28 +345,38 @@ def _slice_solver(data: SingularityData, degree: int, weight: int):
     representative that reduces to zero is a coboundary, which means the
     stored basis is wrong for this potential.
     """
-    key = ("cohomology/slice", degree, weight)
-    cached = data._scratch.get(key)
+    cached = data._coboundary_slices.get((degree, weight))
     if cached is not None:
         return cached
-    index = {sm: i for i, sm in enumerate(_slice_monovecs(data, degree, weight))}
+    solver = WeightSlice(data.weights, degree, weight)
     delta = data.d - data.weights.total
-    pre_basis = _slice_monovecs(data, degree - 1, weight - delta)
-    labels = labels_of_weight(data, degree - 1, weight)
-    eliminator = Eliminator()
-    for slot, m in pre_basis:
-        image = coboundary(_monovec(degree - 1, slot, m), data.phi)
-        eliminator.add(_vector_of(image, index), (slot, m))
-    for label in labels:
-        rep = _vector_of(realize(label, data), index)
-        if eliminator.add(rep, label) is None:
+    for slot, m in slice_basis(data.weights, degree - 1, weight - delta):
+        comps = [Poly.zero()] * len(SLOTS[degree - 1])
+        comps[slot] = Poly.monomial(m)
+        image = coboundary(MultiVec(degree - 1, tuple(comps)), data.phi)
+        solver.add(image, (slot, m))
+    for label in labels_of_weight(data, degree - 1, weight):
+        if solver.add(realize(label, data), label) is None:
             raise CohomologyError(
                 f"basis class {label} is dependent on the coboundaries and "
                 f"the other classes of weight {weight}"
             )
-    entry = (labels, index, eliminator)
-    data._scratch[key] = entry
-    return entry
+    data._coboundary_slices[(degree, weight)] = solver
+    return solver
+
+
+def _decompose(part: MultiVec, weight: int, data: SingularityData):
+    """Split a weight part as sum_l c_l realize(l) + [pi, y].
+
+    Returns ({l: c_l}, {(slot, monomial): coefficient in y}), or None when
+    the part lies outside the span of class representatives and
+    coboundaries.
+    """
+    solution = _slice_solver(data, part.degree, weight).solve(part)
+    if solution is None:
+        return None
+    classes = {t: v for t, v in solution.items() if isinstance(t, BasisLabel)}
+    return classes, {t: v for t, v in solution.items() if t not in classes}
 
 
 def project(p: MultiVec, data: SingularityData) -> CohClass:
@@ -410,17 +394,14 @@ def project(p: MultiVec, data: SingularityData) -> CohClass:
         )
     coeffs: dict[BasisLabel, Fraction] = {}
     for weight, part in multivec_weight_parts(p, data.weights).items():
-        labels, index, eliminator = _slice_solver(data, p.degree, weight)
-        solution = eliminator.solve(_vector_of(part, index))
-        if solution is None:
+        split = _decompose(part, weight, data)
+        if split is None:
             raise CohomologyError(
                 f"closed slice of weight {weight} lies outside span of "
                 "basis classes and coboundaries; the stored basis is "
                 "incomplete for this potential"
             )
-        for label in labels:
-            if label in solution:
-                coeffs[label] = coeffs.get(label, Fraction(0)) + solution[label]
+        coeffs.update(split[0])
     return CohClass.make(g, coeffs)
 
 
@@ -436,12 +417,11 @@ def solve_coboundary(target: MultiVec, data: SingularityData) -> MultiVec:
     terms: list[dict[Exponents, Fraction]] = [
         {} for _ in SLOTS.get(target.degree - 1, ())]
     for weight, part in multivec_weight_parts(target, data.weights).items():
-        labels, index, eliminator = _slice_solver(data, target.degree, weight)
-        solution = eliminator.solve(_vector_of(part, index))
-        if solution is None or any(label in solution for label in labels):
+        split = _decompose(part, weight, data)
+        if split is None or split[0]:
             raise NotACoboundaryError(
                 f"weight {weight} slice of the target is not a coboundary"
             )
-        for (slot, m), value in solution.items():
+        for (slot, m), value in split[1].items():
             terms[slot][m] = value
     return MultiVec(target.degree - 1, tuple(Poly(t) for t in terms))

@@ -1,9 +1,8 @@
 """Exact sparse linear algebra over the rationals.
 
 Vectors are dictionaries mapping an index to a nonzero ``Fraction``.  One
-incremental eliminator serves every weight slice in the package: the
-Jacobian-ideal slices of :mod:`poisdef.singularity` and the cohomology
-slices of :mod:`poisdef.cohomology`.  Its pivot set is that of the
+incremental eliminator serves every weight slice in the package, each a
+:class:`poisdef.multivec.WeightSlice`.  Its pivot set is that of the
 leftmost-pivot reduced echelon form, and its solutions are the ones that
 set every free variable to zero, so results do not depend on how the
 elimination is organised.

@@ -186,54 +186,47 @@ class TransferState:
 
     # -- label-tuple level -------------------------------------------------
 
-    def _check_arity(self, n: int) -> None:
+    def ell_labels(self, labels: Sequence[BasisLabel]) -> CohClass:
+        """ell_n on basis labels; graded-symmetric and memoized."""
+        return self._on_labels(
+            labels, self._ell_memo,
+            lambda lab: CohClass.zero(lab.g_degree + 1),
+            lambda a, b: project(schouten(realize(a, self.data),
+                                          realize(b, self.data)), self.data),
+            CohClass.zero)
+
+    def f_labels(self, labels: Sequence[BasisLabel]) -> MultiVec:
+        """f_n on basis labels; graded-symmetric and memoized."""
+        return self._on_labels(
+            labels, self._f_memo,
+            lambda lab: realize(lab, self.data),
+            lambda a, b: f2_table(self.data, a, b),
+            MultiVec.zero)
+
+    def _on_labels(self, labels: Sequence[BasisLabel], memo: dict,
+                   unary, binary, zero):
+        """ell_n or f_n: ``unary(label)`` at arity 1, ``binary(a, b)`` on
+        canonical pairs, :meth:`_compute_stage` above; ``zero(k)`` builds the
+        zero of output degree k.  Canonical tuples are memoized in ``memo``."""
+        n = len(labels)
         if n < 1:
             raise ValueError("bracket arity must be at least 1")
         if n > self.arity_cap:
             raise ArityCapExceededError(
                 f"arity {n} exceeds the configured cap {self.arity_cap}"
             )
-
-    def ell_labels(self, labels: Sequence[BasisLabel]) -> CohClass:
-        """ell_n on basis labels; graded-symmetric and memoized."""
-        n = len(labels)
-        self._check_arity(n)
-        g_out = sum(lab.g_degree for lab in labels) + 2 - n
         if n == 1:
-            return CohClass.zero(g_out)
+            return unary(labels[0])
         key, chi = _canonical(labels)
         if key is None:
-            return CohClass.zero(g_out)
-        value = self._ell_memo.get(key)
+            return zero(sum(lab.g_degree for lab in labels) + 2 - n)
+        value = memo.get(key)
         if value is None:
             if n == 2:
-                bracket = schouten(realize(key[0], self.data),
-                                   realize(key[1], self.data))
-                value = project(bracket, self.data)
-                self._ell_memo[key] = value
+                value = memo[key] = binary(*key)
             else:
                 self._compute_stage(key)
-                value = self._ell_memo[key]
-        return value * chi
-
-    def f_labels(self, labels: Sequence[BasisLabel]) -> MultiVec:
-        """f_n on basis labels; graded-symmetric and memoized."""
-        n = len(labels)
-        self._check_arity(n)
-        degree_out = sum(lab.g_degree for lab in labels) + 2 - n
-        if n == 1:
-            return realize(labels[0], self.data)
-        key, chi = _canonical(labels)
-        if key is None:
-            return MultiVec.zero(degree_out)
-        value = self._f_memo.get(key)
-        if value is None:
-            if n == 2:
-                value = f2_table(self.data, key[0], key[1])
-                self._f_memo[key] = value
-            else:
-                self._compute_stage(key)
-                value = self._f_memo[key]
+                value = memo[key]
         return value * chi
 
     def _compute_stage(self, key: tuple[BasisLabel, ...]) -> None:

@@ -49,21 +49,28 @@ and graded antisymmetry gives the pairs in the other order: [F, V] =
 exact bivector of a potential, curl grad phi = 0 turns [pi_phi, .] into
 d0 F = grad phi x grad F, d1 V = div(V) grad phi - grad(V . grad phi) and
 d2 B = grad phi . curl b.
+
+A monomial m on slot s has weight wt(m) - wt(s), wt(s) the sum of the
+weights the slot differentiates by.  Every exact elimination in the package
+(the Jacobian-ideal and coboundary slices) runs on a :class:`WeightSlice`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import Hashable, Optional, Sequence
 
 from .algebra import (
+    Exponents,
     Poly,
     ScalarLike,
     VARIABLE_POLYS,
     WeightSystem,
+    monomials_of_weight,
     poly_str,
 )
+from .linalg import Eliminator, SparseVec
 
 # Index tuples differentiated by each component slot, per degree.
 SLOTS: dict[int, tuple[tuple[int, ...], ...]] = {
@@ -422,11 +429,7 @@ def slot_weight_offset(weights: WeightSystem, degree: int, slot: int) -> int:
 
 def multivec_weight_parts(mv: MultiVec,
                           weights: WeightSystem) -> dict[int, MultiVec]:
-    """Split into weight-homogeneous pieces.
-
-    A monomial m on slot s has weight wt(m) - wt(s), where wt(s) is the
-    sum of the weights of the variables the slot differentiates by.
-    """
+    """Split into weight-homogeneous pieces, in increasing weight."""
     if mv.degree not in SLOTS:
         return {}
     buckets: dict[int, list[dict]] = {}
@@ -440,6 +443,46 @@ def multivec_weight_parts(mv: MultiVec,
         w: MultiVec(mv.degree, tuple(Poly(t) for t in terms))
         for w, terms in sorted(buckets.items())
     }
+
+
+def slice_basis(weights: WeightSystem, degree: int,
+                weight: int) -> list[tuple[int, Exponents]]:
+    """(slot, monomial) basis of a weight slice of degree-k multivectors,
+    slot by slot in canonical monomial order; empty outside degrees 0..3."""
+    if degree not in SLOTS:
+        return []
+    return [(slot, m) for slot in range(len(SLOTS[degree]))
+            for m in monomials_of_weight(
+                weights, weight + slot_weight_offset(weights, degree, slot))]
+
+
+class WeightSlice:
+    """One weight slice of degree-k multivectors, with an
+    :class:`poisdef.linalg.Eliminator` over positions in ``basis``."""
+
+    def __init__(self, weights: WeightSystem, degree: int, weight: int):
+        self.basis = slice_basis(weights, degree, weight)
+        self._index = {sm: i for i, sm in enumerate(self.basis)}
+        self.eliminator = Eliminator()
+
+    @property
+    def rank(self) -> int:
+        return self.eliminator.rank
+
+    def vector(self, mv: MultiVec) -> SparseVec:
+        """Coordinates of a multivector of this slice on ``basis``."""
+        index = self._index
+        return {index[(slot, exps)]: coeff
+                for slot, comp in enumerate(mv.comps)
+                for exps, coeff in comp.items()}
+
+    def add(self, mv: MultiVec, tag: Optional[Hashable] = None) -> Optional[int]:
+        """Insert mv; return its pivot, or None if it lies in the span."""
+        return self.eliminator.add(self.vector(mv), tag)
+
+    def solve(self, mv: MultiVec) -> Optional[dict]:
+        """Coefficients of tagged multivectors summing to mv, or None."""
+        return self.eliminator.solve(self.vector(mv))
 
 
 # -- import-time convention check ---------------------------------------------

@@ -5,24 +5,28 @@ the origin, the quotient of the polynomial ring by the Jacobian ideal
 (dphi/dx, dphi/dy, dphi/dz) is a finite-dimensional graded algebra.  This
 module computes its dimension (the Milnor number), a canonical graded
 monomial basis, and normal forms modulo the Jacobian ideal, one weight
-slice at a time with exact rational elimination.
+slice (a degree-0 :class:`poisdef.multivec.WeightSlice`) at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional
 
 from .algebra import (
     Exponents,
     Poly,
     WeightSystem,
-    monomial_key,
-    weight_parts,
+    _exponents_of_weight,
     weighted_degree,
 )
-from .linalg import Eliminator
+from .multivec import (
+    MultiVec,
+    WeightSlice,
+    multivec_weight_parts,
+    slice_basis,
+)
 
 # Largest Milnor number analysed, so that no potential can demand an
 # unbounded elimination; x^17+y^17+z^17 (mu = 4096) is the largest
@@ -52,80 +56,18 @@ class NotIsolatedError(SingularityError):
         self.offending_degree = offending_degree
 
 
-def _exponents_of_weight(weights: WeightSystem, degree: int
-                         ) -> Iterator[Exponents]:
-    """Exponent triples of the given weighted degree, in no set order.
-
-    The loops run over the two heaviest variables and solve for the
-    lightest, so skewed weights do not make a slice quadratic to list.
-    """
-    if degree < 0:
-        return
-    w = weights.weights
-    light, mid, heavy = sorted(range(3), key=lambda v: w[v])
-    exps = [0, 0, 0]
-    for e_heavy in range(degree // w[heavy] + 1):
-        rem = degree - e_heavy * w[heavy]
-        for e_mid in range(rem // w[mid] + 1):
-            rest = rem - e_mid * w[mid]
-            if rest % w[light] == 0:
-                exps[heavy], exps[mid], exps[light] = (
-                    e_heavy, e_mid, rest // w[light])
-                yield tuple(exps)
-
-
-def monomials_of_weight(weights: WeightSystem, degree: int) -> list[Exponents]:
-    """All exponent triples of the given weighted degree, canonically ordered.
-
-    The order agrees with :func:`poisdef.algebra.monomial_key` restricted
-    to the slice.
-    """
-    return sorted(_exponents_of_weight(weights, degree), key=monomial_key)
-
-
-@dataclass
-class SliceReduction:
-    """Eliminated picture of one weight slice of the Jacobian ideal.
-
-    ``monomials`` lists the slice's monomial basis in canonical order;
-    ``eliminator`` holds an echelon basis of the ideal's intersection with
-    the slice, indexed by position in ``monomials``.
-    """
-
-    degree: int
-    monomials: list[Exponents]
-    eliminator: Eliminator
-
-    @property
-    def rank(self) -> int:
-        return self.eliminator.rank
-
-    def complement(self) -> list[Exponents]:
-        """Non-pivot monomials: a basis of the quotient in this slice."""
-        pivots = set(self.eliminator.pivots)
-        return [m for i, m in enumerate(self.monomials) if i not in pivots]
-
-
 def jacobian_slice_reduction(phi: Poly, weights: WeightSystem,
-                             degree: int) -> SliceReduction:
-    """Eliminate the weight-``degree`` slice of the Jacobian ideal of phi."""
+                             degree: int) -> WeightSlice:
+    """Eliminate the weight-``degree`` slice of the Jacobian ideal of phi:
+    the image V(phi) of the vector fields V of weight degree - d."""
     d = weighted_degree(phi, weights)
     if d is None:
         raise SingularityError("potential must be weight-homogeneous and nonzero")
-    monomials = monomials_of_weight(weights, degree)
-    index_of = {m: i for i, m in enumerate(monomials)}
-    eliminator = Eliminator()
-    for v in range(3):
-        generator = phi.diff(v)
-        if generator.is_zero():
-            continue
-        gen_weight = d - weights.weights[v]
-        for m in monomials_of_weight(weights, degree - gen_weight):
-            product = Poly.monomial(m) * generator
-            eliminator.add({index_of[exps]: coeff
-                            for exps, coeff in product.items()})
-    return SliceReduction(degree=degree, monomials=monomials,
-                          eliminator=eliminator)
+    grad = [phi.diff(v) for v in range(3)]
+    reduction = WeightSlice(weights, 0, degree)
+    for slot, m in slice_basis(weights, 1, degree - d):
+        reduction.add(MultiVec.function(Poly.monomial(m) * grad[slot]))
+    return reduction
 
 
 def check_isolated(phi: Poly, weights: WeightSystem) -> int:
@@ -145,7 +87,7 @@ def check_isolated(phi: Poly, weights: WeightSystem) -> int:
 
 
 def _isolated_slices(phi: Poly, weights: WeightSystem
-                     ) -> tuple[int, dict[int, SliceReduction]]:
+                     ) -> tuple[int, dict[int, WeightSlice]]:
     """:func:`check_isolated`, also returning the eliminated Jacobian
     slices of weights 0 to the socle degree."""
     d = weighted_degree(phi, weights)
@@ -171,10 +113,10 @@ def _isolated_slices(phi: Poly, weights: WeightSystem
                 f"of {MAX_SLICE_MONOMIALS} monomials (passed at slice {degree})"
             )
     mu = 0
-    slices: dict[int, SliceReduction] = {}
+    slices: dict[int, WeightSlice] = {}
     for degree in swept:
         reduction = jacobian_slice_reduction(phi, weights, degree)
-        missing = len(reduction.monomials) - reduction.rank
+        missing = len(reduction.basis) - reduction.rank
         if degree <= socle:
             mu += missing
             slices[degree] = reduction
@@ -215,8 +157,9 @@ class SingularityData:
     mu: int
     basis: tuple[Exponents, ...]
     socle: int
-    _slices: dict[int, SliceReduction] = field(default_factory=dict, repr=False)
-    _scratch: dict = field(default_factory=dict, repr=False)
+    _jacobian_slices: dict[int, WeightSlice] = field(default_factory=dict, repr=False)
+    _coboundary_slices: dict[tuple[int, int], WeightSlice] = field(
+        default_factory=dict, repr=False)
 
     @property
     def special(self) -> bool:
@@ -229,11 +172,11 @@ class SingularityData:
     def basis_weight(self, index: int) -> int:
         return self.weights.monomial_weight(self.basis[index])
 
-    def slice_reduction(self, degree: int) -> SliceReduction:
-        cached = self._slices.get(degree)
+    def slice_reduction(self, degree: int) -> WeightSlice:
+        cached = self._jacobian_slices.get(degree)
         if cached is None:
             cached = jacobian_slice_reduction(self.phi, self.weights, degree)
-            self._slices[degree] = cached
+            self._jacobian_slices[degree] = cached
         return cached
 
 
@@ -242,17 +185,17 @@ def milnor_basis(phi: Poly, weights: WeightSystem) -> SingularityData:
     mu, slices = _isolated_slices(phi, weights)
     d = weighted_degree(phi, weights)
     socle = 3 * d - 2 * weights.total
-    basis = [m for reduction in slices.values() for m in reduction.complement()]
-    if len(basis) != mu:
-        raise AssertionError(
-            f"basis size {len(basis)} disagrees with Milnor number {mu}"
-        )
+    basis: list[Exponents] = []
+    for reduction in slices.values():
+        # the mu non-pivot monomials span the quotient, slice by slice
+        pivots = set(reduction.eliminator.pivots)
+        basis += [m for i, (_, m) in enumerate(reduction.basis)
+                  if i not in pivots]
     if basis[0] != (0, 0, 0):
         raise AssertionError("the constant monomial must represent u_0 = 1")
-    data = SingularityData(phi=phi, weights=weights, d=d, mu=mu,
-                           basis=tuple(basis), socle=socle)
-    data._slices.update(slices)
-    return data
+    return SingularityData(phi=phi, weights=weights, d=d, mu=mu,
+                           basis=tuple(basis), socle=socle,
+                           _jacobian_slices=slices)
 
 
 def normal_form(p: Poly, data: SingularityData) -> Poly:
@@ -263,11 +206,10 @@ def normal_form(p: Poly, data: SingularityData) -> Poly:
     ideal exactly when their normal forms coincide.
     """
     total = Poly.zero()
-    for degree, part in weight_parts(p, data.weights).items():
+    parts = multivec_weight_parts(MultiVec.function(p), data.weights)
+    for degree, part in parts.items():
         reduction = data.slice_reduction(degree)
-        index_of = {m: i for i, m in enumerate(reduction.monomials)}
-        reduced = reduction.eliminator.reduce(
-            {index_of[exps]: coeff for exps, coeff in part.items()})
-        total = total + Poly({reduction.monomials[i]: c
+        reduced = reduction.eliminator.reduce(reduction.vector(part))
+        total = total + Poly({reduction.basis[i][1]: c
                               for i, c in reduced.items()})
     return total

@@ -80,7 +80,7 @@ def test_criterion_01_milnor_data(quadric, cubic, brieskorn):
         for weight in range(0, data.socle + 1):
             red = data.slice_reduction(weight)
             dim, rank = sympy_slice_rank(text, weights, weight)
-            assert len(red.monomials) == dim
+            assert len(red.basis) == dim
             assert red.rank == rank
             total_defect += dim - rank
         assert total_defect == data.mu

@@ -17,7 +17,7 @@ from poisdef import (
     parse_poly,
     poly_str,
 )
-from poisdef.algebra import MAX_EXPANSION_TERMS
+from poisdef.algebra import MAX_EXPANSION_TERMS, MAX_NESTING
 
 # -- strategies ----------------------------------------------------------------
 
@@ -136,6 +136,21 @@ def test_parse_expansion_budget():
     # a single monomial raised to any power is one term
     assert parse_poly("y^4097") == Poly.monomial((0, 4097, 0))
     assert parse_poly("(2*x*y)^300") == Poly.monomial((300, 300, 0), 2 ** 300)
+
+
+def test_parse_nesting_limit():
+    # each parenthesis level recurses; the limit is checked before it does
+    assert MAX_NESTING == 100
+    nested = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_poly(nested) == Poly.variable(0)
+    deeper = "(" + nested + ")"
+    with pytest.raises(PolyParseError, match="deeper than 100") as info:
+        parse_poly(deeper)
+    assert info.value.position == MAX_NESTING
+    with pytest.raises(PolyParseError, match="deeper than 100"):
+        parse_poly("(" * 250 + "x" + ")" * 250)
+    # sibling groups do not add up
+    assert parse_poly("+".join([nested] * 3)) == Poly.variable(0) * 3
 
 
 @given(polys())

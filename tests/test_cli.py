@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poisdef.algebra import MAX_NESTING
 from poisdef.cli import MAX_ORDER, main
 
 # -- helpers --------------------------------------------------------------------
@@ -123,6 +124,21 @@ def test_phi_power_above_expansion_budget_fails_fast(capsys):
     assert report is None
     assert error["error"]["type"] == "PolyParseError"
     assert "2000-term limit" in error["error"]["message"]
+
+
+def test_phi_nesting_limit(capsys):
+    def nested(depth):
+        return "(" * depth + "x^2 + y^2 + z^2" + ")" * depth
+
+    code, report, _ = run_json(capsys, "analyze", "--phi", nested(MAX_NESTING))
+    assert code == 0
+    assert report["potential"]["mu"] == 1
+    for depth in (MAX_NESTING + 1, 250):
+        code, out, err = run_cli(capsys, "analyze", "--phi", nested(depth))
+        assert code == 1 and not out
+        error = json.loads(err)["error"]
+        assert error["type"] == "PolyParseError"
+        assert f"at position {MAX_NESTING}" in error["message"]
 
 
 def test_phi_power_within_expansion_budget_parses(capsys):
@@ -448,6 +464,9 @@ _phi_texts = st.one_of(
     _monomial_sums(),
     st.sampled_from(["x^2 + y^2 + z^2", "x^3 + y^3 + z^3",
                      "x^2 + y^3 + z^5", "x^2 + y^2 + z^4", "x*y*z"]),
+    # parentheses nested on both sides of the parser's MAX_NESTING
+    st.builds(lambda depth, inner: "(" * depth + inner + ")" * depth,
+              st.integers(1, 300), st.sampled_from(["x^2 + y^2 + z^2", "x"])),
 )
 _weight_texts = st.one_of(
     st.none(),

@@ -20,6 +20,7 @@ from poisdef import (
     parse_poly,
     poly_str,
 )
+import poisdef.singularity as singularity
 from poisdef.algebra import monomial_key
 
 SYM_VARS = sympy.symbols("x y z")
@@ -129,14 +130,13 @@ def test_slice_ranks_match_independent_oracle(phi_text, weights):
     for weight in range(0, data.socle + 1):
         red = data.slice_reduction(weight)
         dim, rank = sympy_slice_rank(phi_text, weights, weight)
-        assert len(red.monomials) == dim
+        assert len(red.basis) == dim
         assert red.rank == rank
 
 
-def test_milnor_basis_eliminates_each_slice_once(monkeypatch):
-    """The isolation check and the basis share one pass over the slices."""
-    import poisdef.singularity as singularity
-
+@pytest.fixture
+def slice_builds(monkeypatch):
+    """Counts Jacobian slice eliminations by weight, from here on."""
     calls = Counter()
     original = singularity.jacobian_slice_reduction
 
@@ -145,10 +145,15 @@ def test_milnor_basis_eliminates_each_slice_once(monkeypatch):
         return original(phi, weights, degree)
 
     monkeypatch.setattr(singularity, "jacobian_slice_reduction", counting)
+    return calls
+
+
+def test_milnor_basis_eliminates_each_slice_once(slice_builds):
+    """The isolation check and the basis share one pass over the slices."""
     data = milnor_basis(parse_poly("x^2 + y^3 + z^5"),
                         WeightSystem((15, 10, 6)))
     window_end = data.socle + max(data.d, data.weights.total)
-    assert calls == Counter(range(window_end + 1))
+    assert slice_builds == Counter(range(window_end + 1))
 
 
 def test_basis_defect_counts_match_oracle(brieskorn):
@@ -180,23 +185,13 @@ def test_regular_point_rejected():
         check_isolated(parse_poly("x + y + z"), WeightSystem((1, 1, 1)))
 
 
-def test_milnor_budget_checked_before_elimination(monkeypatch):
+def test_milnor_budget_checked_before_elimination(monkeypatch, slice_builds):
     """The product formula is compared with MAX_MILNOR before any slice
     is eliminated; a value at the budget is still analysed."""
-    import poisdef.singularity as singularity
-
-    calls = Counter()
-    original = singularity.jacobian_slice_reduction
-
-    def counting(phi, weights, degree):
-        calls[degree] += 1
-        return original(phi, weights, degree)
-
-    monkeypatch.setattr(singularity, "jacobian_slice_reduction", counting)
     with pytest.raises(SingularityError, match="budget"):
         check_isolated(parse_poly("x^40 + y^40 + z^40"),
                        WeightSystem((1, 1, 1)))
-    assert not calls
+    assert not slice_builds
     monkeypatch.setattr(singularity, "MAX_MILNOR", 8)
     assert check_isolated(parse_poly("x^3 + y^3 + z^3"),
                           WeightSystem((1, 1, 1))) == 8
@@ -204,20 +199,11 @@ def test_milnor_budget_checked_before_elimination(monkeypatch):
         check_isolated(parse_poly("x^2 + y^3 + z^7"), WeightSystem((21, 14, 6)))
 
 
-def test_slice_budget_checked_before_elimination(monkeypatch, capsys):
+def test_slice_budget_checked_before_elimination(monkeypatch, capsys,
+                                                slice_builds):
     """Skewed weights pass the Milnor budget (mu = 4096) but not the slice
     budget, which refuses before any slice is eliminated; a sum at the
     budget is still analysed."""
-    import poisdef.singularity as singularity
-
-    calls = Counter()
-    original = singularity.jacobian_slice_reduction
-
-    def counting(phi, weights, degree):
-        calls[degree] += 1
-        return original(phi, weights, degree)
-
-    monkeypatch.setattr(singularity, "jacobian_slice_reduction", counting)
     code = cli.main(["analyze", "--phi", "x*z+y^4097", "--weights",
                      "1,1,4096", "--weight-cap", "0"])
     out, err = capsys.readouterr()
@@ -225,7 +211,7 @@ def test_slice_budget_checked_before_elimination(monkeypatch, capsys):
     error = json.loads(err)["error"]
     assert error["type"] == "SingularityError"
     assert "65536 monomials" in error["message"]
-    assert not calls
+    assert not slice_builds
     cubic = (parse_poly("x^3 + y^3 + z^3"), WeightSystem((1, 1, 1)))
     monkeypatch.setattr(singularity, "MAX_SLICE_MONOMIALS", 84)  # 1+3+...+28
     assert check_isolated(*cubic) == 8
@@ -267,3 +253,16 @@ def test_normal_form_mixed_input(cubic):
     # x^3 = (x/3) * dphi/dx lies in the Jacobian ideal; x*y is a basis element
     reduced = normal_form(parse_poly("x^3 + x*y"), cubic)
     assert reduced == parse_poly("x*y")
+
+
+def test_normal_form_above_the_isolation_window(slice_builds):
+    """Slices above socle + max(d, |w|) are eliminated on demand, once."""
+    data = milnor_basis(parse_poly("x^3 + y^3 + z^3"), WeightSystem((1, 1, 1)))
+    assert data.socle + max(data.d, data.weights.total) == 6
+    slice_builds.clear()
+    assert normal_form(parse_poly("x^7 + x*y"), data) == parse_poly("x*y")
+    # a Jacobian multiple of weight 8, above the window, reduces to zero
+    multiple = parse_poly("x^5*y - 3*z^6 + 1/2*x*y*z^4") * data.phi.diff(2)
+    assert normal_form(multiple, data).is_zero()
+    assert normal_form(parse_poly("x^7"), data).is_zero()
+    assert slice_builds == Counter({7: 1, 8: 1})
