@@ -24,9 +24,14 @@ Maurer-Cartan image of the class series gamma_n = sum c A + sum cbar B is
 
     MC_n = f_1(gamma_n) + (1/2) * sum_{a+b=n} f_2(gamma_a, gamma_b)
 
-(higher homotopies vanish on bivector classes), and
-pi_0 + sum MC_n nu^n agrees with build_deformation.  Both routes are kept
-separate so they can be checked against each other.
+(higher homotopies vanish on bivector classes), and :func:`mc_image`
+returns the anchored series pi_phi + sum MC_n nu^n, which equals
+build_deformation.  Both routes are kept separate so they can be checked
+against each other.
+
+Every order-by-order sum here (the build, the Jacobi residual, the
+Maurer-Cartan image and each term of the gauge exponential) is one
+Cauchy product of nu-series, :func:`_nu_product`.
 
 Gauge action: a polynomial vector-field series xi acts on a deformation
 by the exponential of the adjoint action,
@@ -49,8 +54,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
-from typing import Optional
+from typing import Optional, Sequence
 
 from .algebra import Poly, ScalarLike
 from .cohomology import BasisLabel, CohClass, a_index_range, f1, project
@@ -192,6 +198,24 @@ def _exact_value(value, name: str, entry: list) -> Fraction:
         "string with nonzero q")
 
 
+def _nu_product(left: Sequence, right: Sequence, bracket, zero) -> list:
+    """Cauchy product of two coefficient lists n = 0..m of nu-series.
+
+    Entry n is sum_{a+b=n} bracket(left[a], right[b]), summed onto
+    ``zero``; pairs with a zero operand are skipped.
+    """
+    live_left = [not t.is_zero() for t in left]
+    live_right = [not t.is_zero() for t in right]
+    out = []
+    for n in range(len(left)):
+        total = zero
+        for a in range(n + 1):
+            if live_left[a] and live_right[n - a]:
+                total = total + bracket(left[a], right[n - a])
+        out.append(total)
+    return out
+
+
 def gamma_classes(fam: CoeffFamily, data: SingularityData, m: int) -> NuSeries:
     """The family as a series of degree-1 cohomology classes."""
     fam.validate(data)
@@ -230,14 +254,9 @@ def build_deformation(data: SingularityData, fam: CoeffFamily,
         if n <= m:
             shift[n] = shift[n] + u[r] * value
     pis = [poisson_from_potential(psi) for psi in shift]
-    coeffs = []
-    for n in range(1, m + 1):
-        gamma_n = MultiVec.zero(2)
-        for a in range(n + 1):
-            if factor[a] and shift[n - a]:
-                gamma_n = gamma_n + pis[n - a].mul_poly(factor[a])
-        coeffs.append(gamma_n)
-    return NuSeries(order_cap=m, coeffs=tuple(coeffs), anchor=pis[0])
+    gamma = _nu_product(factor, pis, lambda f, pi: pi.mul_poly(f),
+                        MultiVec.zero(2))
+    return NuSeries(order_cap=m, coeffs=tuple(gamma[1:]), anchor=pis[0])
 
 
 def jacobi_residual(series: NuSeries) -> NuSeries:
@@ -250,28 +269,21 @@ def jacobi_residual(series: NuSeries) -> NuSeries:
     """
     if series.anchor is None:
         raise ValueError("jacobi_residual needs an anchored series")
-    m = series.order_cap
     terms = [series.anchor] + list(series.coeffs)
     curls = [curl(t) for t in terms]
-    out = []
-    for n in range(1, m + 1):
-        residual = MultiVec.zero(3)
-        for a in range(0, n + 1):
-            residual = residual + wedge(curls[n - a], terms[a])
-        out.append(residual * 2)
-    return NuSeries(order_cap=m, coeffs=tuple(out))
+    residual = _nu_product(curls, terms, wedge, MultiVec.zero(3))
+    return NuSeries(order_cap=series.order_cap,
+                    coeffs=tuple(r * 2 for r in residual[1:]))
 
 
-def mc_image(state: TransferState, gamma: NuSeries,
-             m: Optional[int] = None) -> NuSeries:
-    """Maurer-Cartan image of a series of degree-1 classes.
+def mc_image(state: TransferState, gamma: NuSeries, m: int) -> NuSeries:
+    """Maurer-Cartan image of a series of degree-1 classes, to order m.
 
-    Coefficient n is f_1(gamma_n) + (1/2) sum_{a+b=n} f_2(gamma_a,
-    gamma_b); the higher homotopies do not contribute because they vanish
-    on tuples of degree-1 classes.
+    Returns the deformation anchored at pi_phi whose coefficient n is
+    f_1(gamma_n) + (1/2) sum_{a+b=n} f_2(gamma_a, gamma_b); the higher
+    homotopies do not contribute because they vanish on tuples of
+    degree-1 classes.
     """
-    if m is None:
-        m = gamma.order_cap
     if not 1 <= m <= gamma.order_cap:
         raise ValueError(f"order {m} outside 1..{gamma.order_cap}")
     for n in range(1, m + 1):
@@ -279,14 +291,13 @@ def mc_image(state: TransferState, gamma: NuSeries,
         if not isinstance(cls, CohClass) or cls.g_degree != 1:
             raise ValueError("mc_image expects degree-1 cohomology classes")
     data = state.data
-    out = []
-    for n in range(1, m + 1):
-        value = f1(gamma.coefficient(n), data)
-        for a in range(1, n):
-            pair = state.f([gamma.coefficient(a), gamma.coefficient(n - a)])
-            value = value + pair * Fraction(1, 2)
-        out.append(value)
-    return NuSeries(order_cap=m, coeffs=tuple(out))
+    classes = [CohClass.zero(1)] + list(gamma.coeffs[:m])
+    pairs = _nu_product(classes, classes, lambda a, b: state.f([a, b]),
+                        MultiVec.zero(2))
+    coeffs = tuple(f1(classes[n], data) + pairs[n] * Fraction(1, 2)
+                   for n in range(1, m + 1))
+    return NuSeries(order_cap=m, coeffs=coeffs,
+                    anchor=poisson_from_potential(data.phi))
 
 
 def first_order_class(series: NuSeries, data: SingularityData) -> CohClass:
@@ -311,21 +322,15 @@ def gauge_apply(series: NuSeries, xi: NuSeries) -> NuSeries:
         term = xi.coefficient(n)
         if not isinstance(term, MultiVec) or term.degree != 1:
             raise ValueError("gauge series coefficients must be vector fields")
-    # accumulated[n] is the order-n coefficient of ad_xi^k(series) / k!
-    current = [series.anchor] + [series.coefficient(n) for n in range(1, m + 1)]
+    fields = [MultiVec.zero(1)] + list(xi.coeffs[:m])
+    # current is ad_xi^k(series) / k!, coefficients n = 0..m
+    current = [series.anchor] + list(series.coeffs)
     result = list(current)
     for k in range(1, m + 1):
-        nxt = [MultiVec.zero(2) for _ in range(m + 1)]
-        for n in range(k, m + 1):
-            acc = MultiVec.zero(2)
-            for a in range(1, n + 1):
-                if not current[n - a].is_zero():
-                    acc = acc + schouten(xi.coefficient(a), current[n - a])
-            nxt[n] = acc
         scale = Fraction(1, k)
-        current = [term * scale for term in nxt]
-        for n in range(k, m + 1):
-            result[n] = result[n] + current[n]
+        current = [term * scale for term in
+                   _nu_product(fields, current, schouten, MultiVec.zero(2))]
+        result = [r + c for r, c in zip(result, current)]
     return NuSeries(order_cap=m, coeffs=tuple(result[1:]), anchor=series.anchor)
 
 
@@ -354,8 +359,9 @@ def gauge_special(state: TransferState, gamma: NuSeries,
         exponent = (k * (k - 1)) // 2
         scale = Fraction((-1) ** exponent, factorial(k - 1))
         for n in range(k, m + 1):
-            # compositions (a, b_1, ..., b_{k-1}) of n with every part >= 1
-            for combo in _compositions(n, k):
+            # compositions (a, b_1, ..., b_{k-1}) of n, cut at k - 1 points
+            for cuts in combinations(range(1, n), k - 1):
+                combo = [b - a for a, b in zip((0,) + cuts, cuts + (n,))]
                 args = [xi.coefficient(combo[0])]
                 args += [gamma.coefficient(b) for b in combo[1:]]
                 if any(c.is_zero() for c in args):
@@ -363,13 +369,3 @@ def gauge_special(state: TransferState, gamma: NuSeries,
                 out[n - 1] = out[n - 1] - state.ell(args) * scale
     return NuSeries(order_cap=m, coeffs=tuple(out))
 
-
-def _compositions(total: int, parts: int):
-    """All ordered tuples of ``parts`` positive integers summing to total."""
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest

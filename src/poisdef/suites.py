@@ -426,9 +426,7 @@ def _family_verdicts(data: SingularityData, state: TransferState,
     poisson = (jacobi_residual(series).is_zero()
                and schouten(series.anchor, series.anchor).is_zero())
     gamma = gamma_classes(fam, data, m)
-    image = mc_image(state, gamma, m)
-    route = all(series.coefficient(n) == image.coefficient(n)
-                for n in range(1, m + 1))
+    route = mc_image(state, gamma, m) == series
     first = first_order_class(series, data) == gamma.coefficient(1)
     prefixes = tuple(
         all(build_deformation(data, fam, lower).coefficient(n)
@@ -519,9 +517,7 @@ def run_gauge_suite(data: SingularityData, config: SuiteConfig,
             xi = NuSeries(order_cap=m, coeffs=tuple(coeffs))
             gauged_gamma = gauge_special(state, gamma, xi)
             image = mc_image(state, gauged_gamma, m)
-            series = NuSeries(order_cap=m, coeffs=image.coeffs,
-                              anchor=base.anchor)
-            return (jacobi_residual(series).is_zero(),
+            return (jacobi_residual(image).is_zero(),
                     gauged_gamma.coefficient(1) == gamma.coefficient(1))
 
         verdicts = [class_gauge_verdicts()

@@ -17,7 +17,11 @@ from poisdef import (
     parse_poly,
     poly_str,
 )
-from poisdef.algebra import MAX_EXPANSION_TERMS, MAX_NESTING
+from poisdef.algebra import (
+    MAX_COEFFICIENT_BITS,
+    MAX_EXPANSION_TERMS,
+    MAX_NESTING,
+)
 
 # -- strategies ----------------------------------------------------------------
 
@@ -136,6 +140,32 @@ def test_parse_expansion_budget():
     # a single monomial raised to any power is one term
     assert parse_poly("y^4097") == Poly.monomial((0, 4097, 0))
     assert parse_poly("(2*x*y)^300") == Poly.monomial((300, 300, 0), 2 ** 300)
+
+
+def test_parse_coefficient_budget():
+    # a power bounds its coefficients by e * (L + ceil(log2 n)) bits and a
+    # product by L_a + L_b + ceil(log2 min(n_a, n_b)), checked before
+    # expanding; L is the largest ceil(log2) of a numerator or denominator
+    assert MAX_COEFFICIENT_BITS == 1024
+    assert parse_poly("3^500*x") == Poly.monomial((1, 0, 0), 3 ** 500)
+    assert parse_poly("2^1024") == Poly.constant(2 ** 1024)
+    assert parse_poly("(1/2)^1024") == Poly.constant(Fraction(1, 2 ** 1024))
+    for text, bits, position in [("2^1025", 1025, 1),
+                                 ("(x+y)^1999", 1999, 5),
+                                 ("x + 9^10000000", 40000000, 5),
+                                 ("2^1000*2^25", 1025, 6),
+                                 # ceil(log2 C(600, 300)) = 596
+                                 ("(x+y)^600*2^500", 596 + 500, 9)]:
+        with pytest.raises(PolyParseError,
+                           match=f"may have {bits}-bit coefficients") as info:
+            parse_poly(text)
+        assert info.value.position == position
+    # literals are bounded too, before they are converted
+    assert parse_poly(str(2 ** 1024)) == Poly.constant(2 ** 1024)
+    for text in (str(2 ** 1024 + 1), "1/" + str(2 ** 1025),
+                 "x^" + "9" * 5000, "7" * 100000):
+        with pytest.raises(PolyParseError, match="integer literal above"):
+            parse_poly(text)
 
 
 def test_parse_nesting_limit():

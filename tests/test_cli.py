@@ -126,6 +126,17 @@ def test_phi_power_above_expansion_budget_fails_fast(capsys):
     assert "2000-term limit" in error["error"]["message"]
 
 
+def test_constant_power_above_coefficient_budget_fails_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "analyze", "--phi", "9^100000000*x^2+y^3+z^5")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and not out
+    error = json.loads(err)["error"]
+    assert error["type"] == "PolyParseError"
+    assert "1024-bit limit (at position 1)" in error["message"]
+
+
 def test_phi_nesting_limit(capsys):
     def nested(depth):
         return "(" * depth + "x^2 + y^2 + z^2" + ")" * depth
@@ -270,6 +281,19 @@ def test_verify_unknown_suite_exit_1(capsys):
         capsys, "verify", "bogus", "--phi", "x^2 + y^2 + z^2")
     assert code == 1
     assert error["error"]["type"] == "CLIUsageError"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--weights", "1,a,2"], "--weights expects integers"),
+    (["--arity-cap", "1"], "--arity-cap must be at least 2"),
+])
+def test_verify_bad_flag_value_exit_1(capsys, flags, message):
+    code, out, err = run_cli(
+        capsys, "verify", "schouten", "--phi", "x^2 + y^2 + z^2", *flags)
+    assert code == 1 and not out
+    error = json.loads(err)["error"]
+    assert error["type"] == "CLIUsageError"
+    assert message in error["message"]
 
 
 def test_verify_report_file_byte_identical(tmp_path, capsys):
@@ -467,6 +491,10 @@ _phi_texts = st.one_of(
     # parentheses nested on both sides of the parser's MAX_NESTING
     st.builds(lambda depth, inner: "(" * depth + inner + ")" * depth,
               st.integers(1, 300), st.sampled_from(["x^2 + y^2 + z^2", "x"])),
+    # constant powers on both sides of the parser's MAX_COEFFICIENT_BITS
+    st.builds(lambda base, exponent: f"{base}^{exponent}*x^2 + y^3 + z^5",
+              st.integers(0, 99), st.one_of(st.integers(0, 2000),
+                                            st.integers(0, 10 ** 12))),
 )
 _weight_texts = st.one_of(
     st.none(),

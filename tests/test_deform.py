@@ -130,8 +130,8 @@ def test_truncation_prefix_property(brieskorn):
 
 @pytest.mark.parametrize("name", ["brieskorn", "cubic"])
 def test_build_matches_mc_image(request, name):
-    """The pair form and the Maurer-Cartan image agree; the balanced cubic
-    also exercises A labels on u_0."""
+    """The pair form and the anchored Maurer-Cartan image agree; the
+    balanced cubic also exercises A labels on u_0."""
     data = request.getfixturevalue(name)
     state = request.getfixturevalue(f"{name}_state")
     rng = random.Random(31)
@@ -139,9 +139,7 @@ def test_build_matches_mc_image(request, name):
         fam = random_family(rng, data, order=3, phi_power_cap=2)
         series = build_deformation(data, fam, 3)
         gamma = gamma_classes(fam, data, 3)
-        image = mc_image(state, gamma, 3)
-        for n in range(1, 4):
-            assert series.coefficient(n) == image.coefficient(n)
+        assert mc_image(state, gamma, 3) == series
 
 
 def test_first_order_class_recovery(brieskorn):
@@ -196,11 +194,53 @@ def test_gauge_identity_when_xi_zero(brieskorn):
     assert gauged.coeffs == base.coeffs
 
 
-def test_gauge_rejects_wrong_degree(brieskorn):
-    base = build_deformation(brieskorn, CoeffFamily.make({}, {}), 2)
-    bad = NuSeries(order_cap=2, coeffs=(MultiVec.zero(2), MultiVec.zero(2)))
-    with pytest.raises(ValueError):
-        gauge_apply(base, bad)
+def _fields(degree, m):
+    """An unanchored order-m series of zero multivectors."""
+    return NuSeries(order_cap=m, coeffs=(MultiVec.zero(degree),) * m)
+
+
+def _classes(degree, m):
+    return NuSeries(order_cap=m, coeffs=(CohClass.zero(degree),) * m)
+
+
+def _base(data, m):
+    return build_deformation(data, CoeffFamily.make({}, {}), m)
+
+
+# (call on (data, state), message): every input check of the deform module
+_BAD_DEFORM_INPUTS = [
+    pytest.param(lambda d, s: build_deformation(d, CoeffFamily.make({}, {}), 0),
+                 "at least 1", id="build_order_zero"),
+    pytest.param(lambda d, s: jacobi_residual(_fields(2, 2)),
+                 "anchored", id="jacobi_unanchored"),
+    pytest.param(lambda d, s: gauge_apply(_fields(2, 2), _fields(1, 2)),
+                 "anchored", id="gauge_apply_unanchored"),
+    pytest.param(lambda d, s: gauge_apply(_base(d, 3), _fields(1, 2)),
+                 "reach the truncation order", id="gauge_apply_short_xi"),
+    pytest.param(lambda d, s: gauge_apply(_base(d, 2), _fields(2, 2)),
+                 "vector fields", id="gauge_apply_xi_bivectors"),
+    pytest.param(lambda d, s: mc_image(s, _classes(1, 2), 0),
+                 "outside", id="mc_image_order_zero"),
+    pytest.param(lambda d, s: mc_image(s, _classes(1, 2), 3),
+                 "outside", id="mc_image_order_above_cap"),
+    pytest.param(lambda d, s: mc_image(s, _classes(0, 2), 2),
+                 "degree-1", id="mc_image_degree0_classes"),
+    pytest.param(lambda d, s: mc_image(s, _fields(2, 2), 2),
+                 "degree-1", id="mc_image_bivectors"),
+    pytest.param(lambda d, s: gauge_special(s, _classes(1, 3), _classes(0, 2)),
+                 "reach the truncation order", id="gauge_special_short_xi"),
+    pytest.param(lambda d, s: gauge_special(s, _classes(1, 2), _classes(1, 2)),
+                 "degree-0", id="gauge_special_xi_degree1"),
+    pytest.param(lambda d, s: gauge_special(s, _classes(0, 2), _classes(0, 2)),
+                 "degree-1", id="gauge_special_gamma_degree0"),
+]
+
+
+@pytest.mark.parametrize("call, message", _BAD_DEFORM_INPUTS)
+def test_gauge_rejects_wrong_degree(brieskorn, brieskorn_state, call, message):
+    """Each malformed argument of the deform module raises ValueError."""
+    with pytest.raises(ValueError, match=message):
+        call(brieskorn, brieskorn_state)
 
 
 def test_special_gauge_action(cubic, cubic_state):
@@ -208,7 +248,6 @@ def test_special_gauge_action(cubic, cubic_state):
     rng = random.Random(43)
     fam = random_family(rng, cubic, order=2, phi_power_cap=1)
     gamma = gamma_classes(fam, cubic, 2)
-    base = build_deformation(cubic, fam, 2)
     for _ in range(3):
         coeffs = tuple(
             CohClass.single(parse_label("Eul(0)"), Fraction(rng.randint(-3, 3)))
@@ -218,10 +257,8 @@ def test_special_gauge_action(cubic, cubic_state):
         xi = NuSeries(order_cap=2, coeffs=coeffs)
         gauged_gamma = gauge_special(cubic_state, gamma, xi)
         assert gauged_gamma.coefficient(1) == gamma.coefficient(1)
-        image = mc_image(cubic_state, gauged_gamma, 2)
-        series = NuSeries(order_cap=2, coeffs=image.coeffs,
-                          anchor=base.anchor)
-        assert jacobi_residual(series).is_zero()
+        assert jacobi_residual(
+            mc_image(cubic_state, gauged_gamma, 2)).is_zero()
 
 
 def test_special_gauge_trivial_for_generic(brieskorn, brieskorn_state):

@@ -119,6 +119,24 @@ def test_f2_graded_symmetry(brieskorn, brieskorn_state):
             brieskorn_state.f_labels((a, b)) * chi
 
 
+@pytest.mark.parametrize("fixture_name", ["brieskorn", "cubic"])
+def test_f2_table_out_of_order_pairs(request, fixture_name):
+    """f2_table folds a pair given out of order through graded symmetry;
+    the state never asks for one, so check the order-2 morphism equation
+    d f_2(b, a) = f_1(ell_2(b, a)) + T_2(b, a) on the folded values."""
+    data = request.getfixturevalue(fixture_name)
+    state = request.getfixturevalue(fixture_name + "_state")
+    labels = sorted(all_basis_labels(data, 2 * data.d),
+                    key=lambda lab: lab.sort_key())
+    for i, a in enumerate(labels):
+        for b in labels[i + 1:]:
+            expected = (f1(state.ell_labels((b, a)), data)
+                        + compute_T(state, 2, [CohClass.single(b),
+                                               CohClass.single(a)]))
+            assert coboundary(f2_table(data, b, a), data.phi) == expected, \
+                f"order-2 equation fails at ({b},{a})"
+
+
 # -- the order-2 morphism equation ----------------------------------------------------
 
 
