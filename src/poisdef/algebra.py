@@ -293,10 +293,13 @@ def poly_str(p: Poly) -> str:
 # -- parsing ----------------------------------------------------------------
 
 _TOKEN_CHARS = {"+", "-", "*", "^", "/", "(", ")"}
+_DIGITS = frozenset("0123456789")
 
-# Most terms a product or power in a parsed expression may expand to, by
-# a bound checked before the expansion, so that a short input such as
-# "(x+y+z)^100000" is refused instead of expanded.
+# Most terms a product or power in a parsed expression may expand to, and
+# all multi-term products and powers of one expression together, by bounds
+# checked before the expansion, so that a short input such as
+# "(x+y+z)^100000", or a sum of many within-budget powers, is refused
+# instead of expanded.
 MAX_EXPANSION_TERMS = 2000
 
 # Largest size, in bits, that an integer literal, or any numerator or
@@ -322,9 +325,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j
@@ -356,6 +359,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
+        self.expanded = 0
 
     def peek(self) -> Optional[tuple[str, str, int]]:
         if self.pos < len(self.tokens):
@@ -400,11 +404,13 @@ class _Parser:
                 return result
             self.advance()
             factor = self.factor()
+            terms = len(result) * len(factor)
             _check_expansion(
-                len(result) * len(factor),
-                _bits(result) + _bits(factor)
+                terms, _bits(result) + _bits(factor)
                 + _log2_ceil(min(len(result), len(factor))),
                 "product", token[2])
+            if len(result) > 1 and len(factor) > 1:
+                self._charge(terms, token[2])
             result = result * factor
 
     def _reject_implicit_multiplication(self) -> None:
@@ -433,8 +439,18 @@ class _Parser:
             _check_expansion(
                 terms, exponent * (_bits(base) + _log2_ceil(len(base))),
                 "power", token[2])
+            if len(base) > 1:
+                self._charge(terms, token[2])
             return base ** exponent
         return base
+
+    def _charge(self, terms: int, position: int) -> None:
+        """Add one expansion's term bound to the running total of the parse."""
+        self.expanded += terms
+        if self.expanded > MAX_EXPANSION_TERMS:
+            raise PolyParseError(
+                f"expression may expand to {self.expanded} terms in all, "
+                f"above the {MAX_EXPANSION_TERMS}-term limit", position)
 
     def atom(self) -> Poly:
         token = self.advance()
@@ -487,18 +503,28 @@ def _bits(p: Poly) -> int:
                 for _, c in p.items()), default=0)
 
 
-def _int_literal(token: tuple[str, str, int]) -> int:
-    """An integer literal, refused above MAX_COEFFICIENT_BITS bits."""
-    digits = token[1].lstrip("0") or "0"
+def bounded_int(text: str) -> Optional[int]:
+    """The integer an ASCII decimal literal with an optional sign spells, or
+    None when its magnitude has more than MAX_COEFFICIENT_BITS bits."""
+    digits = text.lstrip("+-").lstrip("0") or "0"
     # a d-digit literal is at least 10^(d-1) > 2^(3(d-1)), so longer ones
     # are refused unconverted, below Python's digit limit for int()
-    if len(digits) <= MAX_COEFFICIENT_BITS // 3 + 1:
-        value = int(digits)
-        if _log2_ceil(value) <= MAX_COEFFICIENT_BITS:
-            return value
-    raise PolyParseError(
-        f"integer literal above the {MAX_COEFFICIENT_BITS}-bit limit",
-        token[2])
+    if len(digits) > MAX_COEFFICIENT_BITS // 3 + 1:
+        return None
+    value = int(digits)
+    if _log2_ceil(value) > MAX_COEFFICIENT_BITS:
+        return None
+    return -value if text.startswith("-") else value
+
+
+def _int_literal(token: tuple[str, str, int]) -> int:
+    """An integer literal, refused above MAX_COEFFICIENT_BITS bits."""
+    value = bounded_int(token[1])
+    if value is None:
+        raise PolyParseError(
+            f"integer literal above the {MAX_COEFFICIENT_BITS}-bit limit",
+            token[2])
+    return value
 
 
 def _check_expansion(terms: int, bits: int, what: str, position: int) -> None:
@@ -518,10 +544,13 @@ def parse_poly(text: str) -> Poly:
     Grammar: variables x, y, z; integer and p/q rational literals; operators
     +, -, * and ^ (with nonnegative integer exponents); parentheses; unary
     minus.  Whitespace is insignificant and implicit multiplication is not
-    allowed.  A product or power whose expansion may exceed
+    allowed.  These raise PolyParseError, each before it is expanded or
+    converted: a product or power that may expand to more than
     MAX_EXPANSION_TERMS terms or have coefficients of more than
-    MAX_COEFFICIENT_BITS bits raises PolyParseError before it is expanded,
-    and so do integer literals of more than MAX_COEFFICIENT_BITS bits and
+    MAX_COEFFICIENT_BITS bits; one that takes the running total of such term
+    bounds over the expression (every power of a multi-term base and every
+    product of two multi-term factors) above MAX_EXPANSION_TERMS; an integer
+    literal, ASCII digits only, of more than MAX_COEFFICIENT_BITS bits; and
     parentheses nested more than MAX_NESTING levels deep.
     """
     return _Parser(text).parse()

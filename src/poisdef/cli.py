@@ -146,7 +146,7 @@ def _load_family(path: Optional[str]) -> CoeffFamily:
     if path is None:
         return CoeffFamily.make({}, {})
     with open(path, "r", encoding="utf-8") as handle:
-        return CoeffFamily.from_json_dict(json.load(handle))
+        return CoeffFamily.from_json_text(handle.read())
 
 
 # -- subcommands ---------------------------------------------------------------

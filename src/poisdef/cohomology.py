@@ -27,9 +27,12 @@ Classes are indexed by homological degree g = cochain degree - 1 (so
 bivector classes sit in degree g = 1), matching the grading of the graded
 Lie algebra used by the transfer machinery.
 
-Projections and coboundary solves are performed one weight slice at a
-time: for fixed (cochain degree, weight) the slice of multivector fields
-is finite-dimensional, and one :class:`poisdef.multivec.WeightSlice`
+Projections and coboundary solves run through :func:`decompose`, which
+splits a closed multivector as p = f_1(c) + [pi, y]; :func:`project` (c)
+and :func:`solve_coboundary` (y) are its two views.  It solves one weight
+slice at a time: for fixed (cochain degree, weight) the slice of
+multivector fields is finite-dimensional, and one
+:class:`poisdef.multivec.WeightSlice`
 eliminating [coboundary images | class representatives] is cached per
 slice and reused for every solve against it.  Building it also checks
 that the class representatives are independent modulo coboundaries: a
@@ -365,63 +368,61 @@ def _slice_solver(data: SingularityData, degree: int, weight: int) -> WeightSlic
     return solver
 
 
-def _decompose(part: MultiVec, weight: int, data: SingularityData):
-    """Split a weight part as sum_l c_l realize(l) + [pi, y].
+def decompose(p: MultiVec,
+              data: SingularityData) -> tuple[CohClass, MultiVec]:
+    """Split a closed multivector as p = f_1(c) + [pi, y].
 
-    Returns ({l: c_l}, {(slot, monomial): coefficient in y}), or None when
-    the part lies outside the span of class representatives and
-    coboundaries.
-    """
-    solution = _slice_solver(data, part.degree, weight).solve(part)
-    if solution is None:
-        return None
-    classes = {t: v for t, v in solution.items() if isinstance(t, BasisLabel)}
-    return classes, {t: v for t, v in solution.items() if t not in classes}
-
-
-def project(p: MultiVec, data: SingularityData) -> CohClass:
-    """Cohomology class of a closed multivector in the label basis.
-
-    Raises NotACocycleError if [pi, p] != 0.
+    Returns the class c in the label basis and the canonical y, whose free
+    part is zero, solving each weight slice of p once.  Raises
+    NotACocycleError if [pi, p] != 0, and CohomologyError if a slice lies
+    outside the span of class representatives and coboundaries.
     """
     g = p.degree - 1
     if p.degree not in SLOTS or p.is_zero():
-        return CohClass.zero(g)
+        return CohClass.zero(g), MultiVec.zero(g)
     if not coboundary(p, data.phi).is_zero():
         raise NotACocycleError(
             f"degree {p.degree} multivector is not closed under the "
             "Poisson differential"
         )
     coeffs: dict[BasisLabel, Fraction] = {}
+    terms: list[dict[Exponents, Fraction]] = [{} for _ in SLOTS.get(g, ())]
     for weight, part in multivec_weight_parts(p, data.weights).items():
-        split = _decompose(part, weight, data)
-        if split is None:
+        solution = _slice_solver(data, p.degree, weight).solve(part)
+        if solution is None:
             raise CohomologyError(
                 f"closed slice of weight {weight} lies outside span of "
                 "basis classes and coboundaries; the stored basis is "
                 "incomplete for this potential"
             )
-        coeffs.update(split[0])
-    return CohClass.make(g, coeffs)
+        for tag, value in solution.items():
+            if isinstance(tag, BasisLabel):
+                coeffs[tag] = value
+            else:
+                slot, m = tag
+                terms[slot][m] = value
+    return CohClass.make(g, coeffs), MultiVec(g, tuple(Poly(t) for t in terms))
+
+
+def project(p: MultiVec, data: SingularityData) -> CohClass:
+    """Cohomology class of a closed multivector: c of :func:`decompose`."""
+    return decompose(p, data)[0]
 
 
 def solve_coboundary(target: MultiVec, data: SingularityData) -> MultiVec:
-    """A multivector y with [pi, y] = target, free part chosen zero.
+    """A multivector y with [pi, y] = target, free part chosen zero: y of
+    :func:`decompose`.
 
-    Raises NotACoboundaryError if the target is not in the image of the
-    differential; the answer is the canonical pivot solution, so repeated
+    Raises NotACoboundaryError if the target is not closed or has a
+    nonzero class; the answer is the canonical pivot solution, so repeated
     calls are deterministic.
     """
-    if target.degree not in SLOTS or target.is_zero():
-        return MultiVec.zero(target.degree - 1)
-    terms: list[dict[Exponents, Fraction]] = [
-        {} for _ in SLOTS.get(target.degree - 1, ())]
-    for weight, part in multivec_weight_parts(target, data.weights).items():
-        split = _decompose(part, weight, data)
-        if split is None or split[0]:
-            raise NotACoboundaryError(
-                f"weight {weight} slice of the target is not a coboundary"
-            )
-        for (slot, m), value in split[1].items():
-            terms[slot][m] = value
-    return MultiVec(target.degree - 1, tuple(Poly(t) for t in terms))
+    try:
+        cls, y = decompose(target, data)
+    except NotACocycleError:
+        raise NotACoboundaryError(
+            "the target is not closed, so not a coboundary") from None
+    if not cls.is_zero():
+        raise NotACoboundaryError(
+            f"the target has the nonzero class {cls}, so is not a coboundary")
+    return y

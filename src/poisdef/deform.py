@@ -51,6 +51,7 @@ vanish.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,7 +59,7 @@ from itertools import combinations
 from math import factorial
 from typing import Optional, Sequence
 
-from .algebra import Poly, ScalarLike
+from .algebra import MAX_COEFFICIENT_BITS, Poly, ScalarLike, bounded_int
 from .cohomology import BasisLabel, CohClass, a_index_range, f1, project
 from .linfty import TransferState
 from .multivec import MultiVec, curl, poisson_from_potential, schouten, wedge
@@ -160,6 +161,13 @@ class CoeffFamily:
         }
 
     @classmethod
+    def from_json_text(cls, text: str) -> "CoeffFamily":
+        """Read a family file: every JSON integer, index or value, is read
+        with the parser's literal rule (at most MAX_COEFFICIENT_BITS bits,
+        checked before it is converted)."""
+        return cls.from_json_dict(json.loads(text, parse_int=_family_int))
+
+    @classmethod
     def from_json_dict(cls, payload: dict) -> "CoeffFamily":
         """Read the JSON form.  Indices must be JSON integers and values
         integers or "p/q" strings, so no inexact number gets in."""
@@ -184,15 +192,27 @@ class CoeffFamily:
         return cls.make(*tables)
 
 
-_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]*[1-9][0-9]*)?")
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
+
+
+def _family_int(text: str) -> int:
+    """A decimal integer of a family file, refused above
+    MAX_COEFFICIENT_BITS bits before it is converted."""
+    value = bounded_int(text)
+    if value is None:
+        raise InvalidFamilyError(
+            f"a {len(text)}-character family number is above the "
+            f"{MAX_COEFFICIENT_BITS}-bit limit")
+    return value
 
 
 def _exact_value(value, name: str, entry: list) -> Fraction:
     """An integer or a "p/q" string (q nonzero) as a Fraction."""
     if type(value) is int:
         return Fraction(value)
-    if isinstance(value, str) and _RATIONAL_RE.fullmatch(value):
-        return Fraction(value)
+    match = _RATIONAL_RE.fullmatch(value) if isinstance(value, str) else None
+    if match:
+        return Fraction(_family_int(match[1]), _family_int(match[2] or "1"))
     raise InvalidFamilyError(
         f"{name} entry {entry!r}: value must be an integer or a \"p/q\" "
         "string with nonzero q")

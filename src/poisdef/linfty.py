@@ -26,13 +26,13 @@ Conventions (graded skew-symmetric, Koszul signs chi):
       e_{s,t}(tau) = (-1)^(s-1) *
             (-1)^((t-1) * (|x_{tau(1)}| + ... + |x_{tau(s)}|)),
 
-  which is closed, and the recursion sets
+  which is closed, and the recursion reads both halves off the one
+  splitting T_n = f_1(c) + [pi, y] of :func:`poisdef.cohomology.decompose`:
 
-      ell_n = -[T_n]          (projection of T_n to cohomology),
-      d f_n = T_n + f_1(ell_n)   with f_n the canonical coboundary solve,
+      ell_n = -c   and   f_n = y,   so that   d f_n = T_n + f_1(ell_n).
 
-  choosing f_n = 0 on tuples of bivector classes (degree-1 inputs), where
-  T_n vanishes identically for n >= 3.
+  On tuples of bivector classes (degree-1 inputs) T_n vanishes
+  identically for n >= 3, which gives ell_n = 0 and f_n = 0.
 
 The same chi-weighted sums give the generalized Jacobi combination
 
@@ -59,10 +59,10 @@ from .cohomology import (
     BasisLabel,
     CohClass,
     CohomologyError,
+    decompose,
     f1,
     project,
     realize,
-    solve_coboundary,
 )
 from .multivec import (
     MultiVec,
@@ -232,25 +232,18 @@ class TransferState:
     def _compute_stage(self, key: tuple[BasisLabel, ...]) -> None:
         """Fill the caches at one canonical tuple of arity >= 3."""
         n = len(key)
-        classes = [CohClass.single(lab) for lab in key]
-        t_value = compute_T(self, n, classes)
-        t_class = project(t_value, self.data)
-        self._ell_memo[key] = -t_class
-        if all(lab.g_degree == 1 for lab in key):
-            # On tuples of bivector classes the obstruction vanishes
-            # identically for n >= 3, which is what makes the order-by-order
-            # deformation formula close; fail loudly if it ever does not.
-            if not t_value.is_zero():
-                raise CohomologyError(
-                    f"obstruction T_{n} expected to vanish on bivector-class "
-                    f"tuple {tuple(str(l) for l in key)} but did not"
-                )
-            self._f_memo[key] = MultiVec.zero(
-                sum(lab.g_degree for lab in key) + 2 - n
+        t_value = compute_T(self, n, [CohClass.single(lab) for lab in key])
+        # On tuples of bivector classes the obstruction vanishes identically
+        # for n >= 3, which is what makes the order-by-order deformation
+        # formula close; fail loudly if it ever does not.
+        if all(lab.g_degree == 1 for lab in key) and not t_value.is_zero():
+            raise CohomologyError(
+                f"obstruction T_{n} expected to vanish on bivector-class "
+                f"tuple {tuple(str(l) for l in key)} but did not"
             )
-            return
-        target = t_value + f1(self._ell_memo[key], self.data)
-        self._f_memo[key] = solve_coboundary(target, self.data)
+        t_class, y = decompose(t_value, self.data)
+        self._ell_memo[key] = -t_class
+        self._f_memo[key] = y
 
     # -- multilinear level ---------------------------------------------------
 
@@ -276,21 +269,25 @@ def _multilinear(on_labels, classes: Sequence[CohClass], zero):
     return result
 
 
+def _unshuffles(classes: Sequence[CohClass], i: int):
+    """Yield (chi(s), x_{s(1..i)}, x_{s(i+1..n)}) for each (i, n-i)-shuffle
+    s of the classes x_1, ..., x_n, in the order of :func:`shuffles`."""
+    degrees = [c.g_degree for c in classes]
+    for sigma in shuffles(i, len(classes) - i):
+        picked = [classes[k - 1] for k in sigma]
+        yield koszul_chi(sigma, degrees), picked[:i], picked[i:]
+
+
 def _nested_sum(state: TransferState, outer, classes: Sequence[CohClass],
                 zero):
     """The sum S_n (``outer = state.f``) or J_n (``outer = state.ell``) of
     the module docstring; ``zero(k)`` builds the zero of output degree k."""
     n = len(classes)
-    degrees = [c.g_degree for c in classes]
-    total = zero(sum(degrees) + 3 - n)
+    total = zero(sum(c.g_degree for c in classes) + 3 - n)
     for i in range(2, n):
-        j = n + 1 - i
-        outer_sign = -1 if (i * (j - 1)) % 2 else 1
-        for sigma in shuffles(i, n - i):
-            chi = koszul_chi(sigma, degrees)
-            inner = state.ell([classes[sigma[m] - 1] for m in range(i)])
-            rest = [classes[sigma[m] - 1] for m in range(i, n)]
-            total = total + outer([inner] + rest) * (chi * outer_sign)
+        outer_sign = -1 if (i * (n - i)) % 2 else 1    # (-1)^(i*(j-1))
+        for chi, first, rest in _unshuffles(classes, i):
+            total = total + outer([state.ell(first)] + rest) * (chi * outer_sign)
     return total
 
 
@@ -303,22 +300,17 @@ def compute_T(state: TransferState, n: int,
     """
     if len(classes) != n:
         raise ValueError(f"expected {n} classes, got {len(classes)}")
-    degrees = [c.g_degree for c in classes]
     # S_n: homotopy applied after a lower bracket
     total = _nested_sum(state, state.f, classes, MultiVec.zero)
-    # U_n: Schouten bracket of two lower homotopies
+    # U_n: Schouten bracket of two lower homotopies.  The (s, t)-shuffles
+    # tau with tau(1) = 1 are x_1 put in front of the (s-1, t)-shuffles of
+    # x_2..x_n, and x_1 in front adds no inversion to chi.
     for s in range(1, n):
-        t = n - s
-        for tau in shuffles(s, t):
-            if tau[0] != 1:
-                continue
-            chi = koszul_chi(tau, degrees)
-            block_degree = sum(degrees[tau[m] - 1] for m in range(s))
-            exponent = (s - 1) + (t - 1) * block_degree
+        for chi, first, rest in _unshuffles(classes[1:], s - 1):
+            left = [classes[0]] + first
+            exponent = (s - 1) + (n - s - 1) * sum(c.g_degree for c in left)
             sign = -1 if exponent % 2 else 1
-            left = state.f([classes[tau[m] - 1] for m in range(s)])
-            right = state.f([classes[tau[m] - 1] for m in range(s, n)])
-            term = schouten(left, right)
+            term = schouten(state.f(left), state.f(rest))
             total = total - term * (chi * sign)
     return total
 

@@ -115,6 +115,8 @@ def test_parse_examples(text, expected):
 
 @pytest.mark.parametrize("text", [
     "", "x +", "x^-1", "x^y", "2x", "x y", "w", "1/0", "(x", "x)", "x**2",
+    # str.isdigit() holds for these, but integer literals are ASCII digits
+    "x^\u00b2", "\u00b3*x", "z^\u0663", "x^1\u0665",
 ])
 def test_parse_rejects(text):
     with pytest.raises(PolyParseError):
@@ -140,6 +142,19 @@ def test_parse_expansion_budget():
     # a single monomial raised to any power is one term
     assert parse_poly("y^4097") == Poly.monomial((0, 4097, 0))
     assert parse_poly("(2*x*y)^300") == Poly.monomial((300, 300, 0), 2 ** 300)
+
+
+def test_parse_expression_budget():
+    # every power of a multi-term base and every product of two multi-term
+    # factors charges its term bound to one running total per parse
+    assert len(parse_poly("(x+y)^30*(x+y)^60 + (x+y)^10")) == 102  # 1994
+    with pytest.raises(PolyParseError, match="2015 terms in all") as info:
+        parse_poly("(x+y)^30*(x+y)^60 + (x+y)^10 + (x+y)^20")
+    assert info.value.position == 36                # the last "^"
+    # powers of one term and products with a one-term factor are free
+    assert parse_poly("+".join(["(2*x*y)^300"] * 50)) == Poly.monomial(
+        (300, 300, 0), 50 * 2 ** 300)
+    assert len(parse_poly("+".join([f"{k}*(x+y)" for k in range(1, 3000)]))) == 2
 
 
 def test_parse_coefficient_budget():

@@ -152,6 +152,30 @@ def test_phi_nesting_limit(capsys):
         assert f"at position {MAX_NESTING}" in error["message"]
 
 
+@pytest.mark.parametrize("phi,position", [("x^\u00b2+y^3+z^5", 2),
+                                          ("x^2+y^3+z^\u0663", 10)],
+                         ids=["superscript", "arabic-indic"])
+def test_phi_non_ascii_digit_exit_1(capsys, phi, position):
+    code, out, err = run_cli(capsys, "analyze", "--phi", phi,
+                             "--weight-cap", "0")
+    assert code == 1 and not out
+    error = json.loads(err)["error"]
+    assert error["type"] == "PolyParseError"
+    assert "unexpected character" in error["message"]
+    assert f"at position {position}" in error["message"]
+
+
+def test_phi_sum_of_powers_above_expression_budget(capsys):
+    # each (x+y+z)^40 is C(42, 2) = 861 terms, within budget; three are not
+    code, out, err = run_cli(capsys, "analyze", "--phi",
+                             "+".join(["(x+y+z)^40"] * 3))
+    assert code == 1 and not out
+    error = json.loads(err)["error"]
+    assert error["type"] == "PolyParseError"
+    assert "2583 terms in all" in error["message"]
+    assert "at position 29" in error["message"]
+
+
 def test_phi_power_within_expansion_budget_parses(capsys):
     # 1891 terms: parsed, then refused by the Milnor budget
     code, report, error = run_json(
@@ -236,6 +260,39 @@ def test_deform_inexact_family_exit_1(capsys, tmp_path, payload):
     assert code == 1
     assert report is None
     assert error["error"]["type"] == "InvalidFamilyError"
+
+
+_HUGE = "7" * 5000
+
+
+@pytest.mark.parametrize("text", [
+    '{"c": [[1, 0, 1, "%s/3"]]}' % _HUGE,        # p/q numerator
+    '{"c": [[1, 0, 1, "3/%s"]]}' % _HUGE,        # p/q denominator
+    '{"c": [[1, 0, 1, %s]]}' % _HUGE,            # JSON integer value
+    '{"c": [[1, %s, 1, "1"]]}' % _HUGE,          # JSON integer index
+    '{"cbar": [[1, 1, %d]]}' % (2 ** 1024 + 1),  # a 1025-bit value
+], ids=["numerator", "denominator", "value", "index", "1025-bit"])
+def test_deform_family_number_above_bit_limit_exit_1(capsys, tmp_path, text):
+    fam_path = tmp_path / "family.json"
+    fam_path.write_text(text)
+    code, out, err = run_cli(
+        capsys, "deform", "--phi", "x^2 + y^3 + z^5",
+        "--order", "2", "--family", str(fam_path))
+    assert code == 1 and not out
+    error = json.loads(err)["error"]
+    assert error["type"] == "InvalidFamilyError"
+    assert "1024-bit limit" in error["message"]
+
+
+def test_deform_family_number_at_bit_limit_parses(capsys, tmp_path):
+    fam_path = tmp_path / "family.json"
+    value = f"-{2 ** 1024}/{2 ** 1024 - 1}"
+    fam_path.write_text('{"cbar": [[1, 1, "%s"]]}' % value)
+    code, report, _ = run_json(
+        capsys, "deform", "--phi", "x^2 + y^3 + z^5",
+        "--order", "1", "--family", str(fam_path))
+    assert code == 0
+    assert report["family"]["cbar"] == [[1, 1, value]]
 
 
 def test_deform_missing_family_file_exit_1(capsys, tmp_path):
@@ -366,10 +423,12 @@ def _benchmark_spec():
     return module
 
 
-# SHA-256 of two verify-reference reports, as perfbench/report_hash.py prints
-# them: a generic potential and the balanced one (Eul labels, gauge_special).
+# SHA-256 of the verify-reference reports, as perfbench/report_hash.py prints
+# them: two generic potentials (Brieskorn with a nonzero ternary bracket) and
+# the balanced one (Eul labels, gauge_special).
 _REFERENCE_HASHES = {
     "quadric": "18689085d107620991412c0367ac36bc07695bc9586d9aa1b11d3c7b21d28a26",
+    "brieskorn": "dc71325b5982253398cce1c3c35c05d07985b20b42355eb93b55c225a345f783",
     "cubic": "64528b3b274beedac0304699b96a69248244ac5d2a214a4583dc7159416e91d3",
 }
 
@@ -465,7 +524,9 @@ def test_stdout_reports_deterministic(capsys):
 # Tokens of the --phi grammar; joining them with spaces keeps every integer
 # literal a single digit, so no exponent exceeds 8.
 _PHI_TOKENS = ["x", "y", "z", "+", "-", "*", "^", "/", "(", ")",
-               *"012345678"]
+               *"012345678",
+               # superscript and Arabic-Indic digits, not integer literals
+               "\u00b2", "\u00b3", "\u0663", "\u0665"]
 
 
 @st.composite
@@ -503,7 +564,12 @@ _weight_texts = st.one_of(
         lambda w: ",".join(map(str, w))),
 )
 _json_atoms = st.one_of(st.integers(-2, 3), st.floats(allow_nan=False),
-                        st.text(alphabet="0123456789/-abc", max_size=4))
+                        st.text(alphabet="0123456789/-abc", max_size=4),
+                        # around the 1024-bit limit on family numbers
+                        st.integers(-10 ** 400, 10 ** 400),
+                        st.builds(lambda digits, count: digits * count,
+                                  st.sampled_from(["7", "-9", "1/", "12/3"]),
+                                  st.integers(300, 5000)))
 _json_values = st.recursive(_json_atoms, lambda inner: st.lists(inner, max_size=4),
                             max_leaves=12)
 _families = st.one_of(

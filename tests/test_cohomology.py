@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,8 @@ from poisdef import (
     validate_label,
     WeightSystem,
 )
+from poisdef.cohomology import decompose
+from poisdef.multivec import WeightSlice, multivec_weight_parts
 
 # -- labels ----------------------------------------------------------------------
 
@@ -219,6 +222,57 @@ def test_solve_coboundary_rejects_class_in_same_slice(brieskorn):
                                                         brieskorn)
     with pytest.raises(NotACoboundaryError):
         solve_coboundary(target, brieskorn)
+
+
+def test_solve_coboundary_rejects_non_cocycle(brieskorn):
+    # [pi, d/dx] != 0, so d/dx is not closed and no coboundary
+    v = MultiVec.vector(Poly.variable(0), Poly.zero(), Poly.zero())
+    assert not coboundary(v, brieskorn.phi).is_zero()
+    with pytest.raises(NotACoboundaryError, match="not closed"):
+        solve_coboundary(v, brieskorn)
+
+
+def test_decompose_splits_class_and_coboundary(brieskorn):
+    """decompose(f_1(c) + [pi, y]) returns c and a y' with [pi, y'] = [pi, y]."""
+    rng = random.Random(23)
+    monomials = [(i, j, k) for i in range(3) for j in range(3) for k in range(3)]
+    for degree in (1, 2, 3):
+        labels = enumerate_basis(brieskorn, degree - 1, 2 * brieskorn.d)
+        for _ in range(4):
+            c = CohClass.make(degree - 1, {
+                lab: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                for lab in rng.sample(labels, min(3, len(labels)))})
+            y = MultiVec(degree - 1, tuple(
+                Poly({m: rng.randint(-3, 3) for m in rng.sample(monomials, 3)})
+                for _ in MultiVec.zero(degree - 1).comps))
+            image = coboundary(y, brieskorn.phi)
+            found, y_found = decompose(f1(c, brieskorn) + image, brieskorn)
+            assert found == c
+            assert coboundary(y_found, brieskorn.phi) == image
+            assert project(f1(c, brieskorn) + image, brieskorn) == c
+    with pytest.raises(NotACocycleError):
+        decompose(MultiVec.vector(Poly.variable(0), Poly.zero(), Poly.zero()),
+                  brieskorn)
+
+
+def test_decompose_solves_each_weight_slice_once(brieskorn, monkeypatch):
+    p = (realize(parse_label("A(0,1)"), brieskorn)
+         + coboundary(euler_field(brieskorn.weights).mul_poly(parse_poly("z")),
+                      brieskorn.phi)
+         + realize(parse_label("B(3)"), brieskorn))
+    solved = []
+    original = WeightSlice.solve
+
+    def counting_solve(self, mv):
+        solved.append(id(self))
+        return original(self, mv)
+
+    monkeypatch.setattr(WeightSlice, "solve", counting_solve)
+    cls, _ = decompose(p, brieskorn)
+    assert cls == CohClass.make(1, {parse_label("A(0,1)"): 1,
+                                    parse_label("B(3)"): 1})
+    assert len(solved) == len(set(solved)) == len(
+        multivec_weight_parts(p, brieskorn.weights)) > 1
 
 
 def test_class_that_is_a_coboundary_is_rejected(monkeypatch):

@@ -27,7 +27,7 @@ from poisdef import (
     project,
     solve_coboundary,
 )
-from poisdef.suites import all_basis_labels
+from poisdef.suites import SuiteConfig, all_basis_labels, run_suite
 
 # -- Koszul signs ------------------------------------------------------------------
 
@@ -275,3 +275,24 @@ def test_stage_recursion_consistency(brieskorn, brieskorn_state):
     # and f3 is the canonical preimage of the exact part
     target = t3 + f1(l3, brieskorn)
     assert solve_coboundary(target, brieskorn) == f3
+
+
+@pytest.mark.parametrize("fixture_name", ["brieskorn", "cubic"])
+def test_transfer_stages_match_second_solve(request, fixture_name):
+    """Every stage the transfer suite fills reads ell_n and f_n off one
+    decompose(T_n): f_n is also the canonical solve of T_n + f_1(ell_n),
+    and d f_n = T_n + f_1(ell_n)."""
+    data = request.getfixturevalue(fixture_name)
+    state = TransferState(data=data, arity_cap=4)
+    config = SuiteConfig(order=2, weight_cap=data.d, seed=2, n_samples=4)
+    assert run_suite("transfer", data, config, state)["status"] == "pass"
+    live = 0
+    for key in [key for key in state._f_memo if len(key) >= 3]:
+        t_value = compute_T(state, len(key),
+                            [CohClass.single(lab) for lab in key])
+        target = t_value + f1(state._ell_memo[key], data)
+        assert solve_coboundary(target, data) == state._f_memo[key]
+        assert coboundary(state._f_memo[key], data.phi) == target
+        live += not t_value.is_zero()
+    # Brieskorn: the ternary witness (ell_3 != 0); cubic: an f_3 != 0
+    assert live >= 1

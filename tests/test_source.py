@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import inspect
+import textwrap
 from pathlib import Path
 
 import poisdef
@@ -38,3 +39,25 @@ def test_eliminator_built_only_by_the_slice_layer():
                 builders.add(path.name)
     assert slice_module in builders
     assert builders <= {"linalg.py", slice_module}, builders
+
+
+def _called_names(node) -> list[str]:
+    return [getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            for call in ast.walk(node) if isinstance(call, ast.Call)]
+
+
+def test_transfer_stage_reads_one_decomposition():
+    """A transfer stage reads ell_n and f_n off one decompose(T_n), and
+    every signed shuffle sum of linfty takes its blocks from _unshuffles."""
+    from poisdef import linfty
+
+    stage = ast.parse(textwrap.dedent(
+        inspect.getsource(linfty.TransferState._compute_stage)))
+    called = _called_names(stage)
+    assert called.count("decompose") == 1
+    assert not {"project", "solve_coboundary"} & set(called)
+    tree = ast.parse(inspect.getsource(linfty))
+    walkers = {node.name for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)
+               and "shuffles" in _called_names(node)}
+    assert walkers == {"_unshuffles"}, walkers
