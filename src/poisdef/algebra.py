@@ -1,9 +1,13 @@
 """Exact polynomial algebra in three variables over the rationals.
 
 Polynomials are sparse dictionaries mapping exponent triples (a, b, c) to
-``fractions.Fraction`` coefficients, so every computation in the package is
-exact.  The module also provides quasi-homogeneous weight systems: a weight
-system assigns positive integer weights (w1, w2, w3) to (x, y, z) and grades
+exact rational coefficients, so every computation in the package is exact.
+A stored coefficient is an ``int`` when it is integral and a
+``fractions.Fraction`` with denominator above 1 otherwise, which spares
+integral arithmetic the Fraction overhead without changing any value: an
+``int`` and the equal ``Fraction`` compare, hash and print alike.  The
+module also provides quasi-homogeneous weight systems: a weight system
+assigns positive integer weights (w1, w2, w3) to (x, y, z) and grades
 monomials by w1*a + w2*b + w3*c.
 """
 
@@ -32,12 +36,25 @@ class WeightInferenceError(ValueError):
     """Raised when no unique primitive weight system fits a polynomial."""
 
 
-def _as_fraction(value: ScalarLike) -> Fraction:
-    if isinstance(value, Fraction):
+def exact_scalar(value: ScalarLike) -> ScalarLike:
+    """An exact scalar in stored form: an ``int``, or a ``Fraction`` whose
+    denominator is above 1.  Raises TypeError for anything else (floats,
+    strings), so no inexact value gets in."""
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"expected an integer or Fraction, got {type(value).__name__}")
+
+
+def _normalize(terms: dict) -> dict:
+    """``terms`` with every value put back in stored form, in place."""
+    for key, value in terms.items():
+        if type(value) is not int and value.denominator == 1:
+            terms[key] = value.numerator
+    return terms
 
 
 def monomial_key(exponents: Exponents) -> tuple[int, tuple[int, int, int]]:
@@ -81,25 +98,31 @@ def monomials_of_weight(weights: WeightSystem, degree: int) -> list[Exponents]:
 
 
 class Poly:
-    """Immutable sparse polynomial in x, y, z with Fraction coefficients."""
+    """Immutable sparse polynomial in x, y, z with exact rational coefficients.
+
+    A stored coefficient is an ``int`` or a ``Fraction`` with denominator
+    above 1, never a float and never an integral ``Fraction``; every
+    constructor and operation keeps this form.
+    """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Optional[Mapping[Exponents, ScalarLike]] = None):
-        cleaned: dict[Exponents, Fraction] = {}
+        cleaned: dict[Exponents, ScalarLike] = {}
         if terms:
             for exps, coeff in terms.items():
-                frac = _as_fraction(coeff)
-                if frac:
+                value = exact_scalar(coeff)
+                if value:
                     a, b, c = exps
                     if a < 0 or b < 0 or c < 0:
                         raise ValueError(f"negative exponent in monomial {exps}")
-                    cleaned[(a, b, c)] = frac
+                    cleaned[(a, b, c)] = value
         self._terms = cleaned
 
     @staticmethod
-    def _wrap(terms: dict[Exponents, Fraction]) -> "Poly":
-        """A Poly owning ``terms``, which must hold no zero coefficient."""
+    def _wrap(terms: dict[Exponents, ScalarLike]) -> "Poly":
+        """A Poly owning ``terms``, which must hold only nonzero
+        coefficients in stored form."""
         result = Poly.__new__(Poly)
         result._terms = terms
         return result
@@ -134,13 +157,13 @@ class Poly:
         return not self._terms
 
     def coefficient(self, exponents: Exponents) -> Fraction:
-        return self._terms.get(tuple(exponents), Fraction(0))
+        return Fraction(self._terms.get(tuple(exponents), 0))
 
     def exponents(self) -> list[Exponents]:
         """Exponent triples in canonical (degree, revlex) order."""
         return sorted(self._terms, key=monomial_key)
 
-    def items(self) -> list[tuple[Exponents, Fraction]]:
+    def items(self) -> list[tuple[Exponents, ScalarLike]]:
         """(exponents, coefficient) pairs in canonical order."""
         return [(e, self._terms[e]) for e in self.exponents()]
 
@@ -167,7 +190,7 @@ class Poly:
             else:
                 acc = acc + coeff
                 if acc:
-                    terms[exps] = acc
+                    terms[exps] = exact_scalar(acc)
                 else:
                     del terms[exps]
         return Poly._wrap(terms)
@@ -184,7 +207,7 @@ class Poly:
         if isinstance(other, Poly):
             if not self._terms or not other._terms:
                 return Poly.zero()
-            terms: dict[Exponents, Fraction] = {}
+            terms: dict[Exponents, ScalarLike] = {}
             for (a1, b1, c1), f1 in self._terms.items():
                 for (a2, b2, c2), f2 in other._terms.items():
                     exps = (a1 + a2, b1 + b2, c1 + c2)
@@ -198,12 +221,13 @@ class Poly:
                             terms[exps] = acc
                         else:
                             del terms[exps]
-            return Poly._wrap(terms)
+            return Poly._wrap(_normalize(terms))
         if isinstance(other, (int, Fraction)):
-            frac = _as_fraction(other)
-            if not frac:
+            scale = exact_scalar(other)
+            if not scale:
                 return Poly.zero()
-            return Poly._wrap({e: c * frac for e, c in self._terms.items()})
+            return Poly._wrap(_normalize(
+                {e: c * scale for e, c in self._terms.items()}))
         return NotImplemented
 
     def __rmul__(self, other: ScalarLike) -> "Poly":
@@ -224,14 +248,14 @@ class Poly:
 
     def diff(self, index: int) -> "Poly":
         """Partial derivative with respect to x (0), y (1) or z (2)."""
-        terms: dict[Exponents, Fraction] = {}
+        terms: dict[Exponents, ScalarLike] = {}
         for exps, coeff in self._terms.items():
             e = exps[index]
             if e:
                 lowered = list(exps)
                 lowered[index] = e - 1
                 terms[tuple(lowered)] = coeff * e
-        return Poly._wrap(terms)
+        return Poly._wrap(_normalize(terms))
 
     # -- comparisons -------------------------------------------------------
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import Exponents, Poly, ScalarLike
+from .algebra import Exponents, Poly, ScalarLike, exact_scalar
 from .multivec import (
     SLOTS,
     MultiVec,
@@ -246,22 +246,25 @@ class CohClass:
     """A finite rational combination of basis labels in one degree."""
 
     g_degree: int
-    coeffs: tuple[tuple[BasisLabel, Fraction], ...]
+    coeffs: tuple[tuple[BasisLabel, ScalarLike], ...]
 
     @classmethod
     def make(cls, g_degree: int,
              coeffs: Optional[dict[BasisLabel, ScalarLike]] = None) -> "CohClass":
-        cleaned: dict[BasisLabel, Fraction] = {}
+        """The class with these coefficients, each stored as
+        :func:`poisdef.algebra.exact_scalar` stores it (TypeError for an
+        inexact one); zero coefficients are dropped."""
+        cleaned: dict[BasisLabel, ScalarLike] = {}
         if coeffs:
-            for label, value in coeffs.items():
-                frac = Fraction(value)
-                if frac:
+            for label, raw in coeffs.items():
+                value = exact_scalar(raw)
+                if value:
                     if label.g_degree != g_degree:
                         raise ValueError(
                             f"label {label} has degree {label.g_degree}, "
                             f"class has degree {g_degree}"
                         )
-                    cleaned[label] = frac
+                    cleaned[label] = value
         ordered = tuple(sorted(cleaned.items(), key=lambda kv: kv[0].sort_key()))
         return cls(g_degree, ordered)
 
@@ -276,13 +279,13 @@ class CohClass:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def as_dict(self) -> dict[BasisLabel, Fraction]:
+    def as_dict(self) -> dict[BasisLabel, ScalarLike]:
         return dict(self.coeffs)
 
     def coefficient(self, label: BasisLabel) -> Fraction:
         for known, value in self.coeffs:
             if known == label:
-                return value
+                return Fraction(value)
         return Fraction(0)
 
     def __add__(self, other: "CohClass") -> "CohClass":
@@ -292,7 +295,7 @@ class CohClass:
             raise ValueError("cannot add classes of different degrees")
         merged = self.as_dict()
         for label, value in other.coeffs:
-            merged[label] = merged.get(label, Fraction(0)) + value
+            merged[label] = merged.get(label, 0) + value
         return CohClass.make(self.g_degree, merged)
 
     def __neg__(self) -> "CohClass":
@@ -303,9 +306,9 @@ class CohClass:
         return self + (-other)
 
     def __mul__(self, scalar: ScalarLike) -> "CohClass":
-        frac = Fraction(scalar)
+        scale = exact_scalar(scalar)
         return CohClass.make(self.g_degree,
-                             {l: v * frac for l, v in self.coeffs})
+                             {l: v * scale for l, v in self.coeffs})
 
     __rmul__ = __mul__
 
@@ -385,8 +388,8 @@ def decompose(p: MultiVec,
             f"degree {p.degree} multivector is not closed under the "
             "Poisson differential"
         )
-    coeffs: dict[BasisLabel, Fraction] = {}
-    terms: list[dict[Exponents, Fraction]] = [{} for _ in SLOTS.get(g, ())]
+    coeffs: dict[BasisLabel, ScalarLike] = {}
+    terms: list[dict[Exponents, ScalarLike]] = [{} for _ in SLOTS.get(g, ())]
     for weight, part in multivec_weight_parts(p, data.weights).items():
         solution = _slice_solver(data, p.degree, weight).solve(part)
         if solution is None:

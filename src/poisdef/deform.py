@@ -59,7 +59,8 @@ from itertools import combinations
 from math import factorial
 from typing import Optional, Sequence
 
-from .algebra import MAX_COEFFICIENT_BITS, Poly, ScalarLike, bounded_int
+from .algebra import (MAX_COEFFICIENT_BITS, Poly, ScalarLike, bounded_int,
+                      exact_scalar)
 from .cohomology import BasisLabel, CohClass, a_index_range, f1, project
 from .linfty import TransferState
 from .multivec import MultiVec, curl, poisson_from_potential, schouten, wedge
@@ -123,16 +124,21 @@ class CoeffFamily:
         {"c": [[n, l, i, "p/q"], ...], "cbar": [[n, r, "p/q"], ...]}
     """
 
-    c: tuple[tuple[tuple[int, int, int], Fraction], ...]
-    cbar: tuple[tuple[tuple[int, int], Fraction], ...]
+    c: tuple[tuple[tuple[int, int, int], ScalarLike], ...]
+    cbar: tuple[tuple[tuple[int, int], ScalarLike], ...]
 
     @classmethod
     def make(cls, c: dict[tuple[int, int, int], ScalarLike],
              cbar: dict[tuple[int, int], ScalarLike]) -> "CoeffFamily":
-        c_clean = {key: Fraction(v) for key, v in c.items() if Fraction(v)}
-        cbar_clean = {key: Fraction(v) for key, v in cbar.items() if Fraction(v)}
-        return cls(tuple(sorted(c_clean.items())),
-                   tuple(sorted(cbar_clean.items())))
+        """The family with these coefficients, each stored as
+        :func:`poisdef.algebra.exact_scalar` stores it (TypeError for an
+        inexact one); zero coefficients are dropped."""
+        tables = []
+        for table in (c, cbar):
+            values = {key: exact_scalar(v) for key, v in table.items()}
+            tables.append(tuple(sorted(
+                (key, v) for key, v in values.items() if v)))
+        return cls(*tables)
 
     def validate(self, data: SingularityData) -> None:
         allowed = a_index_range(data)
@@ -206,10 +212,10 @@ def _family_int(text: str) -> int:
     return value
 
 
-def _exact_value(value, name: str, entry: list) -> Fraction:
-    """An integer or a "p/q" string (q nonzero) as a Fraction."""
+def _exact_value(value, name: str, entry: list) -> ScalarLike:
+    """An integer or a "p/q" string (q nonzero) as an exact scalar."""
     if type(value) is int:
-        return Fraction(value)
+        return value
     match = _RATIONAL_RE.fullmatch(value) if isinstance(value, str) else None
     if match:
         return Fraction(_family_int(match[1]), _family_int(match[2] or "1"))
@@ -239,7 +245,7 @@ def _nu_product(left: Sequence, right: Sequence, bracket, zero) -> list:
 def gamma_classes(fam: CoeffFamily, data: SingularityData, m: int) -> NuSeries:
     """The family as a series of degree-1 cohomology classes."""
     fam.validate(data)
-    parts: list[dict[BasisLabel, Fraction]] = [{} for _ in range(m)]
+    parts: list[dict[BasisLabel, ScalarLike]] = [{} for _ in range(m)]
     for (n, l, i), value in fam.c:
         if n <= m:
             parts[n - 1][BasisLabel("A", (l, i))] = value

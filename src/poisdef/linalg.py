@@ -1,8 +1,10 @@
 """Exact sparse linear algebra over the rationals.
 
-Vectors are dictionaries mapping an index to a nonzero ``Fraction``.  One
-incremental eliminator serves every weight slice in the package, each a
-:class:`poisdef.multivec.WeightSlice`.  Its pivot set is that of the
+Vectors are dictionaries mapping an index to a nonzero exact rational,
+stored as :mod:`poisdef.algebra` stores a polynomial coefficient: an
+``int`` when it is integral, else a ``Fraction`` with denominator above 1.
+One incremental eliminator serves every weight slice in the package, each
+a :class:`poisdef.multivec.WeightSlice`.  Its pivot set is that of the
 leftmost-pivot reduced echelon form, and its solutions are the ones that
 set every free variable to zero, so results do not depend on how the
 elimination is organised.
@@ -14,19 +16,21 @@ from bisect import insort
 from fractions import Fraction
 from typing import Hashable, Mapping, Optional
 
-SparseVec = dict[int, Fraction]
+from .algebra import ScalarLike, exact_scalar
+
+SparseVec = dict[int, ScalarLike]
 
 
-def _axpy(out: dict, scale: Fraction, vec: Mapping) -> None:
+def _axpy(out: dict, scale: ScalarLike, vec: Mapping) -> None:
     """out += scale * vec, dropping entries that cancel."""
     for key, value in vec.items():
         acc = out.get(key)
         if acc is None:
-            out[key] = scale * value
+            out[key] = exact_scalar(scale * value)
         else:
             acc += scale * value
             if acc:
-                out[key] = acc
+                out[key] = exact_scalar(acc)
             else:
                 del out[key]
 
@@ -48,7 +52,7 @@ class Eliminator:
 
     def __init__(self) -> None:
         self._rows: dict[int, SparseVec] = {}
-        self._combos: dict[int, dict[Hashable, Fraction]] = {}
+        self._combos: dict[int, dict[Hashable, ScalarLike]] = {}
         self._pivots: list[int] = []
 
     @property
@@ -60,9 +64,9 @@ class Eliminator:
         """Pivot indices in increasing order."""
         return list(self._pivots)
 
-    def _eliminate(self, vec: Mapping[int, Fraction],
+    def _eliminate(self, vec: Mapping[int, ScalarLike],
                    combo: Optional[dict]) -> SparseVec:
-        out = {i: Fraction(v) for i, v in vec.items() if v}
+        out = {i: exact_scalar(v) for i, v in vec.items() if v}
         for pivot in self._pivots:
             coeff = out.get(pivot)
             if coeff:
@@ -71,11 +75,11 @@ class Eliminator:
                     _axpy(combo, coeff, self._combos[pivot])
         return out
 
-    def reduce(self, vec: Mapping[int, Fraction]) -> SparseVec:
+    def reduce(self, vec: Mapping[int, ScalarLike]) -> SparseVec:
         """Canonical representative of vec modulo the span (zero at pivots)."""
         return self._eliminate(vec, None)
 
-    def add(self, vec: Mapping[int, Fraction],
+    def add(self, vec: Mapping[int, ScalarLike],
             tag: Optional[Hashable] = None) -> Optional[int]:
         """Insert vec; return its new pivot, or None if it lies in the span."""
         combo: Optional[dict] = None if tag is None else {}
@@ -83,17 +87,17 @@ class Eliminator:
         if not out:
             return None
         pivot = min(out)
-        inv = 1 / out[pivot]
-        self._rows[pivot] = {i: v * inv for i, v in out.items()}
+        inv = exact_scalar(Fraction(1, out[pivot]))
+        self._rows[pivot] = {i: exact_scalar(v * inv) for i, v in out.items()}
         if combo is not None:
             # out = vec - (the stored vectors recorded in combo)
-            stored = {t: -v * inv for t, v in combo.items()}
+            stored = {t: exact_scalar(-v * inv) for t, v in combo.items()}
             stored[tag] = inv
             self._combos[pivot] = stored
         insort(self._pivots, pivot)
         return pivot
 
-    def solve(self, target: Mapping[int, Fraction]) -> Optional[dict]:
+    def solve(self, target: Mapping[int, ScalarLike]) -> Optional[dict]:
         """Coefficients of tagged inputs summing to target, or None.
 
         Only inputs that became pivots appear, so the answer is the

@@ -262,7 +262,7 @@ def _multilinear(on_labels, classes: Sequence[CohClass], zero):
     n = len(classes)
     result = zero(sum(c.g_degree for c in classes) + 2 - n)
     for combo in product(*[c.coeffs for c in classes]):
-        coeff = Fraction(1)
+        coeff = 1
         for _, value in combo:
             coeff *= value
         result = result + on_labels([lab for lab, _ in combo]) * coeff

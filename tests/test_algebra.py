@@ -21,6 +21,7 @@ from poisdef.algebra import (
     MAX_COEFFICIENT_BITS,
     MAX_EXPANSION_TERMS,
     MAX_NESTING,
+    exact_scalar,
 )
 
 # -- strategies ----------------------------------------------------------------
@@ -67,6 +68,88 @@ def test_ring_axioms(p, q, r):
     assert p + Poly.zero() == p
     assert p * Poly.one() == p
     assert p - p == Poly.zero()
+
+
+# -- stored coefficient form -----------------------------------------------------
+
+# integers, and rationals that are often integral Fractions such as 4/2
+mixed_scalars = st.one_of(st.integers(-20, 20), rationals)
+mixed_terms = st.dictionaries(exponents, mixed_scalars, max_size=5)
+
+
+def _ref_add(p, q):
+    out = dict(p)
+    for exps, value in q.items():
+        out[exps] = out.get(exps, Fraction(0)) + value
+    return {e: v for e, v in out.items() if v}
+
+
+def _ref_mul(p, q):
+    out = {}
+    for (a, b, c), f in p.items():
+        for (d, e, g), h in q.items():
+            key = (a + d, b + e, c + g)
+            out[key] = out.get(key, Fraction(0)) + f * h
+    return {e: v for e, v in out.items() if v}
+
+
+def _ref_diff(p, index):
+    out = {}
+    for exps, value in p.items():
+        if exps[index]:
+            lowered = list(exps)
+            lowered[index] -= 1
+            out[tuple(lowered)] = value * exps[index]
+    return out
+
+
+@given(mixed_terms, mixed_terms, mixed_scalars, st.integers(0, 3),
+       st.integers(0, 2))
+def test_integral_coefficients_are_stored_as_int(t1, t2, s, n, index):
+    """Every result stores an integral coefficient as an int and any other
+    as a non-integral Fraction, and agrees in ==, hash and str with the
+    same value held as Fractions only."""
+    fp = {e: Fraction(v) for e, v in t1.items() if v}
+    fq = {e: Fraction(v) for e, v in t2.items() if v}
+    p, q = Poly(t1), Poly(t2)
+    power = {(0, 0, 0): Fraction(1)}
+    for _ in range(n):
+        power = _ref_mul(power, fp)
+    scaled = _ref_mul(fp, {(0, 0, 0): Fraction(s)})
+    cases = [
+        (p, fp),
+        (p + q, _ref_add(fp, fq)),
+        (p - q, _ref_add(fp, {e: -v for e, v in fq.items()})),
+        (p * q, _ref_mul(fp, fq)),
+        (p * s, scaled),
+        (s * p, scaled),
+        (p ** n, power),
+        (p.diff(index), _ref_diff(fp, index)),
+    ]
+    for result, expected in cases:
+        for _, coeff in result.items():
+            assert type(coeff) is int or (
+                type(coeff) is Fraction and coeff.denominator > 1), coeff
+        fractions_only = Poly._wrap(dict(expected))
+        assert result == fractions_only
+        assert hash(result) == hash(fractions_only)
+        assert str(result) == str(fractions_only)
+        for exps, value in expected.items():
+            coeff = result.coefficient(exps)
+            assert type(coeff) is Fraction and coeff == value
+
+
+def test_exact_scalar_refuses_inexact_values():
+    assert exact_scalar(Fraction(4, 2)) == 2
+    assert type(exact_scalar(Fraction(4, 2))) is int
+    assert exact_scalar(Fraction(1, 2)) == Fraction(1, 2)
+    for value in (0.5, 1.0, "1/2"):
+        with pytest.raises(TypeError):
+            exact_scalar(value)
+        with pytest.raises(TypeError):
+            Poly({(0, 0, 0): value})
+    with pytest.raises(TypeError):
+        Poly.one() * 0.5
 
 
 @given(polys(), st.integers(0, 4))

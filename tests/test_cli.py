@@ -445,6 +445,28 @@ def test_reference_report_is_byte_identical(capsys, name):
     assert hashlib.sha256(out.encode()).hexdigest() == _REFERENCE_HASHES[name]
 
 
+# SHA-256 of `poisdef deform --order 3` on one family with integral and
+# non-integral values, orders 1-3 and phi powers up to 2.
+_DEFORM_FAMILY = {"c": [[1, 0, 1, "1"], [2, 1, 3, "-2/3"], [3, 2, 7, "5"]],
+                  "cbar": [[1, 1, "1"], [2, 4, "3/2"], [1, 7, "-1"]]}
+_DEFORM_HASHES = {
+    "x^2+y^3+z^5":
+        "d234ad332732cc58f29f05171a4b8d048bc44a8812c9d5b5e78a0ad93c8604c8",
+    "x^3+y^3+z^3":
+        "7b466009eb44cb14516f78d0c9cc9c4ab9a8af9616ab1920221bc4a522a5d493",
+}
+
+
+@pytest.mark.parametrize("phi", sorted(_DEFORM_HASHES))
+def test_deform_order3_report_is_byte_identical(capsys, tmp_path, phi):
+    fam_path = tmp_path / "family.json"
+    fam_path.write_text(json.dumps(_DEFORM_FAMILY))
+    code, out, _ = run_cli(capsys, "deform", "--phi", phi, "--order", "3",
+                           "--family", str(fam_path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _DEFORM_HASHES[phi]
+
+
 def test_verify_arity_cap_flag(capsys):
     code, report, _ = run_json(
         capsys, "verify", "transfer", "--phi", "x^2 + y^2 + z^2",

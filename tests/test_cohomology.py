@@ -298,6 +298,21 @@ def test_class_arithmetic():
     assert "A(0,1)" in class_str(combo)
 
 
+def test_class_refuses_inexact_coefficients():
+    label = parse_label("B(1)")
+    with pytest.raises(TypeError):
+        CohClass.single(label, 0.1)
+    with pytest.raises(TypeError):
+        CohClass.make(1, {label: "1/2"})
+    with pytest.raises(TypeError):
+        CohClass.single(label) * 0.5
+    doubled = CohClass.single(label, Fraction(1, 2)) * Fraction(2)
+    assert doubled.coeffs == ((label, 1),)
+    assert type(doubled.coeffs[0][1]) is int
+    assert type(doubled.coefficient(label)) is Fraction
+    assert str(doubled) == "B(1)"
+
+
 def test_class_degree_mismatch_rejected():
     a = CohClass.single(parse_label("A(0,1)"))
     c = CohClass.single(parse_label("Cas(0)"))

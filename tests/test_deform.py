@@ -48,6 +48,17 @@ def test_family_drops_zero_entries():
     assert fam == CoeffFamily.make({}, {})
 
 
+def test_family_refuses_inexact_coefficients():
+    with pytest.raises(TypeError):
+        CoeffFamily.make({(1, 0, 1): 0.1}, {})
+    with pytest.raises(TypeError):
+        CoeffFamily.make({}, {(1, 1): 0.5})
+    fam = CoeffFamily.make({(1, 0, 1): Fraction(6, 3)}, {(1, 1): Fraction(1, 2)})
+    assert fam.c == (((1, 0, 1), 2),) and type(fam.c[0][1]) is int
+    assert fam.to_json_dict() == {"c": [[1, 0, 1, "2"]],
+                                  "cbar": [[1, 1, "1/2"]]}
+
+
 def test_family_validation(brieskorn):
     CoeffFamily.make({(1, 0, 1): 1}, {(1, 7): 1}).validate(brieskorn)
     with pytest.raises(InvalidFamilyError):

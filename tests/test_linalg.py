@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given
 from hypothesis import strategies as st
@@ -88,6 +89,37 @@ def test_solve_matches_rref_solution(system, data):
         if value:
             expected[col] = Fraction(int(value.p), int(value.q))
     assert solution == expected
+
+
+def _stored_values(elim):
+    for table in (elim._rows, elim._combos):
+        for vec in table.values():
+            yield from vec.values()
+
+
+def test_integer_vectors_keep_exact_entries():
+    """Integer inputs with pivot entries 3 and -2: every stored row and
+    combination holds ints and non-integral Fractions only, and solve
+    gives the exact rational solution."""
+    v1 = {0: 3, 1: 1, 2: 1}
+    v2 = {1: -2, 2: 1}
+    elim = Eliminator()
+    assert elim.add(v1, "a") == 0
+    assert elim.add(v2, "b") == 1
+    assert elim.add({0: 6, 1: 4, 2: 1}, "c") is None     # 2*v1 - v2
+    for value in _stored_values(elim):
+        assert type(value) is int or (
+            type(value) is Fraction and value.denominator > 1), value
+    assert elim._rows == {0: {0: 1, 1: Fraction(1, 3), 2: Fraction(1, 3)},
+                          1: {1: 1, 2: Fraction(-1, 2)}}
+    solution = elim.solve({0: 1, 1: 1})
+    assert solution == {"a": Fraction(1, 3), "b": Fraction(-1, 3)}
+    integral = elim.solve({0: 6, 1: 4, 2: 1})
+    assert integral == {"a": 2, "b": -1}
+    assert all(type(v) is int for v in integral.values())
+    assert elim.solve({2: 1}) is None
+    with pytest.raises(TypeError):
+        elim.reduce({0: 0.5})
 
 
 @given(matrices(), st.lists(fractions, min_size=5, max_size=5))

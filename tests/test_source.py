@@ -25,6 +25,19 @@ def test_no_assert_statements_in_package():
 
 
 
+def test_no_true_division_in_package():
+    """Coefficients may be ints, and int / int is a float: every
+    reciprocal goes through Fraction instead of the / operator."""
+    found = []
+    for path in sorted(SOURCE_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.BinOp, ast.AugAssign))
+                  and isinstance(node.op, ast.Div)]
+    assert list(SOURCE_DIR.glob("*.py")), "package sources not found"
+    assert not found, f"true division in src/poisdef: {found}"
+
+
 def test_eliminator_built_only_by_the_slice_layer():
     """Every exact elimination runs through WeightSlice: no module but
     linalg and the one defining WeightSlice constructs an Eliminator."""
