@@ -65,7 +65,6 @@ from .linfty import (
     f2_table,
     jacobiator,
     koszul_chi,
-    koszul_sign,
 )
 from .multivec import (
     MultiVec,
@@ -75,16 +74,13 @@ from .multivec import (
     multivec_str,
     poisson_from_potential,
     schouten,
-    shuffles,
     wedge,
 )
 from .singularity import (
     NotIsolatedError,
     SingularityData,
     SingularityError,
-    check_isolated,
     milnor_basis,
-    normal_form,
 )
 from .suites import (
     SUITE_NAMES,
@@ -121,7 +117,6 @@ __all__ = [
     "all_basis_labels",
     "build_deformation",
     "check_E",
-    "check_isolated",
     "class_str",
     "coboundary",
     "compute_T",
@@ -138,14 +133,12 @@ __all__ = [
     "jacobi_residual",
     "jacobiator",
     "koszul_chi",
-    "koszul_sign",
     "label_weight",
     "labels_of_weight",
     "mc_image",
     "milnor_basis",
     "monomials_of_weight",
     "multivec_str",
-    "normal_form",
     "parse_label",
     "parse_poly",
     "poisson_from_potential",
@@ -155,7 +148,6 @@ __all__ = [
     "run_suite",
     "run_suites",
     "schouten",
-    "shuffles",
     "solve_coboundary",
     "validate_label",
     "wedge",

@@ -32,6 +32,7 @@ from .algebra import (
 )
 from .cohomology import CohomologyError, class_str, enumerate_basis
 from .deform import (
+    MAX_PHI_POWER,
     CoeffFamily,
     InvalidFamilyError,
     build_deformation,
@@ -114,9 +115,16 @@ def _check_order(args) -> None:
         raise CLIUsageError(f"--order must be between 1 and {MAX_ORDER}")
 
 
-def _check_weight_cap(args) -> None:
-    if args.weight_cap is not None and args.weight_cap < 0:
-        raise CLIUsageError("--weight-cap must be nonnegative")
+def _check_weight_cap(args, data: SingularityData) -> None:
+    # The cap stops at Cas(MAX_PHI_POWER), the class of the largest power of
+    # phi a coefficient family may name, so no cap demands an unbounded
+    # enumeration.
+    bound = MAX_PHI_POWER * data.d
+    if args.weight_cap is not None and not 0 <= args.weight_cap <= bound:
+        raise CLIUsageError(
+            f"--weight-cap must be between 0 and {bound} ({MAX_PHI_POWER} "
+            f"times the degree {data.d} of the potential)"
+        )
 
 
 def _potential_block(data: SingularityData, inferred: bool) -> dict:
@@ -153,8 +161,8 @@ def _load_family(path: Optional[str]) -> CoeffFamily:
 
 
 def cmd_analyze(args) -> int:
-    _check_weight_cap(args)
     data, inferred = _load_data(args)
+    _check_weight_cap(args, data)
     cap = args.weight_cap if args.weight_cap is not None else 2 * data.d
     basis = {
         str(g): [str(lab) for lab in enumerate_basis(data, g, cap)]
@@ -200,9 +208,9 @@ def cmd_deform(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _check_weight_cap(args)
     _check_order(args)
     data, inferred = _load_data(args)
+    _check_weight_cap(args, data)
     names = args.suites if args.suites else list(SUITE_NAMES)
     for name in names:
         if name not in SUITE_NAMES:

@@ -4,10 +4,12 @@ Vectors are dictionaries mapping an index to a nonzero exact rational,
 stored as :mod:`poisdef.algebra` stores a polynomial coefficient: an
 ``int`` when it is integral, else a ``Fraction`` with denominator above 1.
 One incremental eliminator serves every weight slice in the package, each
-a :class:`poisdef.multivec.WeightSlice`.  Its pivot set is that of the
-leftmost-pivot reduced echelon form, and its solutions are the ones that
-set every free variable to zero, so results do not depend on how the
-elimination is organised.
+a :class:`poisdef.multivec.WeightSlice`.  It does two things: it adds a
+vector to the span, and it solves for a target as a combination of the
+tagged inputs.  Its pivot set is that of the leftmost-pivot reduced
+echelon form, and its solutions are the ones that set every free
+variable to zero, so results do not depend on how the elimination is
+organised.
 """
 
 from __future__ import annotations
@@ -74,10 +76,6 @@ class Eliminator:
                 if combo is not None:
                     _axpy(combo, coeff, self._combos[pivot])
         return out
-
-    def reduce(self, vec: Mapping[int, ScalarLike]) -> SparseVec:
-        """Canonical representative of vec modulo the span (zero at pivots)."""
-        return self._eliminate(vec, None)
 
     def add(self, vec: Mapping[int, ScalarLike],
             tag: Optional[Hashable] = None) -> Optional[int]:

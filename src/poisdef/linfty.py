@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from typing import Optional, Sequence
 
 from .algebra import Poly
@@ -68,10 +68,8 @@ from .multivec import (
     MultiVec,
     coboundary,
     euler_field,
-    perm_sign,
     poisson_from_potential,
     schouten,
-    shuffles,
 )
 from .singularity import SingularityData
 
@@ -80,28 +78,25 @@ class ArityCapExceededError(CohomologyError):
     """A transfer computation needed a bracket above the arity cap."""
 
 
-def koszul_sign(perm: Sequence[int], degrees: Sequence[int]) -> int:
-    """Koszul sign of reordering graded symbols by a permutation.
+def koszul_chi(perm: Sequence[int], degrees: Sequence[int]) -> int:
+    """Permutation sign times Koszul sign: the weight of graded skew sums.
 
     ``perm`` lists (s(1), ..., s(n)) with 1-based values; ``degrees`` are
-    the degrees of the original symbols x_1, ..., x_n.  The sign is -1 to
-    the number of inversions of the permutation weighted by products of
-    the degrees carried past each other:
+    the degrees of the original symbols x_1, ..., x_n.  Each pair of
+    symbols the permutation inverts contributes 1 + |x_a| |x_b| to the
+    exponent of -1:
 
-        x_1 ^ ... ^ x_n = sign * x_{s(1)} ^ ... ^ x_{s(n)}
+        x_1 ^ ... ^ x_n = chi * x_{s(1)} ^ ... ^ x_{s(n)}
+
+    in the graded skew-symmetric convention.
     """
     exponent = 0
     n = len(perm)
     for a in range(n):
         for b in range(a + 1, n):
             if perm[a] > perm[b]:
-                exponent += degrees[perm[a] - 1] * degrees[perm[b] - 1]
+                exponent += 1 + degrees[perm[a] - 1] * degrees[perm[b] - 1]
     return -1 if exponent % 2 else 1
-
-
-def koszul_chi(perm: Sequence[int], degrees: Sequence[int]) -> int:
-    """Permutation sign times Koszul sign: the weight of graded skew sums."""
-    return perm_sign(perm) * koszul_sign(perm, degrees)
 
 
 def f2_table(data: SingularityData, a: BasisLabel, b: BasisLabel) -> MultiVec:
@@ -271,11 +266,14 @@ def _multilinear(on_labels, classes: Sequence[CohClass], zero):
 
 def _unshuffles(classes: Sequence[CohClass], i: int):
     """Yield (chi(s), x_{s(1..i)}, x_{s(i+1..n)}) for each (i, n-i)-shuffle
-    s of the classes x_1, ..., x_n, in the order of :func:`shuffles`."""
+    s of the classes x_1, ..., x_n, first blocks in lexicographic order."""
+    n = len(classes)
     degrees = [c.g_degree for c in classes]
-    for sigma in shuffles(i, len(classes) - i):
-        picked = [classes[k - 1] for k in sigma]
-        yield koszul_chi(sigma, degrees), picked[:i], picked[i:]
+    for first in combinations(range(n), i):
+        rest = tuple(k for k in range(n) if k not in first)
+        sigma = [k + 1 for k in first + rest]
+        yield (koszul_chi(sigma, degrees), [classes[k] for k in first],
+               [classes[k] for k in rest])
 
 
 def _nested_sum(state: TransferState, outer, classes: Sequence[CohClass],

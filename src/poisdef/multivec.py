@@ -58,7 +58,6 @@ weights the slot differentiates by.  Every exact elimination in the package
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Hashable, Optional, Sequence
 
 from .algebra import (
@@ -86,37 +85,6 @@ SLOT_NAMES: dict[int, tuple[str, ...]] = {
     2: ("dy^dz", "dz^dx", "dx^dy"),
     3: ("dx^dy^dz",),
 }
-
-
-def shuffles(i: int, j: int) -> list[tuple[int, ...]]:
-    """All (i, j)-shuffles as 1-based permutation tuples of {1, ..., i+j}.
-
-    A shuffle here is a permutation s with s(1) < ... < s(i) and
-    s(i+1) < ... < s(i+j); the tuple lists (s(1), ..., s(i+j)).  Returned
-    in lexicographic order of the first block.  Empty if i or j is
-    negative; the identity alone if either is zero.
-    """
-    if i < 0 or j < 0:
-        return []
-    n = i + j
-    result = []
-    universe = range(1, n + 1)
-    for first in combinations(universe, i):
-        taken = set(first)
-        second = tuple(v for v in universe if v not in taken)
-        result.append(first + second)
-    return result
-
-
-def perm_sign(perm: Sequence[int]) -> int:
-    """Sign of a permutation given as a tuple of 1-based values."""
-    inversions = 0
-    n = len(perm)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if perm[a] > perm[b]:
-                inversions += 1
-    return -1 if inversions % 2 else 1
 
 
 @dataclass(frozen=True)

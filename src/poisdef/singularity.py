@@ -3,9 +3,9 @@
 For a weight-homogeneous potential phi with an isolated critical point at
 the origin, the quotient of the polynomial ring by the Jacobian ideal
 (dphi/dx, dphi/dy, dphi/dz) is a finite-dimensional graded algebra.  This
-module computes its dimension (the Milnor number), a canonical graded
-monomial basis, and normal forms modulo the Jacobian ideal, one weight
-slice (a degree-0 :class:`poisdef.multivec.WeightSlice`) at a time.
+module computes its dimension (the Milnor number) and a canonical graded
+monomial basis of it, one weight slice (a degree-0
+:class:`poisdef.multivec.WeightSlice`) of the Jacobian ideal at a time.
 """
 
 from __future__ import annotations
@@ -21,12 +21,7 @@ from .algebra import (
     _exponents_of_weight,
     weighted_degree,
 )
-from .multivec import (
-    MultiVec,
-    WeightSlice,
-    multivec_weight_parts,
-    slice_basis,
-)
+from .multivec import MultiVec, WeightSlice, slice_basis
 
 # Largest Milnor number analysed, so that no potential can demand an
 # unbounded elimination; x^17+y^17+z^17 (mu = 4096) is the largest
@@ -70,26 +65,53 @@ def jacobian_slice_reduction(phi: Poly, weights: WeightSystem,
     return reduction
 
 
-def check_isolated(phi: Poly, weights: WeightSystem) -> int:
-    """Milnor number of phi, or NotIsolatedError.
+@dataclass
+class SingularityData:
+    """Everything downstream modules need about one potential.
+
+    ``basis`` lists the canonical monomial basis u_0 = 1, u_1, ..., of the
+    quotient by the Jacobian ideal in increasing (weight, revlex) order;
+    ``special`` records whether d equals |w| (the weight of the potential
+    equals the sum of the variable weights), which changes the cohomology
+    bases downstream.
+    """
+
+    phi: Poly
+    weights: WeightSystem
+    d: int
+    mu: int
+    basis: tuple[Exponents, ...]
+    socle: int
+    _coboundary_slices: dict[tuple[int, int], WeightSlice] = field(
+        default_factory=dict, repr=False)
+
+    @property
+    def special(self) -> bool:
+        return self.d == self.weights.total
+
+    @property
+    def basis_polys(self) -> tuple[Poly, ...]:
+        return tuple(Poly.monomial(m) for m in self.basis)
+
+    def basis_weight(self, index: int) -> int:
+        return self.weights.monomial_weight(self.basis[index])
+
+
+def milnor_basis(phi: Poly, weights: WeightSystem) -> SingularityData:
+    """Milnor number and canonical monomial basis of the quotient algebra,
+    or NotIsolatedError.
 
     The quotient by the Jacobian ideal of a weight-homogeneous potential
     with an isolated critical point is concentrated in weights 0 to
-    3d - 2|w| (d the degree of phi, |w| the sum of the weights).  The
-    slices strictly above that socle degree, up to socle + max(d, |w|),
-    must therefore vanish; the first nonzero one witnesses a non-isolated
-    critical locus.  The count is cross-checked against the product
-    formula prod_i (d - w_i) / w_i; a formula value above MAX_MILNOR, or
-    swept slices holding more than MAX_SLICE_MONOMIALS monomials in all,
-    raises SingularityError before any slice is eliminated.
+    3d - 2|w| (d the degree of phi, |w| the sum of the weights); the
+    non-pivot monomials of those slices span it.  The slices strictly
+    above that socle degree, up to socle + max(d, |w|), must vanish; the
+    first nonzero one witnesses a non-isolated critical locus.  The count
+    is cross-checked against the product formula prod_i (d - w_i) / w_i;
+    a formula value above MAX_MILNOR, or swept slices holding more than
+    MAX_SLICE_MONOMIALS monomials in all, raises SingularityError before
+    any slice is eliminated.
     """
-    return _isolated_slices(phi, weights)[0]
-
-
-def _isolated_slices(phi: Poly, weights: WeightSystem
-                     ) -> tuple[int, dict[int, WeightSlice]]:
-    """:func:`check_isolated`, also returning the eliminated Jacobian
-    slices of weights 0 to the socle degree."""
     d = weighted_degree(phi, weights)
     if d is None or phi.is_zero():
         raise SingularityError("potential must be weight-homogeneous and nonzero")
@@ -112,14 +134,15 @@ def _isolated_slices(phi: Poly, weights: WeightSystem
                 f"the weight slices 0..{swept[-1]} hold more than the budget "
                 f"of {MAX_SLICE_MONOMIALS} monomials (passed at slice {degree})"
             )
-    mu = 0
-    slices: dict[int, WeightSlice] = {}
+    basis: list[Exponents] = []
     for degree in swept:
         reduction = jacobian_slice_reduction(phi, weights, degree)
         missing = len(reduction.basis) - reduction.rank
         if degree <= socle:
-            mu += missing
-            slices[degree] = reduction
+            # the non-pivot monomials span the quotient, slice by slice
+            pivots = set(reduction.eliminator.pivots)
+            basis += [m for i, (_, m) in enumerate(reduction.basis)
+                      if i not in pivots]
         elif missing:
             raise NotIsolatedError(
                 f"Jacobian ideal misses {missing} monomial(s) in weight "
@@ -127,6 +150,7 @@ def _isolated_slices(phi: Poly, weights: WeightSystem
                 "point is not isolated",
                 offending_degree=degree,
             )
+    mu = len(basis)
     if expected != mu:
         raise NotIsolatedError(
             f"slice count {mu} disagrees with the product formula "
@@ -137,79 +161,7 @@ def _isolated_slices(phi: Poly, weights: WeightSystem
             "Milnor number is zero: the potential has no critical point "
             "at the origin (it is regular there)",
         )
-    return mu, slices
-
-
-@dataclass
-class SingularityData:
-    """Everything downstream modules need about one potential.
-
-    ``basis`` lists the canonical monomial basis u_0 = 1, u_1, ..., of the
-    quotient by the Jacobian ideal in increasing (weight, revlex) order;
-    ``special`` records whether d equals |w| (the weight of the potential
-    equals the sum of the variable weights), which changes the cohomology
-    bases downstream.
-    """
-
-    phi: Poly
-    weights: WeightSystem
-    d: int
-    mu: int
-    basis: tuple[Exponents, ...]
-    socle: int
-    _jacobian_slices: dict[int, WeightSlice] = field(default_factory=dict, repr=False)
-    _coboundary_slices: dict[tuple[int, int], WeightSlice] = field(
-        default_factory=dict, repr=False)
-
-    @property
-    def special(self) -> bool:
-        return self.d == self.weights.total
-
-    @property
-    def basis_polys(self) -> tuple[Poly, ...]:
-        return tuple(Poly.monomial(m) for m in self.basis)
-
-    def basis_weight(self, index: int) -> int:
-        return self.weights.monomial_weight(self.basis[index])
-
-    def slice_reduction(self, degree: int) -> WeightSlice:
-        cached = self._jacobian_slices.get(degree)
-        if cached is None:
-            cached = jacobian_slice_reduction(self.phi, self.weights, degree)
-            self._jacobian_slices[degree] = cached
-        return cached
-
-
-def milnor_basis(phi: Poly, weights: WeightSystem) -> SingularityData:
-    """Milnor number and canonical monomial basis of the quotient algebra."""
-    mu, slices = _isolated_slices(phi, weights)
-    d = weighted_degree(phi, weights)
-    socle = 3 * d - 2 * weights.total
-    basis: list[Exponents] = []
-    for reduction in slices.values():
-        # the mu non-pivot monomials span the quotient, slice by slice
-        pivots = set(reduction.eliminator.pivots)
-        basis += [m for i, (_, m) in enumerate(reduction.basis)
-                  if i not in pivots]
     if basis[0] != (0, 0, 0):
         raise AssertionError("the constant monomial must represent u_0 = 1")
     return SingularityData(phi=phi, weights=weights, d=d, mu=mu,
-                           basis=tuple(basis), socle=socle,
-                           _jacobian_slices=slices)
-
-
-def normal_form(p: Poly, data: SingularityData) -> Poly:
-    """Canonical representative of p modulo the Jacobian ideal.
-
-    Works one weight slice at a time; the result is supported on the
-    canonical quotient basis, so two polynomials are congruent modulo the
-    ideal exactly when their normal forms coincide.
-    """
-    total = Poly.zero()
-    parts = multivec_weight_parts(MultiVec.function(p), data.weights)
-    for degree, part in parts.items():
-        reduction = data.slice_reduction(degree)
-        reduced = reduction.eliminator.reduce(reduction.vector(part))
-        total = total + Poly({reduction.basis[i][1]: c
-                              for i, c in reduced.items()})
-    return total
+                           basis=tuple(basis), socle=socle)

@@ -3,16 +3,36 @@
 This is the definition stated in the ``poisdef.multivec`` docstring,
 evaluated on coordinate functions, which determine a multiderivation in
 three variables.  It shares nothing with the closed forms in
-``multivec.schouten`` except ``MultiVec.evaluate``.
+``multivec.schouten`` except ``MultiVec.evaluate``, and its shuffles and
+permutation signs share no code with the signed sums of ``linfty``.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Sequence
 
 from poisdef import MultiVec, Poly
 from poisdef.algebra import VARIABLE_POLYS
-from poisdef.multivec import SLOTS, perm_sign, shuffles
+from poisdef.multivec import SLOTS
+
+
+def shuffles(i: int, j: int) -> list[tuple[int, ...]]:
+    """All (i, j)-shuffles as 1-based permutation tuples of {1, ..., i+j}:
+    s(1) < ... < s(i) and s(i+1) < ... < s(i+j).  Empty if i or j is
+    negative."""
+    if i < 0 or j < 0:
+        return []
+    universe = range(1, i + j + 1)
+    return [first + tuple(v for v in universe if v not in first)
+            for first in combinations(universe, i)]
+
+
+def perm_sign(perm: Sequence[int]) -> int:
+    """Sign of a permutation given as a tuple of 1-based values."""
+    inversions = sum(1 for a in range(len(perm))
+                     for b in range(a + 1, len(perm)) if perm[a] > perm[b])
+    return -1 if inversions % 2 else 1
 
 
 def _bracket_on_functions(p: MultiVec, q: MultiVec,

@@ -19,7 +19,6 @@ from poisdef import (
     SuiteConfig,
     WeightSystem,
     build_deformation,
-    check_isolated,
     coboundary,
     enumerate_basis,
     first_order_class,
@@ -27,6 +26,7 @@ from poisdef import (
     gauge_apply,
     jacobi_residual,
     mc_image,
+    milnor_basis,
     parse_label,
     parse_poly,
     poisson_from_potential,
@@ -34,6 +34,7 @@ from poisdef import (
     realize,
     schouten,
 )
+from poisdef.singularity import jacobian_slice_reduction
 from poisdef.suites import (
     random_family,
     random_gauge_series,
@@ -78,7 +79,7 @@ def test_criterion_01_milnor_data(quadric, cubic, brieskorn):
             (brieskorn, "x^2 + y^3 + z^5", (15, 10, 6))]:
         total_defect = 0
         for weight in range(0, data.socle + 1):
-            red = data.slice_reduction(weight)
+            red = jacobian_slice_reduction(data.phi, data.weights, weight)
             dim, rank = sympy_slice_rank(text, weights, weight)
             assert len(red.basis) == dim
             assert red.rank == rank
@@ -91,7 +92,7 @@ def test_criterion_01_milnor_data(quadric, cubic, brieskorn):
         assert product == data.mu * w[0] * w[1] * w[2]
     # non-isolated input is rejected
     with pytest.raises(NotIsolatedError):
-        check_isolated(parse_poly("x*y*z"), WeightSystem((1, 1, 1)))
+        milnor_basis(parse_poly("x*y*z"), WeightSystem((1, 1, 1)))
     print("criterion 01 PASS: Milnor data exact (mu = 1, 8, 8; oracle ranks)")
 
 

@@ -476,6 +476,22 @@ def test_verify_arity_cap_flag(capsys):
     assert not any("order4" in name for name in names)
 
 
+def test_verify_arity_cap_2_skips_the_ternary_check(capsys):
+    """The closed-form ternary bracket needs arity 3, so it runs only when
+    the cap admits it, like the order-3/4 sweeps."""
+    code, report, error = run_json(
+        capsys, "verify", "--phi", "x^2+y^3+z^5", "--arity-cap", "2")
+    assert code == 0, error
+    names = [c["name"] for s in report["suites"] for c in s["checks"]]
+    assert "ternary_bracket_closed_form_on_potential_volume" not in names
+    code, report, _ = run_json(
+        capsys, "verify", "transfer", "--phi", "x^2+y^3+z^5",
+        "--arity-cap", "3")
+    assert code == 0
+    names = [c["name"] for s in report["suites"] for c in s["checks"]]
+    assert "ternary_bracket_closed_form_on_potential_volume" in names
+
+
 @pytest.mark.parametrize("suites", [[], ["gauge"]])
 def test_verify_gauge_order_above_arity_cap_fails_fast(capsys, suites):
     """On a balanced potential the class-level gauge action needs ell_k up
@@ -514,6 +530,28 @@ def test_negative_weight_cap_exit_1(capsys, command):
     assert code == 1
     assert report is None
     assert error["error"]["type"] == "CLIUsageError"
+
+
+def test_weight_cap_at_the_bound_is_accepted(capsys):
+    """The bound is deform.MAX_PHI_POWER * d: 16 * 2 on the quadric."""
+    code, report, _ = run_json(
+        capsys, "analyze", "--phi", "x^2 + y^2 + z^2", "--weight-cap", "32")
+    assert code == 0
+    assert report["basis_weight_cap"] == 32
+    assert report["cohomology_basis"]["-1"][-1] == "Cas(16)"
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+@pytest.mark.parametrize("cap", ["33", "12345678901234567890123"])
+def test_weight_cap_above_the_bound_exit_1(capsys, command, cap):
+    start = time.perf_counter()
+    code, report, error = run_json(
+        capsys, command, "--phi", "x^2 + y^2 + z^2", "--weight-cap", cap)
+    assert time.perf_counter() - start < 2.0
+    assert code == 1
+    assert report is None
+    assert error["error"]["type"] == "CLIUsageError"
+    assert "between 0 and 32" in error["error"]["message"]
 
 
 def test_cohomology_errors_are_domain_errors(capsys, monkeypatch):

@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poisdef import (
     ArityCapExceededError,
@@ -21,7 +23,6 @@ from poisdef import (
     f2_table,
     jacobiator,
     koszul_chi,
-    koszul_sign,
     parse_label,
     poisson_from_potential,
     project,
@@ -33,19 +34,15 @@ from poisdef.suites import SuiteConfig, all_basis_labels, run_suite
 
 
 def test_koszul_sign_identity():
-    assert koszul_sign((1, 2, 3), (1, 1, 1)) == 1
     assert koszul_chi((1, 2, 3), (1, 1, 1)) == 1
 
 
 def test_koszul_sign_swap():
     # swapping two odd-degree elements: Koszul sign -1, chi = sign * eps = +1
-    assert koszul_sign((2, 1), (1, 1)) == -1
     assert koszul_chi((2, 1), (1, 1)) == 1
     # swapping two even-degree elements: Koszul sign +1, chi = -1
-    assert koszul_sign((2, 1), (2, 2)) == 1
     assert koszul_chi((2, 1), (2, 2)) == -1
-    # mixed degrees
-    assert koszul_sign((2, 1), (1, 2)) == 1
+    # mixed degrees: Koszul sign +1, chi = -1
     assert koszul_chi((2, 1), (1, 2)) == -1
 
 
@@ -55,6 +52,38 @@ def test_koszul_sign_concrete_values():
     assert koszul_chi((2, 1, 3, 4), degrees) == -1
     # swap elements of degrees -1 and 1: eps = (-1)^(-1*1) = -1, chi = +1
     assert koszul_chi((1, 2, 4, 3), degrees) == 1
+
+
+_perms_with_degrees = st.integers(0, 6).flatmap(lambda n: st.tuples(
+    st.permutations(range(1, n + 1)),
+    st.lists(st.integers(-1, 2), min_size=n, max_size=n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_perms_with_degrees)
+def test_koszul_chi_is_permutation_sign_times_koszul_sign(case):
+    """Oracle: the permutation sign from the cycle decomposition, and the
+    Koszul sign from sorting the symbols back by adjacent swaps."""
+    perm, degrees = case
+    n = len(perm)
+    seen, cycles = set(), 0
+    for start in range(1, n + 1):
+        if start not in seen:
+            cycles += 1
+            k = start
+            while k not in seen:
+                seen.add(k)
+                k = perm[k - 1]
+    perm_sign = -1 if (n - cycles) % 2 else 1
+    order, koszul = list(perm), 1
+    for end in range(n - 1, 0, -1):
+        for k in range(end):
+            if order[k] > order[k + 1]:
+                if degrees[order[k] - 1] * degrees[order[k + 1] - 1] % 2:
+                    koszul = -koszul
+                order[k], order[k + 1] = order[k + 1], order[k]
+    assert order == list(range(1, n + 1))
+    assert koszul_chi(perm, degrees) == perm_sign * koszul
 
 
 # -- binary homotopy table -----------------------------------------------------------

@@ -19,7 +19,6 @@ from poisdef import (
     parse_poly,
     poisson_from_potential,
     schouten,
-    shuffles,
     wedge,
 )
 from poisdef.multivec import SLOTS
@@ -51,12 +50,6 @@ X, Y, Z = (Poly.variable(i) for i in range(3))
 
 # -- structural basics ---------------------------------------------------------
 
-
-def test_shuffles_enumeration():
-    assert shuffles(1, 1) == [(1, 2), (2, 1)]
-    assert shuffles(2, 1) == [(1, 2, 3), (1, 3, 2), (2, 3, 1)]
-    assert len(shuffles(2, 2)) == 6
-    assert shuffles(0, 2) == [(1, 2)]
 
 
 def test_component_counts():

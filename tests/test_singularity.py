@@ -13,10 +13,8 @@ from poisdef import (
     NotIsolatedError,
     SingularityError,
     WeightSystem,
-    check_isolated,
     milnor_basis,
     monomials_of_weight,
-    normal_form,
     parse_poly,
     poly_str,
 )
@@ -110,7 +108,7 @@ def test_brieskorn_milnor_data(brieskorn):
     ("x^2 + y^2 + z^5", (5, 5, 2), 4),
 ])
 def test_product_formula_and_mu(phi_text, weights, mu):
-    """mu equals the product of (d - w_i)/w_i and check_isolated agrees."""
+    """mu equals the product of (d - w_i)/w_i and milnor_basis agrees."""
     phi = parse_poly(phi_text)
     w = WeightSystem(weights)
     d = w.monomial_weight(next(iter(phi.exponents())))
@@ -118,7 +116,7 @@ def test_product_formula_and_mu(phi_text, weights, mu):
     denominator = weights[0] * weights[1] * weights[2]
     assert product % denominator == 0
     assert product // denominator == mu
-    assert check_isolated(phi, w) == mu
+    assert milnor_basis(phi, w).mu == mu
 
 
 @pytest.mark.parametrize("phi_text,weights", [
@@ -128,7 +126,8 @@ def test_product_formula_and_mu(phi_text, weights, mu):
 def test_slice_ranks_match_independent_oracle(phi_text, weights):
     data = milnor_basis(parse_poly(phi_text), WeightSystem(weights))
     for weight in range(0, data.socle + 1):
-        red = data.slice_reduction(weight)
+        red = singularity.jacobian_slice_reduction(data.phi, data.weights,
+                                                   weight)
         dim, rank = sympy_slice_rank(phi_text, weights, weight)
         assert len(red.basis) == dim
         assert red.rank == rank
@@ -172,31 +171,31 @@ def test_basis_defect_counts_match_oracle(brieskorn):
 
 def test_not_isolated_xyz():
     with pytest.raises(NotIsolatedError):
-        check_isolated(parse_poly("x*y*z"), WeightSystem((1, 1, 1)))
+        milnor_basis(parse_poly("x*y*z"), WeightSystem((1, 1, 1)))
 
 
 def test_not_isolated_square():
     with pytest.raises(NotIsolatedError):
-        check_isolated(parse_poly("x^2 + y^2"), WeightSystem((1, 1, 1)))
+        milnor_basis(parse_poly("x^2 + y^2"), WeightSystem((1, 1, 1)))
 
 
 def test_regular_point_rejected():
     with pytest.raises(SingularityError):
-        check_isolated(parse_poly("x + y + z"), WeightSystem((1, 1, 1)))
+        milnor_basis(parse_poly("x + y + z"), WeightSystem((1, 1, 1)))
 
 
 def test_milnor_budget_checked_before_elimination(monkeypatch, slice_builds):
     """The product formula is compared with MAX_MILNOR before any slice
     is eliminated; a value at the budget is still analysed."""
     with pytest.raises(SingularityError, match="budget"):
-        check_isolated(parse_poly("x^40 + y^40 + z^40"),
-                       WeightSystem((1, 1, 1)))
+        milnor_basis(parse_poly("x^40 + y^40 + z^40"),
+                     WeightSystem((1, 1, 1)))
     assert not slice_builds
     monkeypatch.setattr(singularity, "MAX_MILNOR", 8)
-    assert check_isolated(parse_poly("x^3 + y^3 + z^3"),
-                          WeightSystem((1, 1, 1))) == 8
+    assert milnor_basis(parse_poly("x^3 + y^3 + z^3"),
+                        WeightSystem((1, 1, 1))).mu == 8
     with pytest.raises(SingularityError, match="budget"):
-        check_isolated(parse_poly("x^2 + y^3 + z^7"), WeightSystem((21, 14, 6)))
+        milnor_basis(parse_poly("x^2 + y^3 + z^7"), WeightSystem((21, 14, 6)))
 
 
 def test_slice_budget_checked_before_elimination(monkeypatch, capsys,
@@ -214,10 +213,10 @@ def test_slice_budget_checked_before_elimination(monkeypatch, capsys,
     assert not slice_builds
     cubic = (parse_poly("x^3 + y^3 + z^3"), WeightSystem((1, 1, 1)))
     monkeypatch.setattr(singularity, "MAX_SLICE_MONOMIALS", 84)  # 1+3+...+28
-    assert check_isolated(*cubic) == 8
+    assert milnor_basis(*cubic).mu == 8
     monkeypatch.setattr(singularity, "MAX_SLICE_MONOMIALS", 83)
     with pytest.raises(SingularityError, match="monomials"):
-        check_isolated(*cubic)
+        milnor_basis(*cubic)
 
 
 def test_monomial_slice_enumeration():
@@ -232,37 +231,3 @@ def test_monomial_slice_enumeration():
         for weight in (0, 5, 13):
             assert monomials_of_weight(WeightSystem(skewed), weight) == sorted(
                 brute_force_monomials(skewed, weight), key=monomial_key)
-
-
-# -- normal forms ----------------------------------------------------------------
-
-
-def test_normal_form_kills_jacobian_multiples(brieskorn):
-    phi = brieskorn.phi
-    for i, v in enumerate(["x", "y", "z"]):
-        product = phi.diff(i) * parse_poly(v)
-        assert normal_form(product, brieskorn).is_zero()
-
-
-def test_normal_form_fixes_basis_elements(cubic):
-    for p in cubic.basis_polys:
-        assert normal_form(p, cubic) == p
-
-
-def test_normal_form_mixed_input(cubic):
-    # x^3 = (x/3) * dphi/dx lies in the Jacobian ideal; x*y is a basis element
-    reduced = normal_form(parse_poly("x^3 + x*y"), cubic)
-    assert reduced == parse_poly("x*y")
-
-
-def test_normal_form_above_the_isolation_window(slice_builds):
-    """Slices above socle + max(d, |w|) are eliminated on demand, once."""
-    data = milnor_basis(parse_poly("x^3 + y^3 + z^3"), WeightSystem((1, 1, 1)))
-    assert data.socle + max(data.d, data.weights.total) == 6
-    slice_builds.clear()
-    assert normal_form(parse_poly("x^7 + x*y"), data) == parse_poly("x*y")
-    # a Jacobian multiple of weight 8, above the window, reduces to zero
-    multiple = parse_poly("x^5*y - 3*z^6 + 1/2*x*y*z^4") * data.phi.diff(2)
-    assert normal_form(multiple, data).is_zero()
-    assert normal_form(parse_poly("x^7"), data).is_zero()
-    assert slice_builds == Counter({7: 1, 8: 1})

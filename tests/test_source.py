@@ -61,7 +61,8 @@ def _called_names(node) -> list[str]:
 
 def test_transfer_stage_reads_one_decomposition():
     """A transfer stage reads ell_n and f_n off one decompose(T_n), and
-    every signed shuffle sum of linfty takes its blocks from _unshuffles."""
+    every signed shuffle sum of linfty takes its blocks from _unshuffles,
+    the one function that enumerates them."""
     from poisdef import linfty
 
     stage = ast.parse(textwrap.dedent(
@@ -72,5 +73,5 @@ def test_transfer_stage_reads_one_decomposition():
     tree = ast.parse(inspect.getsource(linfty))
     walkers = {node.name for node in ast.walk(tree)
                if isinstance(node, ast.FunctionDef)
-               and "shuffles" in _called_names(node)}
+               and "combinations" in _called_names(node)}
     assert walkers == {"_unshuffles"}, walkers

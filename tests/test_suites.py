@@ -92,7 +92,7 @@ def test_random_fraction_determinism():
 def test_random_polynomial_bounds():
     rng = random.Random(7)
     for _ in range(10):
-        p = random_polynomial(rng, max_exponent=2, max_terms=3)
+        p = random_polynomial(rng, max_terms=3)
         for exps in p.exponents():
             assert all(0 <= e <= 2 for e in exps)
 
