@@ -18,13 +18,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Optional, Sequence
 
 from .algebra import (
+    MAX_COEFFICIENT_BITS,
     PolyParseError,
     WeightInferenceError,
     WeightSystem,
+    bounded_int,
     infer_weights,
     parse_poly,
     poly_str,
@@ -74,6 +77,19 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 # -- shared pieces -------------------------------------------------------------
 
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+
+
+def _int_arg(text: str) -> int:
+    """The value of an integer flag: an optional sign, then ASCII digits,
+    at most MAX_COEFFICIENT_BITS bits."""
+    value = bounded_int(text) if _INT_RE.fullmatch(text) else None
+    if value is None:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of ASCII digits 0-9 with an optional sign "
+            f"and at most {MAX_COEFFICIENT_BITS} bits, got {text!r}")
+    return value
+
 
 def _parse_weights(text: str) -> WeightSystem:
     parts = text.split(",")
@@ -82,8 +98,8 @@ def _parse_weights(text: str) -> WeightSystem:
             f"--weights expects three comma-separated integers, got {text!r}"
         )
     try:
-        values = tuple(int(part.strip()) for part in parts)
-    except ValueError:
+        values = tuple(_int_arg(part.strip()) for part in parts)
+    except argparse.ArgumentTypeError:
         raise CLIUsageError(
             f"--weights expects integers, got {text!r}"
         ) from None
@@ -270,25 +286,27 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--weights", default=None, metavar="a,b,c",
                        help="variable weights (inferred when omitted)")
         if order:
-            p.add_argument("--order", type=int, default=3, metavar="m",
+            p.add_argument("--order", type=_int_arg, default=3, metavar="m",
                            help="truncation order in the formal parameter")
         if caps:
-            p.add_argument("--weight-cap", type=int, default=None,
+            p.add_argument("--weight-cap", type=_int_arg, default=None,
                            metavar="W", help="label weight cap for sweeps")
-            p.add_argument("--arity-cap", type=int, default=4, metavar="K",
+            p.add_argument("--arity-cap", type=_int_arg, default=4,
+                           metavar="K",
                            help="largest bracket arity that may be used")
         if family:
             p.add_argument("--family", default=None, metavar="PATH",
                            help="JSON coefficient family (default: empty)")
         if seed:
-            p.add_argument("--seed", type=int, default=0, metavar="N",
+            p.add_argument("--seed", type=_int_arg, default=0, metavar="N",
                            help="seed for the sampled checks")
         p.add_argument("--report", default=None, metavar="PATH",
                        help="write the JSON report here instead of stdout")
 
     p_analyze = sub.add_parser(
         "analyze", help="classify the potential and list cohomology bases")
-    p_analyze.add_argument("--weight-cap", type=int, default=None, metavar="W",
+    p_analyze.add_argument("--weight-cap", type=_int_arg, default=None,
+                           metavar="W",
                            help="label weight cap for the basis listing")
     add_common(p_analyze)
     p_analyze.set_defaults(func=cmd_analyze)

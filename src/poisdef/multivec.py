@@ -26,8 +26,10 @@ Sign conventions used throughout the package:
       - (-1)^((p-1)(q-1)) * (same with P and Q swapped),
 
   which gives [P, F] = P[F] for a function F and graded antisymmetry
-  [P, Q] = -(-1)^((p-1)(q-1)) [Q, P].  The tests implement this sum as
-  the oracle for :func:`schouten`.
+  [P, Q] = -(-1)^((p-1)(q-1)) [Q, P].  The package never evaluates a
+  multivector on functions: the test oracle ``tests/shuffle_oracle.py``
+  implements this evaluation and this sum and checks :func:`schouten`
+  against them.
 * for a bivector B, the Jacobi identity for the bracket {F, G} = B[F, G]
   holds if and only if [B, B] = 0.
 
@@ -58,7 +60,7 @@ weights the slot differentiates by.  Every exact elimination in the package
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Optional, Sequence
+from typing import Hashable, Optional
 
 from .algebra import (
     Exponents,
@@ -153,44 +155,6 @@ class MultiVec:
 
     def mul_poly(self, p: Poly) -> "MultiVec":
         return MultiVec(self.degree, tuple(c * p for c in self.comps))
-
-    # -- evaluation ---------------------------------------------------------
-
-    def evaluate(self, args: Sequence[Poly]) -> Poly:
-        """Apply the k-derivation to k polynomials."""
-        if len(args) != self.degree:
-            raise ValueError(
-                f"degree {self.degree} multivector takes {self.degree} "
-                f"arguments, got {len(args)}"
-            )
-        if self.degree == 0:
-            return self.comps[0]
-        if self.degree == 1:
-            f = args[0]
-            return sum(
-                (c * f.diff(i) for c, (i,) in zip(self.comps, SLOTS[1]) if c),
-                Poly.zero(),
-            )
-        if self.degree == 2:
-            f, g = args
-            total = Poly.zero()
-            for c, (a, b) in zip(self.comps, SLOTS[2]):
-                if c:
-                    total = total + c * (f.diff(a) * g.diff(b)
-                                         - f.diff(b) * g.diff(a))
-            return total
-        if self.degree == 3:
-            c = self.comps[0]
-            if not c:
-                return Poly.zero()
-            rows = [[arg.diff(i) for arg in args] for i in range(3)]
-            det = (
-                rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-                - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-                + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
-            )
-            return c * det
-        return Poly.zero()
 
     def __str__(self) -> str:
         return multivec_str(self)
@@ -451,70 +415,3 @@ class WeightSlice:
     def solve(self, mv: MultiVec) -> Optional[dict]:
         """Coefficients of tagged multivectors summing to mv, or None."""
         return self.eliminator.solve(self.vector(mv))
-
-
-# -- import-time convention check ---------------------------------------------
-
-
-def _convention_self_test() -> None:
-    """Cheap exact checks pinning down the sign conventions above."""
-
-    def check(ok: bool, what: str) -> None:
-        if not ok:
-            raise RuntimeError(f"multivector sign convention violated: {what}")
-
-    x, y, z = VARIABLE_POLYS
-    phi = x * x + y * y + z * z
-    pi = poisson_from_potential(phi)
-    # {x, y} = dphi/dz for the exact bivector of phi.
-    check(pi.evaluate([x, y]) == 2 * z, "{x, y} = dphi/dz")
-    check(coordinate_volume().evaluate([x, y, z]) == Poly.one(),
-          "D[x, y, z] = 1")
-    # [P, F] = P[F] for functions; [F, V] = -V[F].
-    v = MultiVec.vector(y, Poly.zero(), x * x)
-    f = MultiVec.function(x * y)
-    v_of_f = MultiVec.function(v.evaluate([x * y]))
-    check(schouten(v, f) == v_of_f, "[V, F] = V[F]")
-    check(schouten(f, v) == -v_of_f, "[F, V] = -V[F]")
-    # each closed form against the shuffle sum on sample functions, through
-    # evaluation alone: [V, W] is the commutator, [B, F] = B[F, .] and
-    # [T, F] = T[F, ., .], and V acts on B and T as a Lie derivative.
-    w = MultiVec.vector(z, x * y, Poly.one())
-    b = MultiVec.bivector(x * z, y, x + y * y)
-    t = MultiVec.trivector(y * z + x)
-    g, h = y + z * z, x * z
-    check(schouten(v, w).evaluate([g])
-          == v.evaluate([w.evaluate([g])]) - w.evaluate([v.evaluate([g])]),
-          "[V, W] = VW - WV")
-    check(schouten(b, MultiVec.function(g)).evaluate([h])
-          == b.evaluate([g, h]), "[B, F][G] = B[F, G]")
-    check(schouten(t, MultiVec.function(g)).evaluate([h, x])
-          == t.evaluate([g, h, x]), "[T, F][G, H] = T[F, G, H]")
-    # w has nonzero divergence, so the div V terms are pinned too
-    wg, wh = w.evaluate([g]), w.evaluate([h])
-    check(schouten(w, b).evaluate([g, h])
-          == w.evaluate([b.evaluate([g, h])])
-          - b.evaluate([wg, h]) - b.evaluate([g, wh]),
-          "[V, B] = L_V B")
-    check(schouten(w, t).evaluate([g, h, x])
-          == w.evaluate([t.evaluate([g, h, x])]) - t.evaluate([wg, h, x])
-          - t.evaluate([g, wh, x]) - t.evaluate([g, h, w.evaluate([x])]),
-          "[V, T] = L_V T")
-    check(schouten(pi, b).evaluate([g, h, x])
-          == sum((a.evaluate([c.evaluate([g, h]), x])
-                  - a.evaluate([c.evaluate([g, x]), h])
-                  + a.evaluate([c.evaluate([h, x]), g])
-                  for a, c in ((pi, b), (b, pi))), Poly.zero()),
-          "[A, B] shuffle sum")
-    # graded antisymmetry [P, Q] = -(-1)^((p-1)(q-1)) [Q, P] on samples.
-    samples = [f, v, pi, MultiVec.trivector(x + z)]
-    for a in samples:
-        for b in samples:
-            sign = -1 if ((a.degree - 1) * (b.degree - 1)) % 2 else 1
-            check(schouten(a, b) == schouten(b, a) * (-sign),
-                  f"graded antisymmetry in degrees {a.degree}, {b.degree}")
-    # the exact bivector of a potential is Poisson: [pi, pi] = 0.
-    check(schouten(pi, pi).is_zero(), "[pi, pi] = 0")
-
-
-_convention_self_test()

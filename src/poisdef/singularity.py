@@ -83,7 +83,7 @@ class SingularityData:
     basis: tuple[Exponents, ...]
     socle: int
     _coboundary_slices: dict[tuple[int, int], WeightSlice] = field(
-        default_factory=dict, repr=False)
+        default_factory=dict, repr=False, compare=False)
 
     @property
     def special(self) -> bool:

@@ -103,6 +103,12 @@ PHI_POWER_CAP = 2
 # Largest exponent of a variable in a random polynomial.
 MAX_EXPONENT = 2
 
+# Random coefficient families in the deform suite, random gauges in the
+# gauge suite, and seeded samples per spot-check sweep.
+N_FAMILIES = 20
+N_GAUGES = 10
+N_SAMPLES = 10
+
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -117,9 +123,6 @@ class SuiteConfig:
     weight_cap: Optional[int] = None
     arity_cap: int = 4
     seed: int = 0
-    n_families: int = 20
-    n_gauges: int = 10
-    n_samples: int = 10
 
     def pair_cap(self, data: SingularityData) -> int:
         return 2 * data.d if self.weight_cap is None else self.weight_cap
@@ -156,13 +159,13 @@ def random_multivector(rng: random.Random, degree: int, *,
     return MultiVec(degree, comps)
 
 
-def random_family(rng: random.Random, data: SingularityData, *, order: int,
-                  phi_power_cap: int = PHI_POWER_CAP) -> CoeffFamily:
+def random_family(rng: random.Random, data: SingularityData, *,
+                  order: int) -> CoeffFamily:
     """Random coefficient family supported on the degree-1 basis.
 
     Every generated index is valid for ``data``: Hamiltonian-type
     coefficients use Milnor indices from the admissible range and powers
-    of the potential up to ``phi_power_cap``; exact-bivector coefficients
+    of the potential up to ``PHI_POWER_CAP``; exact-bivector coefficients
     use Milnor indices 1..mu-1.
     """
     c: dict[tuple[int, int, int], Fraction] = {}
@@ -173,7 +176,7 @@ def random_family(rng: random.Random, data: SingularityData, *, order: int,
         for _ in range(rng.randint(1, 3)):
             use_a = a_indices and (not b_indices or rng.random() < 0.6)
             if use_a:
-                key = (n, rng.randint(0, phi_power_cap), rng.choice(a_indices))
+                key = (n, rng.randint(0, PHI_POWER_CAP), rng.choice(a_indices))
                 c[key] = c.get(key, Fraction(0)) + random_fraction(rng)
             elif b_indices:
                 key_b = (n, rng.choice(b_indices))
@@ -250,9 +253,9 @@ _PAIR_DEGREES = ((1, 1), (1, 2), (2, 2), (0, 2), (1, 3))
 _TRIPLE_DEGREES = ((1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2), (0, 1, 2))
 
 
-def _samples(shapes: Sequence, n_samples: int) -> list:
-    """Each shape repeated ``n_samples // len(shapes)`` times (at least once)."""
-    per_shape = max(1, n_samples // len(shapes))
+def _samples(shapes: Sequence) -> list:
+    """Each shape repeated ``N_SAMPLES // len(shapes)`` times (at least once)."""
+    per_shape = max(1, N_SAMPLES // len(shapes))
     return [shape for shape in shapes for _ in range(per_shape)]
 
 
@@ -308,7 +311,7 @@ def run_schouten_suite(data: SingularityData, config: SuiteConfig,
         return (schouten(p, q) + schouten(q, p) * sign).is_zero()
 
     _sweep(checks, "graded_antisymmetry_samples",
-           _samples(_PAIR_DEGREES, config.n_samples), antisymmetric)
+           _samples(_PAIR_DEGREES), antisymmetric)
 
     # Seeded graded Leibniz: [[P,Q],R] = [P,[Q,R]] - (-1)^((p-1)(q-1)) [Q,[P,R]].
     def leibniz(degrees) -> bool:
@@ -319,11 +322,11 @@ def run_schouten_suite(data: SingularityData, config: SuiteConfig,
                 + schouten(q, schouten(p, r)) * sign).is_zero()
 
     _sweep(checks, "graded_leibniz_samples",
-           _samples(_TRIPLE_DEGREES, config.n_samples), leibniz)
+           _samples(_TRIPLE_DEGREES), leibniz)
 
     # Seeded d^2 = 0 on random multivectors of degree 0 and 1.
     _sweep(checks, "coboundary_squares_to_zero_samples",
-           _samples((0, 1), config.n_samples),
+           _samples((0, 1)),
            lambda degree: coboundary(coboundary(
                random_multivector(rng, degree), phi), phi).is_zero())
 
@@ -387,7 +390,7 @@ def run_transfer_suite(data: SingularityData, config: SuiteConfig,
 
     def sampled_tuples(n: int) -> list[tuple[BasisLabel, ...]]:
         return [tuple(rng.choice(labels) for _ in range(n))
-                for _ in range(max(2, config.n_samples // (2 ** (n - 3))))]
+                for _ in range(max(2, N_SAMPLES // (2 ** (n - 3))))]
 
     for n in arities:
         tuples = sampled_tuples(n)
@@ -445,9 +448,7 @@ def run_deform_suite(data: SingularityData, config: SuiteConfig,
     rng = random.Random(config.seed)
     m = config.order
 
-    families = [
-        random_family(rng, data, order=m) for _ in range(config.n_families)
-    ]
+    families = [random_family(rng, data, order=m) for _ in range(N_FAMILIES)]
     verdicts = [_family_verdicts(data, state, fam, m) for fam in families]
     indices = range(len(families))
     for j, name in enumerate(("random_families_are_poisson_to_order",
@@ -498,7 +499,7 @@ def run_gauge_suite(data: SingularityData, config: SuiteConfig,
         return (jacobi_residual(gauged).is_zero(),
                 first_order_class(gauged, data) == base_class)
 
-    verdicts = [gauge_verdicts() for _ in range(config.n_gauges)]
+    verdicts = [gauge_verdicts() for _ in range(N_GAUGES)]
     indices = range(len(verdicts))
     _sweep(checks, "gauged_series_stay_poisson", indices,
            lambda idx: verdicts[idx][0])
@@ -524,7 +525,7 @@ def run_gauge_suite(data: SingularityData, config: SuiteConfig,
                     gauged_gamma.coefficient(1) == gamma.coefficient(1))
 
         verdicts = [class_gauge_verdicts()
-                    for _ in range(max(2, config.n_gauges // 2))]
+                    for _ in range(max(2, N_GAUGES // 2))]
         indices = range(len(verdicts))
         _sweep(checks, "class_level_gauge_preserves_maurer_cartan", indices,
                lambda idx: verdicts[idx][0])

@@ -57,8 +57,7 @@ def _passed(report: dict, name: str) -> dict:
 def seeded_families(brieskorn):
     """Twenty seeded random families on x^2+y^3+z^5 with phi-power <= 2."""
     rng = random.Random(0)
-    families = [random_family(rng, brieskorn, order=3, phi_power_cap=2)
-                for _ in range(20)]
+    families = [random_family(rng, brieskorn, order=3) for _ in range(20)]
     series = [build_deformation(brieskorn, fam, 3) for fam in families]
     return list(zip(families, series))
 
@@ -129,7 +128,7 @@ def test_criterion_03_cocycle_bases(quadric, cubic, brieskorn):
 
 
 def test_criterion_04_bracket_identities(cubic, brieskorn):
-    config = SuiteConfig(order=2, seed=0, n_samples=2)
+    config = SuiteConfig(order=2, seed=0)
     for data in (cubic, brieskorn):
         report = run_schouten_suite(data, config)
         gens = 3 * data.mu  # phi powers 0..2 times u_0..u_(mu-1)
@@ -150,7 +149,7 @@ def test_criterion_04_bracket_identities(cubic, brieskorn):
 
 def test_criterion_05_order2_equation(brieskorn, brieskorn_state,
                                        cubic, cubic_state):
-    config = SuiteConfig(order=2, seed=0, n_samples=2)
+    config = SuiteConfig(order=2, seed=0)
     for data, state in ((brieskorn, brieskorn_state), (cubic, cubic_state)):
         report = run_tables_suite(data, config, state)
         assert report["status"] == "pass"
@@ -164,7 +163,7 @@ def test_criterion_05_order2_equation(brieskorn, brieskorn_state,
 
 
 def test_criterion_06_transfer_obstructions(brieskorn, brieskorn_state):
-    config = SuiteConfig(order=3, seed=0, n_samples=10)
+    config = SuiteConfig(order=3, seed=0)
     report = run_transfer_suite(brieskorn, config, brieskorn_state)
     assert report["status"] == "pass"
     check = _passed(report, "order3_obstruction_vanishes_on_degree1_triples")

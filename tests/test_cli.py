@@ -353,6 +353,30 @@ def test_verify_bad_flag_value_exit_1(capsys, flags, message):
     assert message in error["message"]
 
 
+# each value but the last is one int() reads as a valid value of its flag
+@pytest.mark.parametrize("flag, value", [
+    ("--weights", "\u0661,\u0661,\u0661"), ("--weights", "0_1,1,1"),
+    ("--order", "\u0662"), ("--order", "0_2"),
+    ("--weight-cap", "\u0662"), ("--weight-cap", "0_2"),
+    ("--arity-cap", "\u0663"), ("--arity-cap", "0_3"),
+    ("--seed", "\u0661"), ("--seed", "1_000"),
+    pytest.param("--seed", str(2 ** 1025), id="--seed-2^1025"),
+])
+def test_integer_flag_refuses_other_literals(capsys, flag, value):
+    code, out, err = run_cli(
+        capsys, "verify", "schouten", "--phi", "x^2 + y^2 + z^2", flag, value)
+    assert code == 1 and not out
+    assert json.loads(err)["error"]["type"] == "CLIUsageError"
+
+
+def test_integer_flag_takes_a_sign(capsys):
+    code, report, _ = run_json(
+        capsys, "verify", "schouten", "--phi", "x^2 + y^2 + z^2",
+        "--order", "+2", "--seed", "-4")
+    assert code == 0
+    assert report["config"]["order"] == 2 and report["config"]["seed"] == -4
+
+
 def test_verify_report_file_byte_identical(tmp_path, capsys):
     args = ["verify", "transfer", "deform", "--phi", "x^2 + y^2 + z^2",
             "--order", "2", "--seed", "12"]
@@ -443,6 +467,18 @@ def test_reference_report_is_byte_identical(capsys, name):
     code, out, _ = run_cli(capsys, *argv[2:])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _REFERENCE_HASHES[name]
+
+
+# SHA-256 of `poisdef verify --phi "x^2+y^2+z^2"` with every default: the
+# references above all pass an explicit --weight-cap.
+_DEFAULT_CAPS_HASH = (
+    "8dd719b0dc5b56080d3aec5062ba49f21f854f6d0e7ceb150d036a0881ecbd8f")
+
+
+def test_default_caps_report_is_byte_identical(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--phi", "x^2+y^2+z^2")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _DEFAULT_CAPS_HASH
 
 
 # SHA-256 of `poisdef deform --order 3` on one family with integral and

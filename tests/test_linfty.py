@@ -313,7 +313,7 @@ def test_transfer_stages_match_second_solve(request, fixture_name):
     and d f_n = T_n + f_1(ell_n)."""
     data = request.getfixturevalue(fixture_name)
     state = TransferState(data=data, arity_cap=4)
-    config = SuiteConfig(order=2, weight_cap=data.d, seed=2, n_samples=4)
+    config = SuiteConfig(order=2, weight_cap=data.d, seed=2)
     assert run_suite("transfer", data, config, state)["status"] == "pass"
     live = 0
     for key in [key for key in state._f_memo if len(key) >= 3]:

@@ -22,7 +22,7 @@ from poisdef import (
     wedge,
 )
 from poisdef.multivec import SLOTS
-from shuffle_oracle import shuffle_sum
+from shuffle_oracle import evaluate, shuffle_sum
 
 rationals = st.fractions(
     min_value=Fraction(-20), max_value=Fraction(20), max_denominator=6
@@ -98,35 +98,26 @@ def test_wedge_basis_volume():
 
 def test_bivector_evaluation_convention():
     b = MultiVec.bivector(Poly.zero(), Poly.zero(), Poly.one())  # dx^dy
-    assert b.evaluate([X, Y]) == Poly.one()
-    assert b.evaluate([Y, X]) == Poly.constant(-1)
-    assert b.evaluate([X * Y, X]) == X * Fraction(-1)
+    assert evaluate(b, [X, Y]) == Poly.one()
+    assert evaluate(b, [Y, X]) == Poly.constant(-1)
+    assert evaluate(b, [X * Y, X]) == X * Fraction(-1)
 
 
 def test_poisson_from_potential_convention():
     # {x,y} = d phi/dz, {y,z} = d phi/dx, {z,x} = d phi/dy
     phi = parse_poly("x^2 + y^3 + z^5")
     pi = poisson_from_potential(phi)
-    assert pi.evaluate([X, Y]) == phi.diff(2)
-    assert pi.evaluate([Y, Z]) == phi.diff(0)
-    assert pi.evaluate([Z, X]) == phi.diff(1)
-
-
-def test_convention_self_test_raises(monkeypatch):
-    # a real exception, so the import-time check survives python -O
-    import poisdef.multivec as multivec
-    monkeypatch.setattr(multivec, "schouten",
-                        lambda a, b: MultiVec.zero(a.degree + b.degree - 1))
-    with pytest.raises(RuntimeError, match="convention"):
-        multivec._convention_self_test()
+    assert evaluate(pi, [X, Y]) == phi.diff(2)
+    assert evaluate(pi, [Y, Z]) == phi.diff(0)
+    assert evaluate(pi, [Z, X]) == phi.diff(1)
 
 
 def test_volume_and_euler_evaluation():
-    assert coordinate_volume().evaluate([X, Y, Z]) == Poly.one()
+    assert evaluate(coordinate_volume(), [X, Y, Z]) == Poly.one()
     e = euler_field(WeightSystem((15, 10, 6)))
-    assert e.evaluate([X]) == X * 15
-    assert e.evaluate([Y]) == Y * 10
-    assert e.evaluate([Z]) == Z * 6
+    assert evaluate(e, [X]) == X * 15
+    assert evaluate(e, [Y]) == Y * 10
+    assert evaluate(e, [Z]) == Z * 6
 
 
 # -- Schouten bracket ----------------------------------------------------------
@@ -145,6 +136,23 @@ def test_schouten_matches_shuffle_sum(dp, dq, data):
     p = data.draw(multivecs_or_zero(dp))
     q = data.draw(multivecs_or_zero(dq))
     assert schouten(p, q) == shuffle_sum(p, q)
+
+
+def test_schouten_matches_shuffle_sum_on_fixed_samples():
+    """Every ordered pair of fixed samples in degrees 0-3; w has nonzero
+    divergence, so the div V terms of [V, B] and [V, T] are pinned."""
+    samples = [
+        MultiVec.function(X * Y),
+        MultiVec.vector(Y, Poly.zero(), X * X),
+        MultiVec.vector(Z, X * Y, Poly.one()),
+        MultiVec.bivector(X * Z, Y, X + Y * Y),
+        MultiVec.trivector(Y * Z + X),
+        poisson_from_potential(X * X + Y * Y + Z * Z),
+        MultiVec.trivector(X + Z),
+    ]
+    for p in samples:
+        for q in samples:
+            assert schouten(p, q) == shuffle_sum(p, q)
 
 
 @given(multivecs(1), polys())

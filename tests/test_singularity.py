@@ -16,7 +16,9 @@ from poisdef import (
     milnor_basis,
     monomials_of_weight,
     parse_poly,
+    poisson_from_potential,
     poly_str,
+    project,
 )
 import poisdef.singularity as singularity
 from poisdef.algebra import monomial_key
@@ -167,6 +169,17 @@ def test_basis_defect_counts_match_oracle(brieskorn):
 
 
 # -- isolation detection ---------------------------------------------------------
+
+
+def test_equality_ignores_the_slice_cache():
+    """Two analyses of one potential stay equal after one warms its cache."""
+    phi = parse_poly("x^2+y^3+z^5")
+    weights = WeightSystem((15, 10, 6))
+    warm, cold = milnor_basis(phi, weights), milnor_basis(phi, weights)
+    assert warm == cold
+    project(poisson_from_potential(phi), warm)
+    assert warm._coboundary_slices and not cold._coboundary_slices
+    assert warm == cold
 
 
 def test_not_isolated_xyz():

@@ -18,7 +18,7 @@ from poisdef.suites import (
     run_suites,
 )
 
-SMALL = SuiteConfig(order=2, seed=5, n_families=3, n_gauges=2, n_samples=4)
+SMALL = SuiteConfig(order=2, seed=5)
 
 
 def test_unknown_suite_rejected(quadric):
@@ -47,22 +47,20 @@ def test_reports_are_deterministic(quadric):
 
 
 def test_seed_changes_samples_not_status(quadric):
-    alt = SuiteConfig(order=2, seed=99, n_families=3, n_gauges=2, n_samples=4)
+    alt = SuiteConfig(order=2, seed=99)
     report = run_suite("deform", quadric, alt)
     assert report["status"] == "pass"
 
 
 def test_suites_pass_on_brieskorn_small_caps(brieskorn, brieskorn_state):
-    config = SuiteConfig(order=2, weight_cap=brieskorn.d, seed=1,
-                         n_families=3, n_gauges=2, n_samples=4)
+    config = SuiteConfig(order=2, weight_cap=brieskorn.d, seed=1)
     for name in SUITE_NAMES:
         report = run_suite(name, brieskorn, config, brieskorn_state)
         assert report["status"] == "pass", report
 
 
 def test_special_gauge_checks_present(cubic, cubic_state):
-    config = SuiteConfig(order=2, weight_cap=cubic.d, seed=2,
-                         n_families=2, n_gauges=2, n_samples=4)
+    config = SuiteConfig(order=2, weight_cap=cubic.d, seed=2)
     report = run_suite("gauge", cubic, config, cubic_state)
     names = [check["name"] for check in report["checks"]]
     assert "class_level_gauge_preserves_maurer_cartan" in names
@@ -73,7 +71,7 @@ def test_ternary_witness_present_for_generic_only(quadric, cubic, cubic_state):
     report = run_suite("transfer", quadric, SMALL)
     names = [check["name"] for check in report["checks"]]
     assert "ternary_bracket_closed_form_on_potential_volume" in names
-    config = SuiteConfig(order=2, weight_cap=cubic.d, seed=2, n_samples=4)
+    config = SuiteConfig(order=2, weight_cap=cubic.d, seed=2)
     report = run_suite("transfer", cubic, config, cubic_state)
     names = [check["name"] for check in report["checks"]]
     assert "ternary_bracket_closed_form_on_potential_volume" not in names
@@ -108,7 +106,7 @@ def test_random_family_validity(brieskorn, cubic):
     rng = random.Random(11)
     for data in (brieskorn, cubic):
         for _ in range(10):
-            fam = random_family(rng, data, order=3, phi_power_cap=2)
+            fam = random_family(rng, data, order=3)
             fam.validate(data)  # must not raise
             for (n, l, _i), _v in fam.c:
                 assert 1 <= n <= 3
