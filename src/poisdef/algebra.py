@@ -1,12 +1,17 @@
 """Exact polynomial algebra in three variables over the rationals.
 
-Polynomials are sparse dictionaries mapping exponent triples (a, b, c) to
-exact rational coefficients, so every computation in the package is exact.
-A stored coefficient is an ``int`` when it is integral and a
-``fractions.Fraction`` with denominator above 1 otherwise, which spares
-integral arithmetic the Fraction overhead without changing any value: an
-``int`` and the equal ``Fraction`` compare, hash and print alike.  The
-module also provides quasi-homogeneous weight systems: a weight system
+A polynomial is a sparse dictionary mapping exponent triples (a, b, c) to
+integer numerators, over one positive integer denominator shared by all of
+its coefficients, so every computation in the package is exact.  The pair
+is normalized once per result, not once per coefficient: the denominator
+shares no factor with all the numerators, and it is 1 for an integral
+polynomial, whose arithmetic is then plain integer arithmetic.  Outside
+the class a coefficient is an exact scalar as :func:`exact_scalar` stores
+it, an ``int`` when it is integral and a ``fractions.Fraction`` with
+denominator above 1 otherwise; an ``int`` and the equal ``Fraction``
+compare, hash and print alike.
+
+The module also provides quasi-homogeneous weight systems: a weight system
 assigns positive integer weights (w1, w2, w3) to (x, y, z) and grades
 monomials by w1*a + w2*b + w3*c.
 """
@@ -47,14 +52,6 @@ def exact_scalar(value: ScalarLike) -> ScalarLike:
     if isinstance(value, int):
         return int(value)
     raise TypeError(f"expected an integer or Fraction, got {type(value).__name__}")
-
-
-def _normalize(terms: dict) -> dict:
-    """``terms`` with every value put back in stored form, in place."""
-    for key, value in terms.items():
-        if type(value) is not int and value.denominator == 1:
-            terms[key] = value.numerator
-    return terms
 
 
 def monomial_key(exponents: Exponents) -> tuple[int, tuple[int, int, int]]:
@@ -100,15 +97,22 @@ def monomials_of_weight(weights: WeightSystem, degree: int) -> list[Exponents]:
 class Poly:
     """Immutable sparse polynomial in x, y, z with exact rational coefficients.
 
-    A stored coefficient is an ``int`` or a ``Fraction`` with denominator
-    above 1, never a float and never an integral ``Fraction``; every
-    constructor and operation keeps this form.
+    The coefficients are stored as integer numerators over one common
+    denominator: ``_nums`` maps each monomial with a nonzero coefficient to
+    its ``int`` numerator and ``_den`` is a positive ``int``.  Every
+    constructor and operation leaves the pair normalized, with
+    ``gcd(_den, *_nums.values()) == 1`` and ``_den == 1`` for the zero
+    polynomial, so equal polynomials have equal stored forms and an integral
+    polynomial is plain integer arithmetic.  :meth:`items` hands each
+    coefficient out as :func:`exact_scalar` stores a scalar, and
+    :meth:`coefficient` as a ``Fraction``.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, terms: Optional[Mapping[Exponents, ScalarLike]] = None):
-        cleaned: dict[Exponents, ScalarLike] = {}
+        values: dict[Exponents, ScalarLike] = {}
+        den = 1
         if terms:
             for exps, coeff in terms.items():
                 value = exact_scalar(coeff)
@@ -116,15 +120,27 @@ class Poly:
                     a, b, c = exps
                     if a < 0 or b < 0 or c < 0:
                         raise ValueError(f"negative exponent in monomial {exps}")
-                    cleaned[(a, b, c)] = value
-        self._terms = cleaned
+                    values[(a, b, c)] = value
+                    if type(value) is not int:
+                        den = math.lcm(den, value.denominator)
+        # over the lcm of the reduced denominators no prime divides every
+        # numerator and the denominator, so the pair is already normalized
+        self._nums = values if den == 1 else {
+            e: v.numerator * (den // v.denominator) for e, v in values.items()}
+        self._den = den
 
     @staticmethod
-    def _wrap(terms: dict[Exponents, ScalarLike]) -> "Poly":
-        """A Poly owning ``terms``, which must hold only nonzero
-        coefficients in stored form."""
+    def _reduced(nums: dict[Exponents, int], den: int) -> "Poly":
+        """A Poly owning ``nums``, nonzero ints over ``den`` > 0, with their
+        common factor divided out (all of ``den`` when ``nums`` is empty)."""
+        if den != 1:
+            g = math.gcd(den, *nums.values())
+            if g != 1:
+                nums = {e: n // g for e, n in nums.items()}
+                den //= g
         result = Poly.__new__(Poly)
-        result._terms = terms
+        result._nums = nums
+        result._den = den
         return result
 
     # -- constructors ------------------------------------------------------
@@ -154,49 +170,61 @@ class Poly:
     # -- inspection --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     def coefficient(self, exponents: Exponents) -> Fraction:
-        return Fraction(self._terms.get(tuple(exponents), 0))
+        return Fraction(self._nums.get(tuple(exponents), 0), self._den)
 
     def exponents(self) -> list[Exponents]:
         """Exponent triples in canonical (degree, revlex) order."""
-        return sorted(self._terms, key=monomial_key)
+        return sorted(self._nums, key=monomial_key)
 
     def items(self) -> list[tuple[Exponents, ScalarLike]]:
-        """(exponents, coefficient) pairs in canonical order."""
-        return [(e, self._terms[e]) for e in self.exponents()]
+        """(exponents, coefficient) pairs in canonical order, each
+        coefficient an ``int`` or a ``Fraction`` with denominator above 1."""
+        nums, den = self._nums, self._den
+        if den == 1:
+            return [(e, nums[e]) for e in self.exponents()]
+        return [(e, exact_scalar(Fraction(nums[e], den)))
+                for e in self.exponents()]
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._nums)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._nums)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        if not self._terms:
+        if not self._nums:
             return other
-        if not other._terms:
+        if not other._nums:
             return self
-        terms = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            acc = terms.get(exps)
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            den, nums, addend = d1, dict(self._nums), other._nums
+        else:
+            den = math.lcm(d1, d2)
+            s1, s2 = den // d1, den // d2
+            nums = {e: n * s1 for e, n in self._nums.items()}
+            addend = {e: n * s2 for e, n in other._nums.items()}
+        for exps, n in addend.items():
+            acc = nums.get(exps)
             if acc is None:
-                terms[exps] = coeff
+                nums[exps] = n
             else:
-                acc = acc + coeff
+                acc += n
                 if acc:
-                    terms[exps] = exact_scalar(acc)
+                    nums[exps] = acc
                 else:
-                    del terms[exps]
-        return Poly._wrap(terms)
+                    del nums[exps]
+        return Poly._reduced(nums, den)
 
     def __neg__(self) -> "Poly":
-        return Poly._wrap({e: -c for e, c in self._terms.items()})
+        return Poly._reduced({e: -n for e, n in self._nums.items()}, self._den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
@@ -205,29 +233,27 @@ class Poly:
 
     def __mul__(self, other: Union["Poly", ScalarLike]) -> "Poly":
         if isinstance(other, Poly):
-            if not self._terms or not other._terms:
-                return Poly.zero()
-            terms: dict[Exponents, ScalarLike] = {}
-            for (a1, b1, c1), f1 in self._terms.items():
-                for (a2, b2, c2), f2 in other._terms.items():
+            nums: dict[Exponents, int] = {}
+            right = other._nums.items()
+            for (a1, b1, c1), n1 in self._nums.items():
+                for (a2, b2, c2), n2 in right:
                     exps = (a1 + a2, b1 + b2, c1 + c2)
-                    acc = terms.get(exps)
-                    prod = f1 * f2
+                    acc = nums.get(exps)
                     if acc is None:
-                        terms[exps] = prod
+                        nums[exps] = n1 * n2
                     else:
-                        acc = acc + prod
+                        acc += n1 * n2
                         if acc:
-                            terms[exps] = acc
+                            nums[exps] = acc
                         else:
-                            del terms[exps]
-            return Poly._wrap(_normalize(terms))
+                            del nums[exps]
+            return Poly._reduced(nums, self._den * other._den)
         if isinstance(other, (int, Fraction)):
-            scale = exact_scalar(other)
-            if not scale:
+            if not other:
                 return Poly.zero()
-            return Poly._wrap(_normalize(
-                {e: c * scale for e, c in self._terms.items()}))
+            p = other.numerator
+            return Poly._reduced({e: n * p for e, n in self._nums.items()},
+                                 self._den * other.denominator)
         return NotImplemented
 
     def __rmul__(self, other: ScalarLike) -> "Poly":
@@ -248,24 +274,24 @@ class Poly:
 
     def diff(self, index: int) -> "Poly":
         """Partial derivative with respect to x (0), y (1) or z (2)."""
-        terms: dict[Exponents, ScalarLike] = {}
-        for exps, coeff in self._terms.items():
+        nums: dict[Exponents, int] = {}
+        for exps, n in self._nums.items():
             e = exps[index]
             if e:
                 lowered = list(exps)
                 lowered[index] = e - 1
-                terms[tuple(lowered)] = coeff * e
-        return Poly._wrap(_normalize(terms))
+                nums[tuple(lowered)] = n * e
+        return Poly._reduced(nums, self._den)
 
     # -- comparisons -------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._nums.items())))
 
     def __str__(self) -> str:
         return poly_str(self)

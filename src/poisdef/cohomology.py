@@ -78,7 +78,7 @@ _KIND_RANK = {kind: i for i, kind in enumerate(KINDS)}
 _KIND_DEGREE = {"Cas": -1, "Eul": 0, "A": 1, "B": 1, "Top": 2}
 _KIND_ARITY = {"Cas": 1, "Eul": 1, "A": 2, "B": 1, "Top": 2}
 
-_LABEL_RE = re.compile(r"^\s*(Cas|Eul|A|B|Top)\s*\(\s*(\d+)\s*(?:,\s*(\d+)\s*)?\)\s*$")
+_LABEL_RE = re.compile(r"^\s*(Cas|Eul|A|B|Top)\s*\(\s*([0-9]+)\s*(?:,\s*([0-9]+)\s*)?\)\s*$")
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,8 @@ class BasisLabel:
 
 
 def parse_label(text: str) -> BasisLabel:
-    """Parse 'Cas(i)', 'Eul(i)', 'A(i,q)', 'B(r)' or 'Top(i,s)'."""
+    """Parse 'Cas(i)', 'Eul(i)', 'A(i,q)', 'B(r)' or 'Top(i,s)', indices in
+    ASCII digits 0-9."""
     match = _LABEL_RE.match(text)
     if not match:
         raise ValueError(f"cannot parse basis label {text!r}")

@@ -1,8 +1,10 @@
 """Exact sparse linear algebra over the rationals.
 
 Vectors are dictionaries mapping an index to a nonzero exact rational,
-stored as :mod:`poisdef.algebra` stores a polynomial coefficient: an
-``int`` when it is integral, else a ``Fraction`` with denominator above 1.
+each entry stored on its own as :func:`poisdef.algebra.exact_scalar`
+stores a scalar: an ``int`` when it is integral, else a ``Fraction`` with
+denominator above 1.  These are the coefficients ``Poly.items()`` hands
+out; unlike a polynomial, a vector keeps no common denominator.
 One incremental eliminator serves every weight slice in the package, each
 a :class:`poisdef.multivec.WeightSlice`.  It does two things: it adds a
 vector to the span, and it solves for a target as a combination of the

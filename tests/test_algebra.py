@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -106,9 +107,9 @@ def _ref_diff(p, index):
 @given(mixed_terms, mixed_terms, mixed_scalars, st.integers(0, 3),
        st.integers(0, 2))
 def test_integral_coefficients_are_stored_as_int(t1, t2, s, n, index):
-    """Every result stores an integral coefficient as an int and any other
-    as a non-integral Fraction, and agrees in ==, hash and str with the
-    same value held as Fractions only."""
+    """Every result hands out an integral coefficient as an int and any
+    other as a non-integral Fraction, and agrees in ==, hash and str with
+    the same value built from Fractions only."""
     fp = {e: Fraction(v) for e, v in t1.items() if v}
     fq = {e: Fraction(v) for e, v in t2.items() if v}
     p, q = Poly(t1), Poly(t2)
@@ -130,13 +131,50 @@ def test_integral_coefficients_are_stored_as_int(t1, t2, s, n, index):
         for _, coeff in result.items():
             assert type(coeff) is int or (
                 type(coeff) is Fraction and coeff.denominator > 1), coeff
-        fractions_only = Poly._wrap(dict(expected))
+        fractions_only = Poly(expected)
         assert result == fractions_only
         assert hash(result) == hash(fractions_only)
         assert str(result) == str(fractions_only)
         for exps, value in expected.items():
             coeff = result.coefficient(exps)
             assert type(coeff) is Fraction and coeff == value
+
+
+def _assert_normalized(p):
+    """p holds int numerators over one positive int denominator that shares
+    no factor with all of them, and the denominator is 1 exactly when every
+    coefficient is integral (the zero polynomial included)."""
+    nums, den = p._nums, p._den
+    assert type(den) is int and den >= 1
+    assert all(type(n) is int and n for n in nums.values())
+    assert math.gcd(den, *nums.values()) == 1
+    assert (den == 1) == all(p.coefficient(e).denominator == 1 for e in nums)
+
+
+@given(mixed_terms, mixed_terms, mixed_scalars, st.integers(0, 3),
+       st.integers(0, 2))
+def test_results_are_normalized(t1, t2, s, n, index):
+    p, q = Poly(t1), Poly(t2)
+    for result in (p, q, p + q, p - q, p - p, p * q, p * s, s * p, p ** n,
+                   p.diff(index), (p * q).diff(index), -p):
+        _assert_normalized(result)
+
+
+def test_cancellation_leaves_no_common_factor():
+    x, y = Poly.variable(0), Poly.variable(1)
+    half = Fraction(1, 2)
+    cases = [
+        (x * Fraction(1, 6) + x * Fraction(1, 3), x * half),
+        ((x * half + y * half) - y * half, x * half),
+        ((x * half + y * half) * 2, x + y),
+        ((x * half) ** 2 * 4, x * x),
+        ((x ** 2 * half).diff(0), x),
+        (x * Fraction(2, 3) * Fraction(3, 2), x),
+        (x * half - x * half, Poly.zero()),
+    ]
+    for result, expected in cases:
+        _assert_normalized(result)
+        assert result == expected and hash(result) == hash(expected)
 
 
 def test_exact_scalar_refuses_inexact_values():

@@ -481,6 +481,19 @@ def test_default_caps_report_is_byte_identical(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == _DEFAULT_CAPS_HASH
 
 
+# SHA-256 of `poisdef verify gauge --phi "x^2+y^2+z^2" --order 5`: gauged
+# series whose coefficients are almost all non-integral rationals.
+_GAUGE_ORDER5_HASH = (
+    "6394fa56bba7007a5630c3b5a884f353bd0745f5dc09870123784cfb0fa055e5")
+
+
+def test_gauge_order5_report_is_byte_identical(capsys):
+    code, out, _ = run_cli(capsys, "verify", "gauge", "--phi", "x^2+y^2+z^2",
+                           "--order", "5")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _GAUGE_ORDER5_HASH
+
+
 # SHA-256 of `poisdef deform --order 3` on one family with integral and
 # non-integral values, orders 1-3 and phi powers up to 2.
 _DEFORM_FAMILY = {"c": [[1, 0, 1, "1"], [2, 1, 3, "-2/3"], [3, 2, 7, "5"]],

@@ -69,6 +69,12 @@ def test_parse_label_round_trip():
         parse_label("Q(1,2)")
 
 
+@pytest.mark.parametrize("text", ["Cas(٣)", "A(١, 2)"])
+def test_parse_label_refuses_non_ascii_digits(text):
+    with pytest.raises(ValueError):
+        parse_label(text)
+
+
 def test_validate_label_against_data(brieskorn, cubic):
     # generic: A-range starts at 1; special: starts at 0
     assert list(a_index_range(brieskorn)) == [1, 2, 3, 4, 5, 6, 7]
