@@ -105,10 +105,15 @@ class Poly:
     polynomial, so equal polynomials have equal stored forms and an integral
     polynomial is plain integer arithmetic.  :meth:`items` hands each
     coefficient out as :func:`exact_scalar` stores a scalar, and
-    :meth:`coefficient` as a ``Fraction``.
+    :meth:`coefficient` as a ``Fraction``.  Exponents are plain ``int``s.
+
+    Nothing mutates a Poly once it is built, so results are shared freely:
+    :meth:`zero` is one object, multiplying by 1 returns the polynomial
+    itself, and ``_partials`` keeps each partial derivative :meth:`diff`
+    has computed.
     """
 
-    __slots__ = ("_nums", "_den")
+    __slots__ = ("_nums", "_den", "_partials")
 
     def __init__(self, terms: Optional[Mapping[Exponents, ScalarLike]] = None):
         values: dict[Exponents, ScalarLike] = {}
@@ -118,6 +123,11 @@ class Poly:
                 value = exact_scalar(coeff)
                 if value:
                     a, b, c = exps
+                    if not (type(a) is int and type(b) is int and type(c) is int):
+                        if not all(isinstance(e, int) for e in exps):
+                            raise TypeError(
+                                f"exponents must be integers, got {exps}")
+                        a, b, c = int(a), int(b), int(c)
                     if a < 0 or b < 0 or c < 0:
                         raise ValueError(f"negative exponent in monomial {exps}")
                     values[(a, b, c)] = value
@@ -128,26 +138,37 @@ class Poly:
         self._nums = values if den == 1 else {
             e: v.numerator * (den // v.denominator) for e, v in values.items()}
         self._den = den
+        self._partials = None
+
+    @staticmethod
+    def _owning(nums: dict[Exponents, int], den: int) -> "Poly":
+        """A Poly owning ``nums`` over ``den``, a pair already normalized;
+        the shared zero when ``nums`` is empty."""
+        if not nums:
+            return _ZERO
+        result = Poly.__new__(Poly)
+        result._nums = nums
+        result._den = den
+        result._partials = None
+        return result
 
     @staticmethod
     def _reduced(nums: dict[Exponents, int], den: int) -> "Poly":
         """A Poly owning ``nums``, nonzero ints over ``den`` > 0, with their
-        common factor divided out (all of ``den`` when ``nums`` is empty)."""
-        if den != 1:
+        common factor divided out; the shared zero when ``nums`` is empty."""
+        if den != 1 and nums:
             g = math.gcd(den, *nums.values())
             if g != 1:
                 nums = {e: n // g for e, n in nums.items()}
                 den //= g
-        result = Poly.__new__(Poly)
-        result._nums = nums
-        result._den = den
-        return result
+        return Poly._owning(nums, den)
 
     # -- constructors ------------------------------------------------------
 
-    @classmethod
-    def zero(cls) -> "Poly":
-        return cls()
+    @staticmethod
+    def zero() -> "Poly":
+        """The zero polynomial, one object shared by every caller."""
+        return _ZERO
 
     @classmethod
     def one(cls) -> "Poly":
@@ -199,24 +220,32 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        if not self._nums:
-            return other
+        return self._combine(other, 1)
+
+    def __sub__(self, other: "Poly") -> "Poly":
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return self._combine(other, -1)
+
+    def _combine(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign * other in one pass, sign 1 or -1."""
         if not other._nums:
             return self
+        if not self._nums:
+            return other if sign == 1 else -other
         d1, d2 = self._den, other._den
         if d1 == d2:
-            den, nums, addend = d1, dict(self._nums), other._nums
+            den, nums, scale = d1, dict(self._nums), sign
         else:
             den = math.lcm(d1, d2)
-            s1, s2 = den // d1, den // d2
+            s1, scale = den // d1, sign * (den // d2)
             nums = {e: n * s1 for e, n in self._nums.items()}
-            addend = {e: n * s2 for e, n in other._nums.items()}
-        for exps, n in addend.items():
+        for exps, n in other._nums.items():
             acc = nums.get(exps)
             if acc is None:
-                nums[exps] = n
+                nums[exps] = n * scale
             else:
-                acc += n
+                acc += n * scale
                 if acc:
                     nums[exps] = acc
                 else:
@@ -224,12 +253,8 @@ class Poly:
         return Poly._reduced(nums, den)
 
     def __neg__(self) -> "Poly":
-        return Poly._reduced({e: -n for e, n in self._nums.items()}, self._den)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
+        # negation keeps the pair normalized: no gcd to take
+        return Poly._owning({e: -n for e, n in self._nums.items()}, self._den)
 
     def __mul__(self, other: Union["Poly", ScalarLike]) -> "Poly":
         if isinstance(other, Poly):
@@ -248,9 +273,15 @@ class Poly:
                         else:
                             del nums[exps]
             return Poly._reduced(nums, self._den * other._den)
+        if type(other) is int:
+            # the Koszul signs and unit coefficients of the transfer sums
+            if other == 1:
+                return self
+            if other == -1:
+                return -self
         if isinstance(other, (int, Fraction)):
             if not other:
-                return Poly.zero()
+                return _ZERO
             p = other.numerator
             return Poly._reduced({e: n * p for e, n in self._nums.items()},
                                  self._den * other.denominator)
@@ -273,7 +304,14 @@ class Poly:
         return result
 
     def diff(self, index: int) -> "Poly":
-        """Partial derivative with respect to x (0), y (1) or z (2)."""
+        """Partial derivative with respect to x (0), y (1) or z (2),
+        computed once per polynomial and index and then kept."""
+        partials = self._partials
+        if partials is None:
+            partials = self._partials = [None, None, None]
+        cached = partials[index]
+        if cached is not None:
+            return cached
         nums: dict[Exponents, int] = {}
         for exps, n in self._nums.items():
             e = exps[index]
@@ -281,7 +319,8 @@ class Poly:
                 lowered = list(exps)
                 lowered[index] = e - 1
                 nums[tuple(lowered)] = n * e
-        return Poly._reduced(nums, self._den)
+        cached = partials[index] = Poly._reduced(nums, self._den)
+        return cached
 
     # -- comparisons -------------------------------------------------------
 
@@ -299,6 +338,8 @@ class Poly:
     def __repr__(self) -> str:
         return f"Poly({poly_str(self)!r})"
 
+
+_ZERO = Poly()
 
 X = Poly.variable(0)
 Y = Poly.variable(1)

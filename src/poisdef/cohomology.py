@@ -27,6 +27,9 @@ Classes are indexed by homological degree g = cochain degree - 1 (so
 bivector classes sit in degree g = 1), matching the grading of the graded
 Lie algebra used by the transfer machinery.
 
+:func:`realize` builds each class representative once per potential and
+keeps it on the ``SingularityData``, next to the slice solvers.
+
 Projections and coboundary solves run through :func:`decompose`, which
 splits a closed multivector as p = f_1(c) + [pi, y]; :func:`project` (c)
 and :func:`solve_coboundary` (y) are its two views.  It solves one weight
@@ -176,7 +179,15 @@ def label_weight(label: BasisLabel, data: SingularityData) -> int:
 
 
 def realize(label: BasisLabel, data: SingularityData) -> MultiVec:
-    """The canonical multivector representative of a basis class."""
+    """The canonical multivector representative of a basis class, built
+    once per label and kept on ``data``."""
+    cached = data._realized.get(label)
+    if cached is None:
+        cached = data._realized[label] = _representative(label, data)
+    return cached
+
+
+def _representative(label: BasisLabel, data: SingularityData) -> MultiVec:
     validate_label(label, data)
     phi = data.phi
     kind = label.kind
@@ -300,13 +311,20 @@ class CohClass:
         return CohClass.make(self.g_degree, merged)
 
     def __neg__(self) -> "CohClass":
-        return CohClass.make(self.g_degree,
-                             {l: -v for l, v in self.coeffs})
+        # same labels in the same order: nothing to sort or drop
+        return CohClass(self.g_degree,
+                        tuple((l, -v) for l, v in self.coeffs))
 
     def __sub__(self, other: "CohClass") -> "CohClass":
         return self + (-other)
 
     def __mul__(self, scalar: ScalarLike) -> "CohClass":
+        if type(scalar) is int:
+            # the Koszul signs and unit coefficients of the transfer sums
+            if scalar == 1:
+                return self
+            if scalar == -1:
+                return -self
         scale = exact_scalar(scalar)
         return CohClass.make(self.g_degree,
                              {l: v * scale for l, v in self.coeffs})

@@ -170,7 +170,8 @@ class TransferState:
 
     One state per potential; values of ell_n and f_n on canonical label
     tuples are cached, and every request is reduced to the cache through
-    graded symmetry.  ``arity_cap`` bounds the bracket arity that may be
+    graded symmetry, whose canonical order and Koszul sign are cached per
+    requested tuple.  ``arity_cap`` bounds the bracket arity that may be
     demanded (requests above it raise ArityCapExceededError).
     """
 
@@ -178,6 +179,7 @@ class TransferState:
     arity_cap: int = 4
     _ell_memo: dict = field(default_factory=dict, repr=False)
     _f_memo: dict = field(default_factory=dict, repr=False)
+    _canonical_memo: dict = field(default_factory=dict, repr=False)
 
     # -- label-tuple level -------------------------------------------------
 
@@ -212,7 +214,11 @@ class TransferState:
             )
         if n == 1:
             return unary(labels[0])
-        key, chi = _canonical(labels)
+        labels = tuple(labels)
+        canonical = self._canonical_memo.get(labels)
+        if canonical is None:
+            canonical = self._canonical_memo[labels] = _canonical(labels)
+        key, chi = canonical
         if key is None:
             return zero(sum(lab.g_degree for lab in labels) + 2 - n)
         value = memo.get(key)
@@ -253,14 +259,17 @@ class TransferState:
 
 def _multilinear(on_labels, classes: Sequence[CohClass], zero):
     """Extend a map on label tuples multilinearly to class combinations;
-    ``zero(k)`` builds the zero of output degree k."""
-    n = len(classes)
-    result = zero(sum(c.g_degree for c in classes) + 2 - n)
+    ``zero(k)`` builds the zero of output degree k, the value when some
+    class is zero."""
+    result = None
     for combo in product(*[c.coeffs for c in classes]):
         coeff = 1
         for _, value in combo:
             coeff *= value
-        result = result + on_labels([lab for lab, _ in combo]) * coeff
+        term = on_labels([lab for lab, _ in combo]) * coeff
+        result = term if result is None else result + term
+    if result is None:
+        return zero(sum(c.g_degree for c in classes) + 2 - len(classes))
     return result
 
 

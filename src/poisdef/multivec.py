@@ -50,7 +50,12 @@ and graded antisymmetry gives the pairs in the other order: [F, V] =
 -[V, T].  A result degree outside 0..3 gives the zero carrier.  For the
 exact bivector of a potential, curl grad phi = 0 turns [pi_phi, .] into
 d0 F = grad phi x grad F, d1 V = div(V) grad phi - grad(V . grad phi) and
-d2 B = grad phi . curl b.
+d2 B = grad phi . curl b, and :func:`coboundary` evaluates those forms;
+the generic ``schouten(poisson_from_potential(phi), p)`` is its test
+oracle.
+
+Multivector fields are immutable and share their parts: :meth:`MultiVec.zero`
+is one object per degree, and multiplying by 1 returns the field itself.
 
 A monomial m on slot s has weight wt(m) - wt(s), wt(s) the sum of the
 weights the slot differentiates by.  Every exact elimination in the package
@@ -60,6 +65,7 @@ weights the slot differentiates by.  Every exact elimination in the package
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Hashable, Optional
 
 from .algebra import (
@@ -106,10 +112,14 @@ class MultiVec:
 
     # -- constructors ------------------------------------------------------
 
-    @classmethod
-    def zero(cls, degree: int) -> "MultiVec":
-        n = len(SLOTS[degree]) if degree in SLOTS else 0
-        return cls(degree, tuple(Poly.zero() for _ in range(n)))
+    @staticmethod
+    def zero(degree: int) -> "MultiVec":
+        """The zero of this degree, one object per degree."""
+        zero = _ZEROS.get(degree)
+        if zero is None:
+            n = len(SLOTS[degree]) if degree in SLOTS else 0
+            zero = _ZEROS[degree] = MultiVec(degree, (Poly.zero(),) * n)
+        return zero
 
     @classmethod
     def function(cls, p: Poly) -> "MultiVec":
@@ -130,7 +140,7 @@ class MultiVec:
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.comps)
+        return not any(self.comps)
 
     def __add__(self, other: "MultiVec") -> "MultiVec":
         if not isinstance(other, MultiVec):
@@ -146,9 +156,25 @@ class MultiVec:
         return MultiVec(self.degree, tuple(-c for c in self.comps))
 
     def __sub__(self, other: "MultiVec") -> "MultiVec":
-        return self + (-other)
+        if not isinstance(other, MultiVec):
+            return NotImplemented
+        if self.degree != other.degree:
+            raise ValueError(
+                f"cannot subtract multivectors of degrees {self.degree} "
+                f"and {other.degree}"
+            )
+        return MultiVec(self.degree,
+                        tuple(a - b for a, b in zip(self.comps, other.comps)))
 
     def __mul__(self, scalar: ScalarLike) -> "MultiVec":
+        if type(scalar) is int:
+            # the Koszul signs and unit coefficients of the transfer sums
+            if scalar == 1:
+                return self
+            if scalar == -1:
+                return -self
+        elif not isinstance(scalar, (int, Fraction)):
+            return NotImplemented
         return MultiVec(self.degree, tuple(c * scalar for c in self.comps))
 
     __rmul__ = __mul__
@@ -158,6 +184,9 @@ class MultiVec:
 
     def __str__(self) -> str:
         return multivec_str(self)
+
+
+_ZEROS: dict[int, MultiVec] = {}
 
 
 def multivec_str(mv: MultiVec) -> str:
@@ -346,9 +375,25 @@ def coordinate_volume() -> MultiVec:
 
 
 def coboundary(p: MultiVec, potential: Poly) -> MultiVec:
-    """Poisson-cohomology differential [pi, p] for the exact bivector of
-    the potential; raises the multivector degree by one."""
-    return schouten(poisson_from_potential(potential), p)
+    """Poisson-cohomology differential [pi, p] for the exact bivector pi of
+    the potential; raises the multivector degree by one.
+
+    It evaluates the exact-potential forms of the module docstring, which
+    curl grad phi = 0 leaves of the Schouten bracket:
+    d0 F = grad phi x grad F, d1 V = div(V) grad phi - grad(V . grad phi)
+    and d2 B = grad phi . curl b.  Other degrees give the zero carrier.
+    """
+    degree = p.degree
+    if degree not in (0, 1, 2) or p.is_zero():
+        return MultiVec.zero(degree + 1)
+    grad_phi = _grad(potential)
+    if degree == 0:
+        return MultiVec(1, _cross(grad_phi, _grad(p.comps[0])))
+    if degree == 1:
+        div = _div(p.comps)
+        return MultiVec(2, tuple(div * g - h for g, h in
+                                 zip(grad_phi, _grad(_dot(p.comps, grad_phi)))))
+    return MultiVec.trivector(_dot(grad_phi, _curl(p.comps)))
 
 
 # -- weight grading -----------------------------------------------------------

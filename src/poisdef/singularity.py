@@ -73,7 +73,9 @@ class SingularityData:
     quotient by the Jacobian ideal in increasing (weight, revlex) order;
     ``special`` records whether d equals |w| (the weight of the potential
     equals the sum of the variable weights), which changes the cohomology
-    bases downstream.
+    bases downstream.  The two private fields are caches that equality
+    ignores: the coboundary slice solvers and the class representatives
+    (see :mod:`poisdef.cohomology`).
     """
 
     phi: Poly
@@ -84,6 +86,7 @@ class SingularityData:
     socle: int
     _coboundary_slices: dict[tuple[int, int], WeightSlice] = field(
         default_factory=dict, repr=False, compare=False)
+    _realized: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def special(self) -> bool:

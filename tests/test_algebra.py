@@ -190,6 +190,49 @@ def test_exact_scalar_refuses_inexact_values():
         Poly.one() * 0.5
 
 
+def test_unit_scalars_are_exact_and_shared():
+    """* 1 returns the polynomial itself and * -1 its negation; the float
+    1.0, equal to 1, stays refused."""
+    p = Poly({(1, 0, 0): Fraction(1, 2), (0, 2, 0): 3})
+    assert p * 1 is p and 1 * p is p
+    assert p * -1 == -p == Poly({(1, 0, 0): Fraction(-1, 2), (0, 2, 0): -3})
+    _assert_normalized(p * -1)
+    for scalar in (1.0, -1.0):
+        with pytest.raises(TypeError):
+            p * scalar
+        with pytest.raises(TypeError):
+            scalar * p
+    assert p * True == p
+
+
+def test_exponents_must_be_integers():
+    """A non-integer exponent raises TypeError instead of printing x^1.5;
+    a bool exponent is stored as the plain int it equals."""
+    for exps in ((1.5, 0, 0), (0, 1.0, 0), (0, 0, Fraction(1)), ("1", 0, 0)):
+        with pytest.raises(TypeError):
+            Poly({exps: 1})
+    p = Poly({(True, 0, False): 2})
+    assert p == Poly({(1, 0, 0): 2}) and str(p) == "2*x"
+    assert all(type(e) is int for exps in p.exponents() for e in exps)
+    assert p.diff(0) == Poly.constant(2)
+
+
+@given(polys(), st.integers(0, 2))
+def test_cached_partials_match_a_fresh_polynomial(p, index):
+    """diff keeps each partial on the polynomial: a second call returns
+    the same object, equal to the partial of an equal fresh polynomial."""
+    first = p.diff(index)
+    assert p.diff(index) is first
+    assert first == Poly(dict(p.items())).diff(index)
+
+
+def test_zero_is_shared():
+    zero = Poly.zero()
+    assert zero is Poly.zero() and zero.is_zero()
+    x = Poly.variable(0)
+    assert (x - x) is zero and x * 0 is zero and Poly.one().diff(2) is zero
+
+
 @given(polys(), st.integers(0, 4))
 def test_power_matches_repeated_product(p, n):
     expected = Poly.one()

@@ -300,6 +300,9 @@ def test_class_arithmetic():
     assert combo.coefficient(parse_label("A(0,1)")) == 2
     assert (combo - combo).is_zero()
     assert (combo * Fraction(3)).coefficient(parse_label("B(1)")) == 1
+    assert combo * 1 is combo
+    assert combo * -1 == -combo == CohClass.make(
+        1, {parse_label("B(1)"): Fraction(-1, 3), parse_label("A(0,1)"): -2})
     assert class_str(CohClass.zero(1)) == "0"
     assert "A(0,1)" in class_str(combo)
 
@@ -310,8 +313,9 @@ def test_class_refuses_inexact_coefficients():
         CohClass.single(label, 0.1)
     with pytest.raises(TypeError):
         CohClass.make(1, {label: "1/2"})
-    with pytest.raises(TypeError):
-        CohClass.single(label) * 0.5
+    for scalar in (0.5, 1.0, -1.0):
+        with pytest.raises(TypeError):
+            CohClass.single(label) * scalar
     doubled = CohClass.single(label, Fraction(1, 2)) * Fraction(2)
     assert doubled.coeffs == ((label, 1),)
     assert type(doubled.coeffs[0][1]) is int

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from poisdef import MultiVec, Poly, coboundary, monomials_of_weight
 from poisdef.cohomology import _slice_solver, labels_of_weight
 from poisdef.linalg import Eliminator
 from poisdef.multivec import SLOTS, slot_weight_offset
+import gauss_jordan
 
 fractions = st.builds(
     Fraction,
@@ -91,35 +93,112 @@ def test_solve_matches_rref_solution(system, data):
     assert solution == expected
 
 
-def _stored_values(elim):
-    for table in (elim._rows, elim._combos):
-        for vec in table.values():
-            yield from vec.values()
+def _assert_stored_form(elim, inputs):
+    """Every stored row is a primitive int vector whose pivot entry is its
+    leftmost, and its combination is int numerators over a positive
+    denominator, coprime, with den * row == sum of nums[t] * input t."""
+    assert sorted(elim._rows) == elim.pivots == sorted(elim._combos)
+    for pivot, row in elim._rows.items():
+        assert all(type(v) is int and v for v in row.values())
+        assert min(row) == pivot and math.gcd(*row.values()) == 1
+        nums, den = elim._combos[pivot]
+        assert type(den) is int and den > 0
+        assert all(type(n) is int and n for n in nums.values())
+        assert math.gcd(den, *nums.values()) == 1
+        total = {}
+        for tag, n in nums.items():
+            for i, v in inputs[tag].items():
+                total[i] = total.get(i, 0) + n * v
+        assert {i: v for i, v in total.items() if v} == {
+            i: den * v for i, v in row.items()}
 
 
 def test_integer_vectors_keep_exact_entries():
-    """Integer inputs with pivot entries 3 and -2: every stored row and
-    combination holds ints and non-integral Fractions only, and solve
-    gives the exact rational solution."""
-    v1 = {0: 3, 1: 1, 2: 1}
-    v2 = {1: -2, 2: 1}
+    """Integer inputs with pivot entries 3 and -2 are stored as they are,
+    a rational input as its primitive integer multiple with the
+    denominator on its combination; solve gives the exact rational
+    solution, and floats are refused."""
+    inputs = {"a": {0: 3, 1: 1, 2: 1}, "b": {1: -2, 2: 1},
+              "c": {0: 6, 1: 4, 2: 1},                 # 2*a - b
+              "d": {2: Fraction(3, 2), 3: Fraction(-9, 4)}}
     elim = Eliminator()
-    assert elim.add(v1, "a") == 0
-    assert elim.add(v2, "b") == 1
-    assert elim.add({0: 6, 1: 4, 2: 1}, "c") is None     # 2*v1 - v2
-    for value in _stored_values(elim):
-        assert type(value) is int or (
-            type(value) is Fraction and value.denominator > 1), value
-    assert elim._rows == {0: {0: 1, 1: Fraction(1, 3), 2: Fraction(1, 3)},
-                          1: {1: 1, 2: Fraction(-1, 2)}}
+    assert elim.add(inputs["a"], "a") == 0
+    assert elim.add(inputs["b"], "b") == 1
+    assert elim.add(inputs["c"], "c") is None
+    assert elim.add(inputs["d"], "d") == 2
+    _assert_stored_form(elim, inputs)
+    assert elim._rows == {0: {0: 3, 1: 1, 2: 1}, 1: {1: -2, 2: 1},
+                          2: {2: 2, 3: -3}}
+    assert elim._combos == {0: ({"a": 1}, 1), 1: ({"b": 1}, 1),
+                            2: ({"d": 4}, 3)}
     solution = elim.solve({0: 1, 1: 1})
     assert solution == {"a": Fraction(1, 3), "b": Fraction(-1, 3)}
     integral = elim.solve({0: 6, 1: 4, 2: 1})
     assert integral == {"a": 2, "b": -1}
     assert all(type(v) is int for v in integral.values())
-    assert elim.solve({2: 1}) is None
-    with pytest.raises(TypeError):
-        elim.solve({0: 0.5})
+    assert elim.solve({2: 1, 3: Fraction(-3, 2)}) == {"d": Fraction(2, 3)}
+    assert elim.solve({3: 1}) is None
+    for bad in ({0: 0.5}, {0: 1.0}, {1: 1, 0: -1.0}):
+        with pytest.raises(TypeError):
+            elim.solve(bad)
+        with pytest.raises(TypeError):
+            Eliminator().add(bad)
+
+
+def test_repeated_tag_is_refused():
+    """Tags name the inputs of a solution, so each may be given once: a
+    repeated tag would add two inputs' coefficients under one name."""
+    elim = Eliminator()
+    elim.add({0: 1}, "a")
+    with pytest.raises(ValueError):
+        elim.add({1: 1}, "a")
+    assert elim.rank == 1
+    assert elim.solve({0: 1, 1: 1}) is None
+    elim.add({0: 2, 1: 2}, "b")                    # in the span of a, b
+    with pytest.raises(ValueError):
+        elim.add({2: 1}, "b")
+
+
+wide = st.builds(Fraction, st.integers(-40, 40).filter(bool) | st.just(0),
+                 st.sampled_from([1, 1, 1, 2, 3, 7, 12]))
+
+
+@st.composite
+def wide_systems(draw):
+    """Columns with large and rational entries, negative pivots and
+    dependent columns, and a target that is consistent or not."""
+    n_rows = draw(st.integers(1, 6))
+    columns = draw(st.lists(st.lists(wide, min_size=n_rows, max_size=n_rows),
+                            max_size=6))
+    for _ in range(draw(st.integers(0, 3))):
+        if not columns:
+            break
+        a, b = draw(st.sampled_from(columns)), draw(st.sampled_from(columns))
+        s, t = draw(wide), draw(wide)
+        columns.insert(draw(st.integers(0, len(columns))),
+                       [s * u + t * v for u, v in zip(a, b)])
+    if draw(st.booleans()):
+        x = [draw(wide) for _ in columns]
+        target = [sum((c[i] * v for c, v in zip(columns, x)), Fraction(0))
+                  for i in range(n_rows)]
+    else:
+        target = [draw(wide) for _ in range(n_rows)]
+    return columns, target
+
+
+@given(wide_systems())
+def test_solve_matches_fraction_gauss_jordan(system):
+    columns, target = system
+    elim, pivots = tagged(columns)
+    _assert_stored_form(elim, {j: sparse(col) for j, col in enumerate(columns)})
+    solution = elim.solve(sparse(target))
+    expected = gauss_jordan.solve(columns, target)
+    assert solution == expected
+    assert pivots == gauss_jordan.rref(
+        [[c[i] for c in columns] for i in range(len(target))])[1]
+    for value in (solution or {}).values():
+        assert type(value) is int or (
+            type(value) is Fraction and value.denominator > 1), value
 
 
 def test_cubic_bivector_coboundary_rank_matches_sympy(cubic):

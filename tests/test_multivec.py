@@ -230,6 +230,18 @@ def test_coboundary_on_functions_is_hamiltonian(f):
     assert image == schouten(pi, f)
 
 
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+@given(data=st.data())
+def test_coboundary_matches_generic_schouten(degree, data):
+    """The exact-potential forms of coboundary against the generic bracket
+    with the potential's bivector, for any potential."""
+    phi = data.draw(polys(max_terms=4), label="phi")
+    p = data.draw(multivecs(degree), label="p")
+    expected = schouten(poisson_from_potential(phi), p)
+    assert coboundary(p, phi) == expected
+    assert coboundary(p, phi).degree == degree + 1
+
+
 @given(multivecs(1))
 def test_coboundary_squares_to_zero(v):
     phi = parse_poly("x^2 + y^3 + z^5")
@@ -273,3 +285,26 @@ def test_degenerate_degree_zero_objects():
 @pytest.mark.parametrize("degree", [0, 1, 2, 3])
 def test_zero_has_right_components(degree):
     assert len(MultiVec.zero(degree).comps) == len(SLOTS[degree])
+
+
+@pytest.mark.parametrize("degree", [-1, 0, 1, 2, 3, 4])
+def test_zero_is_shared_per_degree(degree):
+    zero = MultiVec.zero(degree)
+    assert zero is MultiVec.zero(degree) and zero.is_zero()
+    assert zero.degree == degree
+
+
+@pytest.mark.parametrize("degree", [-1, 0, 1, 2, 3, 4])
+def test_multivec_scalars_are_exact(degree):
+    """* 1 returns the field itself and * -1 its negation; floats raise
+    TypeError, also on the zero carriers outside degrees 0..3."""
+    mv = (MultiVec(degree, tuple(Poly.variable(i) + Poly.constant(i)
+                                 for i in range(len(SLOTS[degree]))))
+          if degree in SLOTS else MultiVec.zero(degree))
+    assert mv * 1 is mv and 1 * mv is mv
+    assert mv * -1 == -mv == mv * Fraction(-1)
+    for scalar in (1.0, -1.0, 0.5):
+        with pytest.raises(TypeError):
+            mv * scalar
+        with pytest.raises(TypeError):
+            scalar * mv

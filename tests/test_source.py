@@ -54,6 +54,23 @@ def test_eliminator_built_only_by_the_slice_layer():
     assert builders <= {"linalg.py", slice_module}, builders
 
 
+def test_poly_storage_read_only_in_algebra():
+    """A Poly's numerators, denominator and kept partials are shared by
+    every result that reuses them, so no module but algebra.py reads or
+    writes them."""
+    private = {"_nums", "_den", "_partials"}
+    found = []
+    for path in sorted(SOURCE_DIR.rglob("*.py")):
+        if path.name == "algebra.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if (isinstance(node, ast.Attribute) and node.attr in private)
+                  or (isinstance(node, ast.Constant) and node.value in private)]
+    assert (SOURCE_DIR / "algebra.py").exists(), "package sources not found"
+    assert not found, f"Poly storage touched outside algebra.py: {found}"
+
+
 def _called_names(node) -> list[str]:
     return [getattr(call.func, "id", None) or getattr(call.func, "attr", None)
             for call in ast.walk(node) if isinstance(call, ast.Call)]

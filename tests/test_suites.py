@@ -6,7 +6,16 @@ import random
 
 import pytest
 
-from poisdef import SUITE_NAMES, SuiteConfig
+from poisdef import (
+    SUITE_NAMES,
+    MultiVec,
+    Poly,
+    SuiteConfig,
+    WeightSystem,
+    milnor_basis,
+    parse_poly,
+)
+from poisdef.multivec import SLOTS
 from poisdef.suites import (
     all_basis_labels,
     random_family,
@@ -130,3 +139,22 @@ def test_all_basis_labels_sorted_by_degree(brieskorn):
     labels = all_basis_labels(brieskorn, brieskorn.d)
     degrees = [lab.g_degree for lab in labels]
     assert degrees == sorted(degrees)
+
+
+@pytest.mark.parametrize("phi", ["x^2+y^2+z^2", "x^3+y^3+z^3"])
+def test_warm_caches_and_shared_zeros_leave_reports_alone(phi):
+    """The reference pass run twice on one SingularityData, the second time
+    with every representative and slice solver cached, gives the report of
+    the fresh run, and no suite has written into a shared zero."""
+    config = SuiteConfig(order=3, weight_cap=2, arity_cap=4, seed=0)
+    data = milnor_basis(parse_poly(phi), WeightSystem((1, 1, 1)))
+    fresh = run_suites(SUITE_NAMES, data, config)
+    assert data._realized and data._coboundary_slices
+    assert run_suites(SUITE_NAMES, data, config) == fresh
+    zero = Poly.zero()
+    assert zero.is_zero() and len(zero) == 0 and zero == Poly()
+    assert str(zero) == "0" and all(zero.diff(i) is zero for i in range(3))
+    for degree in range(-1, 6):
+        mv = MultiVec.zero(degree)
+        assert mv.degree == degree and mv.is_zero()
+        assert mv.comps == (zero,) * len(SLOTS.get(degree, ()))
