@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 Exponents = tuple[int, int, int]
 ScalarLike = Union["Fraction", int]
@@ -258,21 +258,8 @@ class Poly:
 
     def __mul__(self, other: Union["Poly", ScalarLike]) -> "Poly":
         if isinstance(other, Poly):
-            nums: dict[Exponents, int] = {}
-            right = other._nums.items()
-            for (a1, b1, c1), n1 in self._nums.items():
-                for (a2, b2, c2), n2 in right:
-                    exps = (a1 + a2, b1 + b2, c1 + c2)
-                    acc = nums.get(exps)
-                    if acc is None:
-                        nums[exps] = n1 * n2
-                    else:
-                        acc += n1 * n2
-                        if acc:
-                            nums[exps] = acc
-                        else:
-                            del nums[exps]
-            return Poly._reduced(nums, self._den * other._den)
+            den = self._den * other._den
+            return Poly._accumulate(((1, self._nums, other._nums, den),), den)
         if type(other) is int:
             # the Koszul signs and unit coefficients of the transfer sums
             if other == 1:
@@ -289,6 +276,64 @@ class Poly:
 
     def __rmul__(self, other: ScalarLike) -> "Poly":
         return self.__mul__(other)
+
+    @staticmethod
+    def sum_of_products(terms: Iterable[tuple[int, "Poly", "Poly"]],
+                        divisor: int = 1) -> "Poly":
+        """(sum of s * p * q over the (s, p, q) terms) / divisor, for int
+        multipliers s and a positive int divisor.
+
+        Every product accumulates into one dict of numerators over one
+        common denominator, the lcm of the p._den * q._den times the
+        divisor, which drops each monomial that cancels as it goes; the
+        result takes one gcd pass at the end, and is the shared zero when
+        nothing is left.
+        """
+        if type(divisor) is not int:
+            raise TypeError(f"the divisor must be an int, got {divisor!r}")
+        if divisor < 1:
+            raise ValueError(f"the divisor must be positive, got {divisor}")
+        live = []
+        den = 1
+        for s, p, q in terms:
+            if type(s) is not int:
+                raise TypeError(f"the multipliers must be ints, got {s!r}")
+            if s and p._nums and q._nums:
+                d = p._den * q._den
+                if d != 1:
+                    den = math.lcm(den, d)
+                # the shorter operand in the outer loop
+                if len(p._nums) <= len(q._nums):
+                    live.append((s, p._nums, q._nums, d))
+                else:
+                    live.append((s, q._nums, p._nums, d))
+        return Poly._accumulate(live, den, divisor)
+
+    @staticmethod
+    def _accumulate(live, den: int, divisor: int = 1) -> "Poly":
+        """The one polynomial product loop, behind :meth:`sum_of_products`
+        and ``p * q``: the sum of s * left * right over the (s, left, right,
+        d) terms, numerator dicts over d, accumulated over den, a multiple
+        of every d, and divided by the divisor."""
+        nums: dict[Exponents, int] = {}
+        get = nums.get
+        for s, left, right, d in live:
+            scale = s * (den // d)
+            right = right.items()
+            for (a1, b1, c1), n1 in left.items():
+                n1 *= scale
+                for (a2, b2, c2), n2 in right:
+                    exps = (a1 + a2, b1 + b2, c1 + c2)
+                    acc = get(exps)
+                    if acc is None:
+                        nums[exps] = n1 * n2
+                    else:
+                        acc += n1 * n2
+                        if acc:
+                            nums[exps] = acc
+                        else:
+                            del nums[exps]
+        return Poly._reduced(nums, den * divisor)
 
     def __pow__(self, exponent: int) -> "Poly":
         if not isinstance(exponent, int) or exponent < 0:

@@ -29,9 +29,12 @@ returns the anchored series pi_phi + sum MC_n nu^n, which equals
 build_deformation.  Both routes are kept separate so they can be checked
 against each other.
 
-Every order-by-order sum here (the build, the Jacobi residual, the
-Maurer-Cartan image and each term of the gauge exponential) is one
-Cauchy product of nu-series, :func:`_nu_product`.
+Each order-n coefficient of the build, of the Jacobi residual and of
+each term of the gauge exponential is one exact sum of products per
+component: all the products of order n go into one
+:meth:`poisdef.algebra.Poly.sum_of_products` (through
+:func:`poisdef.multivec.schouten_sum` for brackets), and the factors 2
+and 1/k of the residual and the exponential are folded into it.
 
 Gauge action: a polynomial vector-field series xi acts on a deformation
 by the exponential of the adjoint action,
@@ -57,13 +60,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
-from typing import Optional, Sequence
+from typing import Optional
 
 from .algebra import (MAX_COEFFICIENT_BITS, Poly, ScalarLike, bounded_int,
                       exact_scalar)
 from .cohomology import BasisLabel, CohClass, a_index_range, f1, project
 from .linfty import TransferState
-from .multivec import MultiVec, curl, poisson_from_potential, schouten, wedge
+from .multivec import MultiVec, curl, poisson_from_potential, schouten_sum
 from .singularity import SingularityData
 
 
@@ -224,24 +227,6 @@ def _exact_value(value, name: str, entry: list) -> ScalarLike:
         "string with nonzero q")
 
 
-def _nu_product(left: Sequence, right: Sequence, bracket, zero) -> list:
-    """Cauchy product of two coefficient lists n = 0..m of nu-series.
-
-    Entry n is sum_{a+b=n} bracket(left[a], right[b]), summed onto
-    ``zero``; pairs with a zero operand are skipped.
-    """
-    live_left = [not t.is_zero() for t in left]
-    live_right = [not t.is_zero() for t in right]
-    out = []
-    for n in range(len(left)):
-        total = zero
-        for a in range(n + 1):
-            if live_left[a] and live_right[n - a]:
-                total = total + bracket(left[a], right[n - a])
-        out.append(total)
-    return out
-
-
 def gamma_classes(fam: CoeffFamily, data: SingularityData, m: int) -> NuSeries:
     """The family as a series of degree-1 cohomology classes."""
     fam.validate(data)
@@ -279,10 +264,14 @@ def build_deformation(data: SingularityData, fam: CoeffFamily,
     for (n, r), value in fam.cbar:
         if n <= m:
             shift[n] = shift[n] + u[r] * value
-    pis = [poisson_from_potential(psi) for psi in shift]
-    gamma = _nu_product(factor, pis, lambda f, pi: pi.mul_poly(f),
-                        MultiVec.zero(2))
-    return NuSeries(order_cap=m, coeffs=tuple(gamma[1:]), anchor=pis[0])
+    # pi_psi = grad psi on the bivector slots
+    gamma = tuple(
+        MultiVec(2, tuple(Poly.sum_of_products(
+            [(1, factor[a], shift[n - a].diff(i)) for a in range(n + 1)])
+            for i in range(3)))
+        for n in range(1, m + 1))
+    return NuSeries(order_cap=m, coeffs=gamma,
+                    anchor=poisson_from_potential(phi))
 
 
 def jacobi_residual(series: NuSeries) -> NuSeries:
@@ -291,15 +280,19 @@ def jacobi_residual(series: NuSeries) -> NuSeries:
     Coefficient n of the result is sum over a + b = n of [pi_a, pi_b]
     with pi_0 the anchor; the series is Poisson to order m when all
     coefficients up to m vanish.  Since [A, B] = a . curl b + b . curl a,
-    the sum is 2 sum_{a+b=n} pi_a . curl pi_b, one curl per term.
+    the sum is 2 sum_{a+b=n} pi_a . curl pi_b: one curl per term of the
+    series, and coefficient n is one sum of 3 (n + 1) products with the
+    factor 2 as their multiplier.
     """
     if series.anchor is None:
         raise ValueError("jacobi_residual needs an anchored series")
     terms = [series.anchor] + list(series.coeffs)
-    curls = [curl(t) for t in terms]
-    residual = _nu_product(curls, terms, wedge, MultiVec.zero(3))
-    return NuSeries(order_cap=series.order_cap,
-                    coeffs=tuple(r * 2 for r in residual[1:]))
+    curls = [curl(t).comps for t in terms]
+    return NuSeries(order_cap=series.order_cap, coeffs=tuple(
+        MultiVec.trivector(Poly.sum_of_products(
+            [(2, terms[a].comps[i], curls[n - a][i])
+             for a in range(n + 1) for i in range(3)]))
+        for n in range(1, len(terms))))
 
 
 def mc_image(state: TransferState, gamma: NuSeries, m: int) -> NuSeries:
@@ -318,11 +311,14 @@ def mc_image(state: TransferState, gamma: NuSeries, m: int) -> NuSeries:
             raise ValueError("mc_image expects degree-1 cohomology classes")
     data = state.data
     classes = [CohClass.zero(1)] + list(gamma.coeffs[:m])
-    pairs = _nu_product(classes, classes, lambda a, b: state.f([a, b]),
-                        MultiVec.zero(2))
-    coeffs = tuple(f1(classes[n], data) + pairs[n] * Fraction(1, 2)
-                   for n in range(1, m + 1))
-    return NuSeries(order_cap=m, coeffs=coeffs,
+    coeffs = []
+    for n in range(1, m + 1):
+        pairs = MultiVec.zero(2)
+        for a in range(1, n):
+            if not (classes[a].is_zero() or classes[n - a].is_zero()):
+                pairs = pairs + state.f([classes[a], classes[n - a]])
+        coeffs.append(f1(classes[n], data) + pairs * Fraction(1, 2))
+    return NuSeries(order_cap=m, coeffs=tuple(coeffs),
                     anchor=poisson_from_potential(data.phi))
 
 
@@ -337,7 +333,10 @@ def gauge_apply(series: NuSeries, xi: NuSeries) -> NuSeries:
     ``xi`` is a series of polynomial vector fields starting at order 1;
     the result is the anchored series of e^{ad_xi} applied to ``series``,
     truncated at the series cap.  Nested brackets beyond the truncation
-    order vanish because xi has no order-0 term.
+    order vanish because xi has no order-0 term.  The order-n coefficient
+    of ad_xi^k(series) / k! is (1/k) sum_{a=1..n} [xi_a, c_{n-a}], c the
+    coefficients of ad_xi^(k-1)(series) / (k-1)!: one
+    :func:`poisdef.multivec.schouten_sum` with divisor k.
     """
     if series.anchor is None:
         raise ValueError("gauge_apply needs an anchored series")
@@ -348,14 +347,14 @@ def gauge_apply(series: NuSeries, xi: NuSeries) -> NuSeries:
         term = xi.coefficient(n)
         if not isinstance(term, MultiVec) or term.degree != 1:
             raise ValueError("gauge series coefficients must be vector fields")
-    fields = [MultiVec.zero(1)] + list(xi.coeffs[:m])
     # current is ad_xi^k(series) / k!, coefficients n = 0..m
     current = [series.anchor] + list(series.coeffs)
     result = list(current)
     for k in range(1, m + 1):
-        scale = Fraction(1, k)
-        current = [term * scale for term in
-                   _nu_product(fields, current, schouten, MultiVec.zero(2))]
+        current = [MultiVec.zero(2)] + [
+            schouten_sum([(1, xi.coeffs[a - 1], current[n - a])
+                          for a in range(1, n + 1)], k)
+            for n in range(1, m + 1)]
         result = [r + c for r, c in zip(result, current)]
     return NuSeries(order_cap=m, coeffs=tuple(result[1:]), anchor=series.anchor)
 

@@ -70,6 +70,7 @@ from .multivec import (
     euler_field,
     poisson_from_potential,
     schouten,
+    schouten_sum,
 )
 from .singularity import SingularityData
 
@@ -311,15 +312,16 @@ def compute_T(state: TransferState, n: int,
     total = _nested_sum(state, state.f, classes, MultiVec.zero)
     # U_n: Schouten bracket of two lower homotopies.  The (s, t)-shuffles
     # tau with tau(1) = 1 are x_1 put in front of the (s-1, t)-shuffles of
-    # x_2..x_n, and x_1 in front adds no inversion to chi.
+    # x_2..x_n, and x_1 in front adds no inversion to chi.  All of its
+    # brackets are one Schouten sum, signs included.
+    brackets = []
     for s in range(1, n):
         for chi, first, rest in _unshuffles(classes[1:], s - 1):
             left = [classes[0]] + first
             exponent = (s - 1) + (n - s - 1) * sum(c.g_degree for c in left)
             sign = -1 if exponent % 2 else 1
-            term = schouten(state.f(left), state.f(rest))
-            total = total - term * (chi * sign)
-    return total
+            brackets.append((chi * sign, state.f(left), state.f(rest)))
+    return total - schouten_sum(brackets) if brackets else total
 
 
 def check_E(state: TransferState, n: int,

@@ -54,6 +54,13 @@ d2 B = grad phi . curl b, and :func:`coboundary` evaluates those forms;
 the generic ``schouten(poisson_from_potential(phi), p)`` is its test
 oracle.
 
+Each closed form, wedge product and coboundary form is one sum of
+products per output component: a list of (s, p, q) terms, int s, for one
+:meth:`poisdef.algebra.Poly.sum_of_products`.  div V and curl b are
+formed once per field, so [V, B] takes one product for its div term and
+[A, B] and d2 three per dot with a curl.  :func:`schouten_sum` puts a
+whole signed sum of brackets into one accumulation per component.
+
 Multivector fields are immutable and share their parts: :meth:`MultiVec.zero`
 is one object per degree, and multiplying by 1 returns the field itself.
 
@@ -66,7 +73,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Optional
+from typing import Hashable, Optional, Sequence
 
 from .algebra import (
     Exponents,
@@ -203,25 +210,16 @@ def multivec_str(mv: MultiVec) -> str:
 # -- vector calculus on components --------------------------------------------
 
 # A vector field and a bivector read as a vector are component triples; a
-# function and a trivector are 1-tuples.
+# function and a trivector are 1-tuples.  A sum of products is a list of
+# (s, p, q) terms, int s, for Poly.sum_of_products.
 Comps = tuple[Poly, ...]
+Terms = list[tuple[int, Poly, Poly]]
+
+_ONE = Poly.one()
 
 
 def _grad(f: Poly) -> Comps:
     return (f.diff(0), f.diff(1), f.diff(2))
-
-
-def _derive(v: Comps, f: Poly) -> Poly:
-    """V(f) = V . grad f."""
-    total = Poly.zero()
-    for i, c in enumerate(v):
-        if c:
-            total = total + c * f.diff(i)
-    return total
-
-
-def _dot(u: Comps, v: Comps) -> Poly:
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 def _div(v: Comps) -> Poly:
@@ -234,10 +232,21 @@ def _curl(b: Comps) -> Comps:
             b[1].diff(0) - b[0].diff(1))
 
 
-def _cross(u: Comps, v: Comps) -> Comps:
-    return (u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0])
+def _cross_terms(u: Comps, v: Comps, s: int) -> list[Terms]:
+    """s (u x v), one term list per component."""
+    return [[(s, u[1], v[2]), (-s, u[2], v[1])],
+            [(s, u[2], v[0]), (-s, u[0], v[2])],
+            [(s, u[0], v[1]), (-s, u[1], v[0])]]
+
+
+def _dot_terms(u: Comps, v: Comps, s: int) -> Terms:
+    """s (u . v); V(f) = V . grad f."""
+    return [(s, u[0], v[0]), (s, u[1], v[1]), (s, u[2], v[2])]
+
+
+def _summed(degree: int, rows: list[Terms], divisor: int = 1) -> "MultiVec":
+    return MultiVec(degree, tuple(Poly.sum_of_products(r, divisor)
+                                  for r in rows))
 
 
 # -- wedge product ------------------------------------------------------------
@@ -253,58 +262,57 @@ def wedge(p: MultiVec, q: MultiVec) -> MultiVec:
         return q.mul_poly(p.comps[0])
     if dq == 0:
         return p.mul_poly(q.comps[0])
-    if dp == 1 and dq == 1:
-        return MultiVec(2, _cross(p.comps, q.comps))
-    if dp == 1 and dq == 2:
-        return MultiVec.trivector(_dot(p.comps, q.comps))
     if dp == 2 and dq == 1:
         # graded commutativity: degrees 2 and 1 commute without sign
-        return wedge(q, p)
-    raise AssertionError("unreachable wedge case")
+        p, q = q, p
+    if p.degree == 1 and q.degree == 1:
+        return _summed(2, _cross_terms(p.comps, q.comps, 1))
+    return _summed(3, [_dot_terms(p.comps, q.comps, 1)])
 
 
 # -- Schouten bracket ---------------------------------------------------------
 
+# Each closed form returns the term lists of s [P, Q], one per component.
 
-def _vector_function(v: Comps, f: Comps) -> MultiVec:
+
+def _vector_function(v: Comps, f: Comps, s: int) -> list[Terms]:
     """[V, F] = V(F)."""
-    return MultiVec.function(_derive(v, f[0]))
+    return [_dot_terms(v, _grad(f[0]), s)]
 
 
-def _bivector_function(b: Comps, f: Comps) -> MultiVec:
+def _bivector_function(b: Comps, f: Comps, s: int) -> list[Terms]:
     """[B, F] = b x grad F."""
-    return MultiVec(1, _cross(b, _grad(f[0])))
+    return _cross_terms(b, _grad(f[0]), s)
 
 
-def _trivector_function(t: Comps, f: Comps) -> MultiVec:
+def _trivector_function(t: Comps, f: Comps, s: int) -> list[Terms]:
     """[T, F] = t grad F."""
-    return MultiVec(2, tuple(g * t[0] for g in _grad(f[0])))
+    return [[(s, t[0], g)] for g in _grad(f[0])]
 
 
-def _vector_vector(v: Comps, w: Comps) -> MultiVec:
+def _vector_vector(v: Comps, w: Comps, s: int) -> list[Terms]:
     """[V, W]_i = V(W_i) - W(V_i)."""
-    return MultiVec.vector(*(_derive(v, w[i]) - _derive(w, v[i])
-                             for i in range(3)))
+    return [_dot_terms(v, _grad(w[i]), s) + _dot_terms(w, _grad(v[i]), -s)
+            for i in range(3)]
 
 
-def _vector_bivector(v: Comps, b: Comps) -> MultiVec:
+def _vector_bivector(v: Comps, b: Comps, s: int) -> list[Terms]:
     """[V, B]_i = V(b_i) + b . d_i V - div(V) b_i."""
     div = _div(v)
-    return MultiVec(2, tuple(
-        _derive(v, b[i])
-        + _dot(b, (v[0].diff(i), v[1].diff(i), v[2].diff(i)))
-        - div * b[i]
-        for i in range(3)))
+    return [_dot_terms(v, _grad(b[i]), s)
+            + _dot_terms(b, (v[0].diff(i), v[1].diff(i), v[2].diff(i)), s)
+            + [(-s, div, b[i])]
+            for i in range(3)]
 
 
-def _vector_trivector(v: Comps, t: Comps) -> MultiVec:
+def _vector_trivector(v: Comps, t: Comps, s: int) -> list[Terms]:
     """[V, T] = V(t) - t div V."""
-    return MultiVec.trivector(_derive(v, t[0]) - _div(v) * t[0])
+    return [_dot_terms(v, _grad(t[0]), s) + [(-s, _div(v), t[0])]]
 
 
-def _bivector_bivector(a: Comps, b: Comps) -> MultiVec:
+def _bivector_bivector(a: Comps, b: Comps, s: int) -> list[Terms]:
     """[A, B] = a . curl b + b . curl a."""
-    return MultiVec.trivector(_dot(a, _curl(b)) + _dot(b, _curl(a)))
+    return [_dot_terms(a, _curl(b), s) + _dot_terms(b, _curl(a), s)]
 
 
 # One closed form per (deg p, deg q) with a result in degrees 0..3; the
@@ -320,21 +328,51 @@ _CLOSED_FORMS = {
 }
 
 
+def schouten_sum(terms: Sequence[tuple[int, MultiVec, MultiVec]],
+                 divisor: int = 1) -> MultiVec:
+    """(sum of s [P, Q] over the (s, P, Q) terms) / divisor, for int
+    multipliers s, a positive int divisor and at least one term, every
+    term of the same result degree.
+
+    The closed forms of all the terms (see the module docstring) go into
+    one Poly.sum_of_products per output component.
+    """
+    if not terms:
+        raise ValueError("schouten_sum needs at least one term")
+    degree = terms[0][1].degree + terms[0][2].degree - 1
+    rows: list[Terms] = []
+    for s, p, q in terms:
+        if p.degree + q.degree - 1 != degree:
+            raise ValueError(
+                f"brackets of degrees {degree} and "
+                f"{p.degree + q.degree - 1} in one sum")
+        if degree < 0 or degree > 3 or not s or p.is_zero() or q.is_zero():
+            continue
+        form = _CLOSED_FORMS.get((p.degree, q.degree))
+        if form is not None:
+            parts = form(p.comps, q.comps, s)
+        else:
+            # [P, Q] = -(-1)^((p-1)(q-1)) [Q, P]
+            odd = (p.degree - 1) * (q.degree - 1) % 2
+            parts = _CLOSED_FORMS[(q.degree, p.degree)](
+                q.comps, p.comps, s if odd else -s)
+        if rows:
+            for row, part in zip(rows, parts):
+                row += part
+        else:
+            rows = parts
+    if not rows:
+        return MultiVec.zero(degree)
+    return _summed(degree, rows, divisor)
+
+
 def schouten(p: MultiVec, q: MultiVec) -> MultiVec:
     """Schouten bracket of two multivector fields.
 
     The result has degree deg p + deg q - 1; it is evaluated by the
     closed form of its degree pair (see the module docstring).
     """
-    degree = p.degree + q.degree - 1
-    if degree < 0 or degree > 3 or p.is_zero() or q.is_zero():
-        return MultiVec.zero(degree)
-    form = _CLOSED_FORMS.get((p.degree, q.degree))
-    if form is not None:
-        return form(p.comps, q.comps)
-    # [P, Q] = -(-1)^((p-1)(q-1)) [Q, P]
-    swapped = _CLOSED_FORMS[(q.degree, p.degree)](q.comps, p.comps)
-    return swapped if (p.degree - 1) * (q.degree - 1) % 2 else -swapped
+    return schouten_sum([(1, p, q)])
 
 
 def curl(b: MultiVec) -> MultiVec:
@@ -388,12 +426,13 @@ def coboundary(p: MultiVec, potential: Poly) -> MultiVec:
         return MultiVec.zero(degree + 1)
     grad_phi = _grad(potential)
     if degree == 0:
-        return MultiVec(1, _cross(grad_phi, _grad(p.comps[0])))
+        return _summed(1, _cross_terms(grad_phi, _grad(p.comps[0]), 1))
     if degree == 1:
         div = _div(p.comps)
-        return MultiVec(2, tuple(div * g - h for g, h in
-                                 zip(grad_phi, _grad(_dot(p.comps, grad_phi)))))
-    return MultiVec.trivector(_dot(grad_phi, _curl(p.comps)))
+        inner = Poly.sum_of_products(_dot_terms(p.comps, grad_phi, 1))
+        return _summed(2, [[(1, div, g), (-1, _ONE, h)] for g, h in
+                             zip(grad_phi, _grad(inner))])
+    return _summed(3, [_dot_terms(grad_phi, _curl(p.comps), 1)])
 
 
 # -- weight grading -----------------------------------------------------------

@@ -255,6 +255,72 @@ def test_diff_constants_vanish():
     assert Poly.variable(1).diff(2).is_zero()
 
 
+# -- sum of products -------------------------------------------------------------
+
+# (s, p, q) with mixed int/Fraction operands, zero operands (empty
+# dictionaries) and multipliers other than +-1, zero included
+product_terms = st.lists(
+    st.tuples(st.integers(-6, 6), mixed_terms, mixed_terms), max_size=6)
+
+
+@given(product_terms, st.integers(1, 12))
+def test_sum_of_products_matches_chained_arithmetic(raw, divisor):
+    """One accumulation equals the chained * / + / - result and the
+    Fraction reference, and comes out normalized."""
+    terms = [(s, Poly(t1), Poly(t2)) for s, t1, t2 in raw]
+    chained = Poly.zero()
+    reference: dict = {}
+    for (s, p, q), (_, t1, t2) in zip(terms, raw):
+        product = p * q
+        for _ in range(abs(s)):
+            chained = chained + product if s > 0 else chained - product
+        scaled = {e: v * s for e, v in
+                  _ref_mul({e: Fraction(v) for e, v in t1.items()},
+                           {e: Fraction(v) for e, v in t2.items()}).items()}
+        reference = _ref_add(reference, scaled)
+    result = Poly.sum_of_products(terms, divisor)
+    _assert_normalized(result)
+    assert result == chained * Fraction(1, divisor)
+    assert result == Poly({e: v / divisor for e, v in reference.items()})
+    if not reference:
+        assert result is Poly.zero()
+    assert Poly.sum_of_products(iter(terms), divisor) == result
+
+
+@given(product_terms, st.integers(1, 12))
+def test_sum_of_products_full_cancellation_is_the_shared_zero(raw, divisor):
+    """Each term against its negative, the operands swapped, cancels."""
+    terms = [(s, Poly(t1), Poly(t2)) for s, t1, t2 in raw]
+    opposite = [(-s, q, p) for s, p, q in terms]
+    assert Poly.sum_of_products(terms + opposite, divisor) is Poly.zero()
+    assert Poly.sum_of_products(opposite[::-1] + terms) is Poly.zero()
+
+
+def test_sum_of_products_edge_cases():
+    half_x = Poly({(1, 0, 0): Fraction(1, 2)})
+    y = Poly.variable(1)
+    assert Poly.sum_of_products([]) is Poly.zero()
+    assert Poly.sum_of_products([], 5) is Poly.zero()
+    assert Poly.sum_of_products(
+        [(3, Poly.zero(), y), (4, y, Poly.zero()), (0, half_x, y)]) \
+        is Poly.zero()
+    # 4 * (x/2) * y / 6 = x*y/3: the multiplier, the operand denominator
+    # and the divisor meet in one gcd pass
+    result = Poly.sum_of_products([(4, half_x, y)], 6)
+    _assert_normalized(result)
+    assert result == Poly({(1, 1, 0): Fraction(1, 3)})
+    assert Poly.sum_of_products([(2, half_x, y)]) == half_x * y * 2
+    for multiplier in (Fraction(1, 2), Fraction(2), 1.0):
+        with pytest.raises(TypeError):
+            Poly.sum_of_products([(multiplier, half_x, y)])
+    for divisor in (Fraction(2), 2.0):
+        with pytest.raises(TypeError):
+            Poly.sum_of_products([(1, half_x, y)], divisor)
+    for divisor in (0, -2):
+        with pytest.raises(ValueError):
+            Poly.sum_of_products([(1, half_x, y)], divisor)
+
+
 # -- parser and printer --------------------------------------------------------
 
 

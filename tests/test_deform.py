@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given
@@ -340,6 +341,45 @@ def test_jacobi_residual_matches_shuffle_sum(series):
             expected = expected + shuffle_sum(series.coefficient(a),
                                               series.coefficient(n - a))
         assert residual.coefficient(n) == expected
+
+
+@st.composite
+def gauge_inputs(draw):
+    """A random anchored bivector series (not Poisson) and a vector-field
+    series of the same order with fractional coefficients."""
+    series = draw(bivector_series())
+    monomials = st.tuples(
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+        st.fractions(min_value=-5, max_value=5, max_denominator=6))
+
+    def field():
+        return MultiVec(1, tuple(
+            Poly(dict(draw(st.lists(monomials, min_size=1, max_size=2))))
+            for _ in range(3)))
+
+    xi = NuSeries(order_cap=series.order_cap,
+                  coeffs=tuple(field() for _ in range(series.order_cap)))
+    return series, xi
+
+
+@given(gauge_inputs())
+def test_gauge_apply_matches_shuffle_sum(inputs):
+    """e^{ad xi}(pi) equals sum_k ad_xi^k(pi) / k! with every bracket the
+    shuffle sum, built term by term."""
+    series, xi = inputs
+    m = series.order_cap
+    power = [series.coefficient(n) for n in range(m + 1)]   # ad_xi^0(pi)
+    expected = list(power)
+    for k in range(1, m + 1):
+        power = [MultiVec.zero(2)] + [
+            sum((shuffle_sum(xi.coefficient(a), power[n - a])
+                 for a in range(1, n + 1)), MultiVec.zero(2))
+            for n in range(1, m + 1)]
+        expected = [e + p * Fraction(1, factorial(k))
+                    for e, p in zip(expected, power)]
+    gauged = gauge_apply(series, xi)
+    assert gauged.anchor == series.anchor
+    assert list(gauged.coeffs) == expected[1:]
 
 
 def test_jacobi_residual_rejects_non_bivectors():
