@@ -74,7 +74,6 @@ from .multivec import (
     multivec_str,
     poisson_from_potential,
     schouten,
-    wedge,
 )
 from .singularity import (
     NotIsolatedError,
@@ -150,5 +149,4 @@ __all__ = [
     "schouten",
     "solve_coboundary",
     "validate_label",
-    "wedge",
 ]

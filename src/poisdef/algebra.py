@@ -641,8 +641,12 @@ def _bits(p: Poly) -> int:
 
 def bounded_int(text: str) -> Optional[int]:
     """The integer an ASCII decimal literal with an optional sign spells, or
-    None when its magnitude has more than MAX_COEFFICIENT_BITS bits."""
-    digits = text.lstrip("+-").lstrip("0") or "0"
+    None when text is anything else or its magnitude has more than
+    MAX_COEFFICIENT_BITS bits."""
+    body = text[1:] if text[:1] in ("+", "-") else text
+    if not (body.isascii() and body.isdigit()):
+        return None
+    digits = body.lstrip("0") or "0"
     # a d-digit literal is at least 10^(d-1) > 2^(3(d-1)), so longer ones
     # are refused unconverted, below Python's digit limit for int()
     if len(digits) > MAX_COEFFICIENT_BITS // 3 + 1:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from typing import Optional, Sequence
 
@@ -77,13 +76,10 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 # -- shared pieces -------------------------------------------------------------
 
-_INT_RE = re.compile(r"[+-]?[0-9]+")
-
-
 def _int_arg(text: str) -> int:
     """The value of an integer flag: an optional sign, then ASCII digits,
     at most MAX_COEFFICIENT_BITS bits."""
-    value = bounded_int(text) if _INT_RE.fullmatch(text) else None
+    value = bounded_int(text)
     if value is None:
         raise argparse.ArgumentTypeError(
             f"expected an integer of ASCII digits 0-9 with an optional sign "

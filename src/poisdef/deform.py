@@ -216,8 +216,12 @@ def _family_int(text: str) -> int:
 
 
 def _exact_value(value, name: str, entry: list) -> ScalarLike:
-    """An integer or a "p/q" string (q nonzero) as an exact scalar."""
+    """An integer or a "p/q" string (q nonzero) as an exact scalar, each
+    integer of at most MAX_COEFFICIENT_BITS bits."""
     if type(value) is int:
+        if abs(value) > 1 << MAX_COEFFICIENT_BITS:
+            raise InvalidFamilyError(
+                f"a {name} value is above the {MAX_COEFFICIENT_BITS}-bit limit")
         return value
     match = _RATIONAL_RE.fullmatch(value) if isinstance(value, str) else None
     if match:

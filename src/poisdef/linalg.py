@@ -9,12 +9,13 @@ vector to the span, and it solves for a target as a combination of the
 tagged inputs.
 
 The elimination is fraction-free.  A stored row is a primitive ``int``
-vector (its content divided out) whose pivot entry is left as it is, and
-its record as a combination of the tagged inputs is ``int`` numerators
-over one positive denominator, as a ``Poly`` stores its coefficients.  A
-vector is reduced by cross-multiplication with the stored rows and its
-content is divided out after each step (fraction-free elimination, after
-Bareiss 1968), so no step forms a ``Fraction``.
+vector (its content divided out) whose pivot entry is left as it is.  A
+vector added with a tag is augmented by one column keyed ``(tag,)``, as
+in the textbook [A | I] elimination, so each stored row carries its own
+record as a combination of the tagged inputs.  A vector is reduced by
+cross-multiplication with the stored rows and its content is divided out
+after each step (fraction-free elimination, after Bareiss 1968), so no
+step forms a ``Fraction``.
 
 Its pivot set is that of the leftmost-pivot reduced echelon form, and its
 solutions are the ones that set every free variable to zero, which are
@@ -34,13 +35,13 @@ from .algebra import ScalarLike, exact_scalar
 
 SparseVec = dict[int, ScalarLike]
 
-# An integer vector: index -> nonzero int.
-IntVec = dict[int, int]
+# An integer row: int index or (tag,) column -> nonzero int.
+IntVec = dict[Hashable, int]
 
 
-def _integral(vec: Mapping[int, ScalarLike]) -> tuple[IntVec, int, int]:
-    """(out, scale, den) with den * out = scale * vec, ``out`` a primitive
-    integer vector (empty for the zero vector) and ``den`` positive."""
+def _integral(vec: Mapping[Hashable, ScalarLike]) -> IntVec:
+    """The primitive integer vector that is a positive multiple of vec
+    (empty for the zero vector)."""
     lcm = 1
     for value in vec.values():
         if type(value) is not int:
@@ -52,8 +53,7 @@ def _integral(vec: Mapping[int, ScalarLike]) -> tuple[IntVec, int, int]:
     content = math.gcd(*out.values()) or 1
     if content > 1:
         out = {i: v // content for i, v in out.items()}
-    g = math.gcd(content, lcm)
-    return out, lcm // g, content // g
+    return out
 
 
 # The tag solve gives its target while it eliminates it.
@@ -63,21 +63,20 @@ _TARGET = object()
 class Eliminator:
     """Echelon basis of the span of the vectors added so far.
 
-    Each stored row pivots on its leftmost nonzero index.  A vector is
-    reduced by the stored rows at existing pivots in increasing order;
+    Each stored row pivots on its leftmost nonzero ``int`` index.  A vector
+    is reduced by the stored rows at existing pivots in increasing order;
     since a stored row has no entry left of its pivot, the result vanishes
     at every pivot.  Adding vectors one by one therefore keeps exactly the
     inputs that are not in the span of the earlier ones.
 
     A vector added with a ``tag`` (distinct from every earlier tag, else
-    ValueError) also records its stored row as a combination of the tagged
-    inputs, which is what :meth:`solve` reads: ``_combos[p]`` is
-    ``(nums, den)`` with ``den * _rows[p] = sum of nums[t] * input t``.
+    ValueError) enters as input t with the column ``(t,)`` set to 1, so
+    every stored row's ``int`` entries equal the sum of ``row[(t,)]``
+    times input t, which is what :meth:`solve` reads.
     """
 
     def __init__(self) -> None:
         self._rows: dict[int, IntVec] = {}
-        self._combos: dict[int, tuple[dict[Hashable, int], int]] = {}
         self._pivots: list[int] = []
         self._tags: set = set()
 
@@ -91,14 +90,10 @@ class Eliminator:
         return list(self._pivots)
 
     def _eliminate(self, vec: Mapping[int, ScalarLike],
-                   tag: Optional[Hashable]
-                   ) -> tuple[IntVec, Optional[dict], int]:
-        """Reduce vec, as input ``tag``, by every stored row: (out, combo,
-        den) with den * out = sum of combo[t] * input t, ``out`` primitive
-        and vanishing at every pivot.  A None tag skips the bookkeeping and
-        gives a None combo."""
-        out, scale, den = _integral(vec)
-        combo = None if tag is None else {tag: scale}
+                   tag: Optional[Hashable]) -> IntVec:
+        """Reduce vec, as input ``tag`` unless that is None, by every
+        stored row: a primitive row vanishing at every pivot."""
+        out = _integral(vec if tag is None else {**vec, (tag,): 1})
         for pivot in self._pivots:
             a = out.get(pivot)
             if a is None:
@@ -119,56 +114,34 @@ class Eliminator:
             content = math.gcd(*out.values()) or 1
             if content > 1:
                 out = {i: v // content for i, v in out.items()}
-            if combo is None:
-                continue
-            # den * row_den * content * out
-            #   = b * row_den * combo - a * den * nums
-            nums, row_den = self._combos[pivot]
-            left, right = b * row_den, a * den
-            if left != 1:
-                for t in combo:
-                    combo[t] *= left
-            for t, n in nums.items():
-                acc = combo.get(t, 0) - right * n
-                if acc:
-                    combo[t] = acc
-                else:
-                    del combo[t]
-            den *= row_den * content
-            g = math.gcd(den, *combo.values())
-            if g > 1:
-                den //= g
-                for t in combo:
-                    combo[t] //= g
-        return out, combo, den
+        return out
 
     def add(self, vec: Mapping[int, ScalarLike],
             tag: Optional[Hashable] = None) -> Optional[int]:
         """Insert vec; return its new pivot, or None if it lies in the span."""
-        if tag is not None:
-            if tag in self._tags:
-                raise ValueError(f"tag {tag!r} was added before")
-            self._tags.add(tag)
-        out, combo, den = self._eliminate(vec, tag)
-        if not out:
-            return None
-        pivot = min(out)
-        self._rows[pivot] = out
-        if combo is not None:
-            self._combos[pivot] = (combo, den)
-        insort(self._pivots, pivot)
+        if tag is not None and tag in self._tags:
+            raise ValueError(f"tag {tag!r} was added before")
+        self._tags.add(tag)
+        out = self._eliminate(vec, tag)
+        pivot = min((i for i in out if type(i) is int), default=None)
+        if pivot is not None:
+            self._rows[pivot] = out
+            insort(self._pivots, pivot)
         return pivot
 
     def solve(self, target: Mapping[int, ScalarLike]) -> Optional[dict]:
         """Coefficients of tagged inputs summing to target, or None.
 
         Only inputs that became pivots appear, so the answer is the
-        solution with every free variable set to zero.  Every stored
-        vector must have been added with a tag.
+        solution with every free variable set to zero.  Every vector
+        must have been added with a tag, else ValueError.
         """
-        out, combo, _ = self._eliminate(target, _TARGET)
-        if out:
+        if None in self._tags:
+            raise ValueError("solve needs every input added with a tag")
+        out = self._eliminate(target, _TARGET)
+        # 0 = scale * target + the sum of out[(t,)] * input t
+        scale = out.pop((_TARGET,))
+        if any(type(i) is int for i in out):
             return None
-        # 0 = scale * target + the rest of combo
-        scale = combo.pop(_TARGET)
-        return {t: exact_scalar(Fraction(-n, scale)) for t, n in combo.items()}
+        return {t: exact_scalar(Fraction(-n, scale))
+                for (t,), n in out.items()}

@@ -54,8 +54,8 @@ d2 B = grad phi . curl b, and :func:`coboundary` evaluates those forms;
 the generic ``schouten(poisson_from_potential(phi), p)`` is its test
 oracle.
 
-Each closed form, wedge product and coboundary form is one sum of
-products per output component: a list of (s, p, q) terms, int s, for one
+Each closed form and coboundary form is one sum of products per
+output component: a list of (s, p, q) terms, int s, for one
 :meth:`poisdef.algebra.Poly.sum_of_products`.  div V and curl b are
 formed once per field, so [V, B] takes one product for its div term and
 [A, B] and d2 three per dot with a curl.  :func:`schouten_sum` puts a
@@ -249,27 +249,6 @@ def _summed(degree: int, rows: list[Terms], divisor: int = 1) -> "MultiVec":
                                   for r in rows))
 
 
-# -- wedge product ------------------------------------------------------------
-
-
-def wedge(p: MultiVec, q: MultiVec) -> MultiVec:
-    """Exterior product; degrees add, and anything above 3 is zero."""
-    dp, dq = p.degree, q.degree
-    total = dp + dq
-    if total > 3 or dp < 0 or dq < 0:
-        return MultiVec.zero(total)
-    if dp == 0:
-        return q.mul_poly(p.comps[0])
-    if dq == 0:
-        return p.mul_poly(q.comps[0])
-    if dp == 2 and dq == 1:
-        # graded commutativity: degrees 2 and 1 commute without sign
-        p, q = q, p
-    if p.degree == 1 and q.degree == 1:
-        return _summed(2, _cross_terms(p.comps, q.comps, 1))
-    return _summed(3, [_dot_terms(p.comps, q.comps, 1)])
-
-
 # -- Schouten bracket ---------------------------------------------------------
 
 # Each closed form returns the term lists of s [P, Q], one per component.
@@ -376,10 +355,7 @@ def schouten(p: MultiVec, q: MultiVec) -> MultiVec:
 
 
 def curl(b: MultiVec) -> MultiVec:
-    """Curl of a bivector read as a vector, returned as a vector field.
-
-    [A, B] = a . curl b + b . curl a is wedge(curl(B), A) + wedge(curl(A), B).
-    """
+    """Curl of a bivector read as a vector, returned as a vector field."""
     if b.degree != 2:
         raise ValueError(f"curl takes a bivector, got degree {b.degree}")
     return MultiVec(1, _curl(b.comps))

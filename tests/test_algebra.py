@@ -22,6 +22,7 @@ from poisdef.algebra import (
     MAX_COEFFICIENT_BITS,
     MAX_EXPANSION_TERMS,
     MAX_NESTING,
+    bounded_int,
     exact_scalar,
 )
 
@@ -411,6 +412,14 @@ def test_parse_coefficient_budget():
                  "x^" + "9" * 5000, "7" * 100000):
         with pytest.raises(PolyParseError, match="integer literal above"):
             parse_poly(text)
+
+
+def test_bounded_int_reads_an_optional_sign_and_ascii_digits():
+    assert bounded_int("-05") == -5 and bounded_int("+7") == 7
+    assert bounded_int(str(2 ** 1024)) == 2 ** 1024
+    assert bounded_int(str(-2 ** 1024 - 1)) is None
+    for text in ("1_000", "\u0663", "--5", "+-5", "", "+", " 5", "5 "):
+        assert bounded_int(text) is None, text
 
 
 def test_parse_nesting_limit():

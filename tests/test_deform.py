@@ -60,6 +60,16 @@ def test_family_refuses_inexact_coefficients():
                                   "cbar": [[1, 1, "1/2"]]}
 
 
+def test_family_values_are_bounded_like_literals():
+    """An int value of the JSON form has at most MAX_COEFFICIENT_BITS bits,
+    as a family file's numbers and "p/q" strings do."""
+    fam = CoeffFamily.from_json_dict({"c": [[1, 0, 1, 2 ** 1024]]})
+    assert fam.c == (((1, 0, 1), 2 ** 1024),)
+    for value in (2 ** 1024 + 1, -2 ** 1024 - 1, 10 ** 400):
+        with pytest.raises(InvalidFamilyError, match="1024-bit limit"):
+            CoeffFamily.from_json_dict({"cbar": [[1, 1, value]]})
+
+
 def test_family_validation(brieskorn):
     CoeffFamily.make({(1, 0, 1): 1}, {(1, 7): 1}).validate(brieskorn)
     with pytest.raises(InvalidFamilyError):

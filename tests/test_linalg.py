@@ -94,30 +94,29 @@ def test_solve_matches_rref_solution(system, data):
 
 
 def _assert_stored_form(elim, inputs):
-    """Every stored row is a primitive int vector whose pivot entry is its
-    leftmost, and its combination is int numerators over a positive
-    denominator, coprime, with den * row == sum of nums[t] * input t."""
-    assert sorted(elim._rows) == elim.pivots == sorted(elim._combos)
+    """Every stored row is a primitive int vector whose leftmost index is
+    its pivot, and its index entries equal the sum of row[(t,)] * input t
+    over its tag columns."""
+    assert sorted(elim._rows) == elim.pivots
     for pivot, row in elim._rows.items():
         assert all(type(v) is int and v for v in row.values())
-        assert min(row) == pivot and math.gcd(*row.values()) == 1
-        nums, den = elim._combos[pivot]
-        assert type(den) is int and den > 0
-        assert all(type(n) is int and n for n in nums.values())
-        assert math.gcd(den, *nums.values()) == 1
+        assert math.gcd(*row.values()) == 1
+        indices = {i: v for i, v in row.items() if type(i) is int}
+        assert min(indices) == pivot
         total = {}
-        for tag, n in nums.items():
-            for i, v in inputs[tag].items():
-                total[i] = total.get(i, 0) + n * v
-        assert {i: v for i, v in total.items() if v} == {
-            i: den * v for i, v in row.items()}
+        for key, n in row.items():
+            if type(key) is not int:
+                (tag,) = key
+                for i, v in inputs[tag].items():
+                    total[i] = total.get(i, 0) + n * v
+        assert {i: v for i, v in total.items() if v} == indices
 
 
 def test_integer_vectors_keep_exact_entries():
-    """Integer inputs with pivot entries 3 and -2 are stored as they are,
-    a rational input as its primitive integer multiple with the
-    denominator on its combination; solve gives the exact rational
-    solution, and floats are refused."""
+    """Integer inputs with pivot entries 3 and -2 are stored as they are
+    with 1 on their tag column, a rational input as its primitive integer
+    multiple with the multiplier on its tag column; solve gives the exact
+    rational solution, and floats are refused."""
     inputs = {"a": {0: 3, 1: 1, 2: 1}, "b": {1: -2, 2: 1},
               "c": {0: 6, 1: 4, 2: 1},                 # 2*a - b
               "d": {2: Fraction(3, 2), 3: Fraction(-9, 4)}}
@@ -127,10 +126,9 @@ def test_integer_vectors_keep_exact_entries():
     assert elim.add(inputs["c"], "c") is None
     assert elim.add(inputs["d"], "d") == 2
     _assert_stored_form(elim, inputs)
-    assert elim._rows == {0: {0: 3, 1: 1, 2: 1}, 1: {1: -2, 2: 1},
-                          2: {2: 2, 3: -3}}
-    assert elim._combos == {0: ({"a": 1}, 1), 1: ({"b": 1}, 1),
-                            2: ({"d": 4}, 3)}
+    assert elim._rows == {0: {0: 3, 1: 1, 2: 1, ("a",): 1},
+                          1: {1: -2, 2: 1, ("b",): 1},
+                          2: {2: 6, 3: -9, ("d",): 4}}
     solution = elim.solve({0: 1, 1: 1})
     assert solution == {"a": Fraction(1, 3), "b": Fraction(-1, 3)}
     integral = elim.solve({0: 6, 1: 4, 2: 1})
@@ -145,6 +143,39 @@ def test_integer_vectors_keep_exact_entries():
             Eliminator().add(bad)
 
 
+def test_int_tags_stay_apart_from_indices():
+    """A tag equal to an index or a pivot names an input, not a position:
+    its column (t,) never meets index t."""
+    elim = Eliminator()
+    assert elim.add({0: 1}, 0) == 0
+    assert elim.solve({0: 2}) == {0: 2}
+    assert elim.add({0: 1, 1: 2}, 1) == 1          # tag 1 at pivot 1
+    assert elim.add({1: 1, 2: 1}, 2) == 2          # tag 2 at pivot 2
+    inputs = {0: {0: 1}, 1: {0: 1, 1: 2}, 2: {1: 1, 2: 1}}
+    _assert_stored_form(elim, inputs)
+    assert elim.solve({1: 2}) == {0: -1, 1: 1}
+    assert elim.solve({0: 1, 3: 1}) is None
+    shifted = Eliminator()
+    assert shifted.add({1: 1}, 0) == 1             # tag 0, index 1
+    assert shifted.add({2: 3}, 1) == 2             # tag 1, a pivot
+    assert shifted.solve({1: 3, 2: 1}) == {0: 3, 1: Fraction(1, 3)}
+    assert shifted.solve({0: 1}) is None
+
+
+def test_zero_vector_with_tag():
+    """A zero input adds nothing to the span but keeps its tag."""
+    elim = Eliminator()
+    assert elim.add({}, "z") is None
+    assert elim.add({0: 0}, "w") is None
+    assert elim.rank == 0 and elim._rows == {}
+    assert elim.solve({}) == {}
+    assert elim.solve({0: 1}) is None
+    assert elim.add({0: 2}, "a") == 0
+    assert elim.solve({0: 1}) == {"a": Fraction(1, 2)}
+    with pytest.raises(ValueError):
+        elim.add({}, "z")
+
+
 def test_repeated_tag_is_refused():
     """Tags name the inputs of a solution, so each may be given once: a
     repeated tag would add two inputs' coefficients under one name."""
@@ -157,6 +188,16 @@ def test_repeated_tag_is_refused():
     elim.add({0: 2, 1: 2}, "b")                    # in the span of a, b
     with pytest.raises(ValueError):
         elim.add({2: 1}, "b")
+
+
+def test_solve_refuses_untagged_inputs():
+    """An untagged input has no column to record it, so a solve over it
+    would leave it out of the combination."""
+    elim = Eliminator()
+    elim.add({0: 1}, "a")
+    elim.add({1: 1})
+    with pytest.raises(ValueError):
+        elim.solve({0: 1, 1: 1})
 
 
 wide = st.builds(Fraction, st.integers(-40, 40).filter(bool) | st.just(0),

@@ -1,4 +1,4 @@
-"""Multivector calculus: wedge, Schouten bracket, coboundary operator."""
+"""Multivector calculus: Schouten bracket, coboundary operator."""
 
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from poisdef import (
     parse_poly,
     poisson_from_potential,
     schouten,
-    wedge,
 )
 from poisdef.multivec import SLOTS
 from shuffle_oracle import evaluate, shuffle_sum
@@ -62,35 +61,6 @@ def test_component_counts():
 def test_multivec_str_round_readable():
     pi = poisson_from_potential(parse_poly("x^2 + y^2 + z^2"))
     assert multivec_str(pi) == "(2*x) dy^dz + (2*y) dz^dx + (2*z) dx^dy"
-
-
-# -- wedge product -------------------------------------------------------------
-
-
-@given(multivecs(1), multivecs(1))
-def test_wedge_anticommutes_on_vectors(v, w):
-    assert wedge(v, w) == wedge(w, v) * Fraction(-1)
-    assert wedge(v, v).is_zero()
-
-
-@given(multivecs(1), multivecs(2))
-def test_wedge_vector_bivector_commutes(v, b):
-    assert wedge(v, b) == wedge(b, v)
-
-
-@given(polys(), multivecs(1), multivecs(2))
-def test_wedge_function_scaling(f, v, b):
-    fv = MultiVec.function(f)
-    assert wedge(fv, v) == v.mul_poly(f)
-    assert wedge(fv, b) == b.mul_poly(f)
-
-
-def test_wedge_basis_volume():
-    dx = MultiVec.vector(Poly.one(), Poly.zero(), Poly.zero())
-    dy = MultiVec.vector(Poly.zero(), Poly.one(), Poly.zero())
-    dz = MultiVec.vector(Poly.zero(), Poly.zero(), Poly.one())
-    assert wedge(wedge(dx, dy), dz) == coordinate_volume()
-    assert wedge(wedge(dy, dx), dz) == coordinate_volume() * Fraction(-1)
 
 
 # -- evaluation convention (frozen hand-computed values) ------------------------
