@@ -17,6 +17,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Optional, Sequence
@@ -41,7 +42,6 @@ from .deform import (
     first_order_class,
     jacobi_residual,
 )
-from .linfty import ArityCapExceededError
 from .multivec import multivec_str
 from .singularity import SingularityData, SingularityError, milnor_basis
 from .suites import SUITE_NAMES, SuiteConfig, run_suites
@@ -51,7 +51,6 @@ _DOMAIN_ERRORS = (
     WeightInferenceError,
     SingularityError,
     InvalidFamilyError,
-    ArityCapExceededError,
     CohomologyError,
     OSError,
     json.JSONDecodeError,
@@ -165,8 +164,15 @@ def _emit(report: dict, path: Optional[str]) -> None:
 def _load_family(path: Optional[str]) -> CoeffFamily:
     if path is None:
         return CoeffFamily.make({}, {})
-    with open(path, "r", encoding="utf-8") as handle:
-        return CoeffFamily.from_json_text(handle.read())
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidFamilyError(
+            f"family file is not UTF-8: byte {exc.start} cannot be "
+            "decoded") from None
+    return CoeffFamily.from_json_text(text)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -249,13 +255,7 @@ def cmd_verify(args) -> int:
     report = {
         "command": "verify",
         "potential": _potential_block(data, inferred),
-        "config": {
-            "order": config.order,
-            "weight_cap": config.weight_cap,
-            "arity_cap": config.arity_cap,
-            "seed": config.seed,
-            "suites": list(names),
-        },
+        "config": {**dataclasses.asdict(config), "suites": list(names)},
         "suites": suite_reports,
         "status": "pass" if ok else "fail",
     }

@@ -27,8 +27,9 @@ Classes are indexed by homological degree g = cochain degree - 1 (so
 bivector classes sit in degree g = 1), matching the grading of the graded
 Lie algebra used by the transfer machinery.
 
-:func:`realize` builds each class representative once per potential and
-keeps it on the ``SingularityData``, next to the slice solvers.
+:func:`realize` builds each generator's representative from the table
+once per potential and each other class as phi^i times its generator's,
+keeping all of them on the ``SingularityData``, next to the slice solvers.
 
 Projections and coboundary solves run through :func:`decompose`, which
 splits a closed multivector as p = f_1(c) + [pi, y]; :func:`project` (c)
@@ -131,90 +132,68 @@ def a_index_range(data: SingularityData) -> range:
     return range(0 if data.special else 1, data.mu)
 
 
+def _generator(label: BasisLabel) -> tuple[BasisLabel, int]:
+    """(g, i) with label = phi^i * g for g in :func:`_generators`; a B label
+    carries no phi power and is its own generator (i = 0)."""
+    if label.kind == "B":
+        return label, 0
+    return BasisLabel(label.kind, (0,) + label.indices[1:]), label.indices[0]
+
+
 def validate_label(label: BasisLabel, data: SingularityData) -> None:
-    """Raise CohomologyError unless the label names a class for this potential."""
-    kind = label.kind
-    if kind == "Eul" and not data.special:
+    """Raise CohomologyError unless the label names a class for this
+    potential, that is, unless its generator is in :func:`_generators`."""
+    generators = _generators(data, label.g_degree)
+    if _generator(label)[0] not in generators:
+        names = ", ".join(map(str, generators)) or "none"
         raise CohomologyError(
-            "Eul labels only exist when the potential degree equals the "
-            "sum of the weights"
-        )
-    if kind == "A":
-        _, q = label.indices
-        if q not in a_index_range(data):
-            raise CohomologyError(
-                f"A label u-index {q} outside {list(a_index_range(data))!r}"
-            )
-    if kind == "B":
-        (r,) = label.indices
-        if not 1 <= r <= data.mu - 1:
-            raise CohomologyError(
-                f"B label index {r} outside 1..{data.mu - 1}")
-    if kind == "Top":
-        _, s = label.indices
-        if not 0 <= s <= data.mu - 1:
-            raise CohomologyError(
-                f"Top label u-index {s} outside 0..{data.mu - 1}")
+            f"{label} is not a basis class of this potential (degree "
+            f"{label.g_degree} generators: {names})")
 
 
 def label_weight(label: BasisLabel, data: SingularityData) -> int:
-    """Weight of the class representative (phi carries weight d)."""
-    d = data.d
+    """Weight of the class representative: i*d for phi^i, plus the weight
+    of its generator, which is that of its Milnor monomial u (u_0 = 1 for
+    Cas and Eul) plus d - |w| for pi_phi (A) or -|w| for pi_u (B) and for
+    dx^dy^dz (Top)."""
+    generator, i = _generator(label)
     total = data.weights.total
-    kind = label.kind
-    if kind == "Cas":
-        return label.indices[0] * d
-    if kind == "Eul":
-        return label.indices[0] * d
-    if kind == "A":
-        i, q = label.indices
-        return i * d + data.basis_weight(q) + (d - total)
-    if kind == "B":
-        (r,) = label.indices
-        return data.basis_weight(r) - total
-    if kind == "Top":
-        i, s = label.indices
-        return i * d + data.basis_weight(s) - total
-    raise AssertionError(kind)
+    shift = {"A": data.d - total, "B": -total, "Top": -total}
+    return (i * data.d + data.basis_weight(generator.indices[-1])
+            + shift.get(label.kind, 0))
 
 
 def realize(label: BasisLabel, data: SingularityData) -> MultiVec:
     """The canonical multivector representative of a basis class, built
-    once per label and kept on ``data``."""
+    once per label and kept on ``data``: a generator's closed form, checked
+    by :func:`validate_label`, or phi^i times the generator's."""
     cached = data._realized.get(label)
-    if cached is None:
-        cached = data._realized[label] = _representative(label, data)
+    if cached is not None:
+        return cached
+    generator, i = _generator(label)
+    if i:
+        cached = realize(generator, data).mul_poly(data.phi ** i)
+    else:
+        validate_label(label, data)
+        u = Poly.monomial(data.basis[label.indices[-1]])
+        if label.kind == "Cas":
+            cached = MultiVec.function(u)
+        elif label.kind == "Eul":
+            cached = euler_field(data.weights)
+        elif label.kind == "A":
+            cached = poisson_from_potential(data.phi).mul_poly(u)
+        elif label.kind == "B":
+            cached = poisson_from_potential(u)
+        else:
+            cached = coordinate_volume().mul_poly(u)
+    data._realized[label] = cached
     return cached
 
 
-def _representative(label: BasisLabel, data: SingularityData) -> MultiVec:
-    validate_label(label, data)
-    phi = data.phi
-    kind = label.kind
-    if kind == "Cas":
-        return MultiVec.function(phi ** label.indices[0])
-    if kind == "Eul":
-        return euler_field(data.weights).mul_poly(phi ** label.indices[0])
-    if kind == "A":
-        i, q = label.indices
-        factor = (phi ** i) * Poly.monomial(data.basis[q])
-        return poisson_from_potential(phi).mul_poly(factor)
-    if kind == "B":
-        (r,) = label.indices
-        return poisson_from_potential(Poly.monomial(data.basis[r]))
-    if kind == "Top":
-        i, s = label.indices
-        factor = (phi ** i) * Poly.monomial(data.basis[s])
-        return coordinate_volume().mul_poly(factor)
-    raise AssertionError(kind)
-
-
 def _generators(data: SingularityData, g: int) -> list[BasisLabel]:
-    """Basis labels of homological degree g at phi power 0.
-
-    Every other label is phi^i times one of these (index i, weight raised
-    by i*d); B labels carry no phi power and are their own only multiple.
-    """
+    """Basis labels of homological degree g at phi power 0: the only list
+    of the basis, every other label being phi^i times one of them (index
+    i, weight raised by i*d, see :func:`_generator`)."""
     if g == -1:
         return [BasisLabel("Cas", (0,))]
     if g == 0:

@@ -174,14 +174,24 @@ class CoeffFamily:
         """Read a family file: every JSON integer, index or value, is read
         with the parser's literal rule (at most MAX_COEFFICIENT_BITS bits,
         checked before it is converted)."""
-        return cls.from_json_dict(json.loads(text, parse_int=_family_int))
+        try:
+            payload = json.loads(text, parse_int=_family_int)
+        except RecursionError:
+            raise InvalidFamilyError("family JSON is nested too deeply") from None
+        return cls.from_json_dict(payload)
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "CoeffFamily":
-        """Read the JSON form.  Indices must be JSON integers and values
-        integers or "p/q" strings, so no inexact number gets in."""
+        """Read the JSON form.  Its only keys are "c" and "cbar", so no
+        misspelled table is dropped; indices must be JSON integers and
+        values integers or "p/q" strings, so no inexact number gets in."""
         if not isinstance(payload, dict):
             raise InvalidFamilyError("family JSON must be an object")
+        unknown = [key for key in payload if key not in ("c", "cbar")]
+        if unknown:
+            raise InvalidFamilyError(
+                f"unknown family key(s) {', '.join(map(repr, unknown))}; "
+                'a family has only the keys "c" and "cbar"')
         tables = []
         for name, width, shape in (("c", 4, "[n,l,i,value]"),
                                    ("cbar", 3, "[n,r,value]")):

@@ -295,6 +295,21 @@ def test_deform_family_number_at_bit_limit_parses(capsys, tmp_path):
     assert report["family"]["cbar"] == [[1, 1, value]]
 
 
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe\x7b",                                      # not UTF-8
+    b'{"c": ' + b"[" * 1000 + b"]" * 1000 + b"}",          # nested 1000 deep
+    b'{"C": [[1, 0, 1, "3/2"]], "cbar": []}',              # misspelled key
+], ids=["not-utf8", "nested", "misspelled"])
+def test_deform_unreadable_family_exit_1(capsys, tmp_path, content):
+    fam_path = tmp_path / "family.json"
+    fam_path.write_bytes(content)
+    code, out, err = run_cli(
+        capsys, "deform", "--phi", "x^2+y^3+z^5",
+        "--order", "1", "--family", str(fam_path))
+    assert code == 1 and not out
+    assert json.loads(err)["error"]["type"] == "InvalidFamilyError"
+
+
 def test_deform_missing_family_file_exit_1(capsys, tmp_path):
     code, _, error = run_json(
         capsys, "deform", "--phi", "x^2 + y^2 + z^2",

@@ -90,6 +90,15 @@ def test_validate_label_against_data(brieskorn, cubic):
     with pytest.raises(CohomologyError):
         validate_label(parse_label("Eul(0)"), brieskorn)  # generic: no Eul
     validate_label(parse_label("Eul(3)"), cubic)
+    # a phi multiple is a class exactly when its generator is one
+    for text in ("A(3,0)", "Eul(2)", "Top(1,8)"):
+        with pytest.raises(CohomologyError, match="not a basis class"):
+            validate_label(parse_label(text), brieskorn)
+        with pytest.raises(CohomologyError):
+            realize(parse_label(text), brieskorn)
+        assert parse_label(text) not in brieskorn._realized
+    validate_label(parse_label("A(3,0)"), cubic)
+    validate_label(parse_label("Top(5,7)"), brieskorn)
 
 
 def test_label_weights(brieskorn, cubic):
@@ -138,6 +147,39 @@ def test_realize_known_forms(brieskorn):
 def test_realize_euler(cubic):
     assert realize(parse_label("Eul(0)"), cubic) == \
         euler_field(cubic.weights)
+
+
+@pytest.mark.parametrize("name, kinds_present", [
+    ("quadric", {"Cas", "Top"}),  # mu = 1: no A (u_0 excluded) and no B
+    ("brieskorn", {"Cas", "A", "B", "Top"}),
+    ("cubic", {"Cas", "Eul", "A", "B", "Top"}),
+])
+def test_realize_matches_the_closed_forms(request, name, kinds_present):
+    """Every label up to weight 3d is realized as the closed form of its
+    kind, and that representative has the single weight label_weight."""
+    data = request.getfixturevalue(name)
+    phi, u = data.phi, data.basis_polys
+    kinds = set()
+    for g in (-1, 0, 1, 2):
+        for lab in enumerate_basis(data, g, 3 * data.d):
+            kinds.add(lab.kind)
+            if lab.kind == "B":
+                expected = poisson_from_potential(u[lab.indices[0]])
+            elif lab.kind == "Cas":
+                expected = MultiVec.function(phi ** lab.indices[0])
+            elif lab.kind == "Eul":
+                expected = euler_field(data.weights).mul_poly(
+                    phi ** lab.indices[0])
+            else:
+                i, q = lab.indices
+                form = (poisson_from_potential(phi) if lab.kind == "A"
+                        else coordinate_volume())
+                expected = form.mul_poly(phi ** i * u[q])
+            rep = realize(lab, data)
+            assert rep == expected, lab
+            assert set(multivec_weight_parts(rep, data.weights)) == \
+                {label_weight(lab, data)}, lab
+    assert kinds == kinds_present
 
 
 def test_all_representatives_are_cocycles(brieskorn, cubic, quadric):

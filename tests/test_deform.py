@@ -70,6 +70,15 @@ def test_family_values_are_bounded_like_literals():
             CoeffFamily.from_json_dict({"cbar": [[1, 1, value]]})
 
 
+def test_family_refuses_unknown_keys():
+    """A misspelled table is refused by name, not read as an empty one."""
+    with pytest.raises(InvalidFamilyError, match="'C'"):
+        CoeffFamily.from_json_dict({"C": [[1, 0, 1, "3/2"]], "cbar": []})
+    with pytest.raises(InvalidFamilyError, match="'cbars', 'note'"):
+        CoeffFamily.from_json_dict({"c": [], "cbars": [], "note": "x"})
+    assert CoeffFamily.from_json_dict({"c": []}) == CoeffFamily.make({}, {})
+
+
 def test_family_validation(brieskorn):
     CoeffFamily.make({(1, 0, 1): 1}, {(1, 7): 1}).validate(brieskorn)
     with pytest.raises(InvalidFamilyError):
