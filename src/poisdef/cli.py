@@ -33,7 +33,8 @@ from .algebra import (
     poly_str,
     weighted_degree,
 )
-from .cohomology import CohomologyError, class_str, enumerate_basis
+from .cohomology import (CohomologyError, a_index_range, class_str,
+                         enumerate_basis)
 from .deform import (
     MAX_PHI_POWER,
     CoeffFamily,
@@ -161,11 +162,42 @@ def _emit(report: dict, path: Optional[str]) -> None:
             handle.write(text)
 
 
-def _load_family(path: Optional[str]) -> CoeffFamily:
+# Whitespace a family file may carry beyond its compact JSON: per entry
+# (enough for json.dumps(..., indent=2), which puts each index on a line
+# of its own) and once per file.
+_FAMILY_SPACE_PER_ENTRY = 64
+_FAMILY_SPACE_PER_FILE = 1024
+
+
+def _family_byte_limit(data: SingularityData) -> int:
+    """Largest family file read for this potential: the compact JSON of the
+    largest family that can matter (an entry per order up to MAX_ORDER, phi
+    power up to MAX_PHI_POWER and index, each value a signed "p/q" of two
+    MAX_COEFFICIENT_BITS-bit integers), plus whitespace."""
+    digits = len(str(1 << MAX_COEFFICIENT_BITS))
+    value = len('"-/",') + 2 * digits
+    order, power = len(str(MAX_ORDER)), len(str(MAX_PHI_POWER))
+    index = len(str(data.mu))
+    n_c = MAX_ORDER * (MAX_PHI_POWER + 1) * len(a_index_range(data))
+    n_cbar = MAX_ORDER * (data.mu - 1)
+    compact = (len('{"c":[],"cbar":[]}')
+               + n_c * (len("[,,,]") + order + power + index + value)
+               + n_cbar * (len("[,,]") + order + index + value))
+    return (compact + _FAMILY_SPACE_PER_ENTRY * (n_c + n_cbar)
+            + _FAMILY_SPACE_PER_FILE)
+
+
+def _load_family(path: Optional[str], data: SingularityData) -> CoeffFamily:
+    """Read a family file of at most :func:`_family_byte_limit` bytes."""
     if path is None:
         return CoeffFamily.make({}, {})
+    limit = _family_byte_limit(data)
     with open(path, "rb") as handle:
-        raw = handle.read()
+        raw = handle.read(limit + 1)
+    if len(raw) > limit:
+        raise InvalidFamilyError(
+            f"family file is larger than {limit} bytes, the most a family "
+            "for this potential needs")
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -200,7 +232,7 @@ def cmd_analyze(args) -> int:
 def cmd_deform(args) -> int:
     _check_order(args)
     data, inferred = _load_data(args)
-    fam = _load_family(args.family)
+    fam = _load_family(args.family, data)
     series = build_deformation(data, fam, args.order)
     residual = jacobi_residual(series)
     residual_rows = [

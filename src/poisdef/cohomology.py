@@ -102,6 +102,11 @@ class BasisLabel:
             )
         if any((not isinstance(i, int)) or i < 0 for i in self.indices):
             raise ValueError(f"label indices must be nonnegative, got {self.indices}")
+        # label tuples key the transfer memos: hash each label once
+        object.__setattr__(self, "_hash", hash((self.kind, self.indices)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def g_degree(self) -> int:

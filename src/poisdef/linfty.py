@@ -45,13 +45,31 @@ which must vanish for an L-infinity structure, and the morphism residual
 
 which must vanish for an L-infinity morphism; both are exposed for
 verification.
+
+Label-level evaluation: T_n, E_n and J_n are multilinear, so they are
+evaluated on tuples of basis labels (:meth:`TransferState.T_labels`,
+:meth:`~TransferState.E_labels`, :meth:`~TransferState.J_labels`), and
+:func:`compute_T`, :func:`check_E` and :func:`jacobiator` extend them to
+class combinations.  The unshuffle blocks and signs of S_n, U_n and J_n
+depend only on the degree pattern of the inputs; :func:`_nested_plan` and
+:func:`_bracket_plan` build them once per pattern from :func:`_unshuffles`,
+the one shuffle enumerator.  A label-level term reads ell and f through
+the canonical-order memos, unsigned, with the Koszul sign of the
+reordering folded into its integer multiplier, and expands only the few
+labels of each inner ell_i; all the f_j(ell_i(..), ..) terms of T_n go
+into one product sum per component and all its brackets into one
+:func:`poisdef.multivec.schouten_sum`.  The class-level sums, which
+enumerate the shuffles afresh on every call, are the test oracle
+``tests/transfer_oracle.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
+from math import lcm
 from typing import Optional, Sequence
 
 from .algebra import Poly
@@ -68,6 +86,7 @@ from .multivec import (
     MultiVec,
     coboundary,
     euler_field,
+    linear_sum,
     poisson_from_potential,
     schouten,
     schouten_sum,
@@ -165,6 +184,51 @@ def _canonical(labels: Sequence[BasisLabel]) -> tuple[Optional[tuple], int]:
     return key, koszul_chi(perm, degrees)
 
 
+def _unshuffles(degrees: Sequence[int], i: int):
+    """Yield (chi(s), first, rest) for each (i, n-i)-shuffle s of n inputs
+    of these degrees, where first and rest are the 0-based index tuples
+    s(1..i) - 1 and s(i+1..n) - 1; first blocks in lexicographic order."""
+    n = len(degrees)
+    for first in combinations(range(n), i):
+        rest = tuple(k for k in range(n) if k not in first)
+        yield koszul_chi([k + 1 for k in first + rest], degrees), first, rest
+
+
+@cache
+def _nested_plan(degrees: tuple[int, ...]) -> tuple:
+    """The terms of S_n and J_n on inputs of these degrees, as (sign, first,
+    rest) with sign = chi(s) * (-1)^(i*(j-1)): the inner ell_i takes the
+    inputs at the indices ``first`` and the outer map the rest."""
+    n = len(degrees)
+    plan = []
+    for i in range(2, n):
+        outer_sign = -1 if (i * (n - i)) % 2 else 1
+        plan += [(chi * outer_sign, first, rest)
+                 for chi, first, rest in _unshuffles(degrees, i)]
+    return tuple(plan)
+
+
+@cache
+def _bracket_plan(degrees: tuple[int, ...]) -> tuple:
+    """The terms of U_n on inputs of these degrees, as (sign, left, right)
+    with sign = chi(tau) * e_{s,t}(tau): the bracket of f_s on the inputs
+    at the indices ``left`` with f_t on those at ``right``.
+
+    The (s, t)-shuffles tau with tau(1) = 1 are x_1 put in front of the
+    (s-1, t)-shuffles of x_2..x_n, and x_1 in front adds no inversion to
+    chi.
+    """
+    n = len(degrees)
+    plan = []
+    for s in range(1, n):
+        for chi, first, rest in _unshuffles(degrees[1:], s - 1):
+            left = (0,) + tuple(k + 1 for k in first)
+            exponent = (s - 1) + (n - s - 1) * sum(degrees[k] for k in left)
+            plan.append((-chi if exponent % 2 else chi, left,
+                         tuple(k + 1 for k in rest)))
+    return tuple(plan)
+
+
 @dataclass
 class TransferState:
     """Memoized engine for the transferred brackets and homotopies.
@@ -174,6 +238,11 @@ class TransferState:
     graded symmetry, whose canonical order and Koszul sign are cached per
     requested tuple.  ``arity_cap`` bounds the bracket arity that may be
     demanded (requests above it raise ArityCapExceededError).
+
+    T_n, E_n and J_n are evaluated on tuples of basis labels
+    (:meth:`T_labels`, :meth:`E_labels`, :meth:`J_labels`) from the shuffle
+    plans of their degree pattern; :meth:`ell` and :meth:`f` extend ell_n
+    and f_n to class combinations.
     """
 
     data: SingularityData
@@ -186,26 +255,20 @@ class TransferState:
 
     def ell_labels(self, labels: Sequence[BasisLabel]) -> CohClass:
         """ell_n on basis labels; graded-symmetric and memoized."""
-        return self._on_labels(
-            labels, self._ell_memo,
-            lambda lab: CohClass.zero(lab.g_degree + 1),
-            lambda a, b: project(schouten(realize(a, self.data),
-                                          realize(b, self.data)), self.data),
-            CohClass.zero)
+        value, chi = self._lookup(tuple(labels), self._ell_memo)
+        return value * chi
 
     def f_labels(self, labels: Sequence[BasisLabel]) -> MultiVec:
         """f_n on basis labels; graded-symmetric and memoized."""
-        return self._on_labels(
-            labels, self._f_memo,
-            lambda lab: realize(lab, self.data),
-            lambda a, b: f2_table(self.data, a, b),
-            MultiVec.zero)
+        value, chi = self._lookup(tuple(labels), self._f_memo)
+        return value * chi
 
-    def _on_labels(self, labels: Sequence[BasisLabel], memo: dict,
-                   unary, binary, zero):
-        """ell_n or f_n: ``unary(label)`` at arity 1, ``binary(a, b)`` on
-        canonical pairs, :meth:`_compute_stage` above; ``zero(k)`` builds the
-        zero of output degree k.  Canonical tuples are memoized in ``memo``."""
+    def _lookup(self, labels: tuple[BasisLabel, ...], memo: dict):
+        """(value, chi) with ell_n (``memo`` is the ell memo) or f_n (the f
+        memo) of the label tuple equal to chi * value, chi = +-1: ell_1 = 0
+        and f_1 = realize at arity 1, the induced bracket and
+        :func:`f2_table` on canonical pairs, :meth:`_compute_stage` above.
+        Canonical tuples are memoized in ``memo``."""
         n = len(labels)
         if n < 1:
             raise ValueError("bracket arity must be at least 1")
@@ -213,28 +276,36 @@ class TransferState:
             raise ArityCapExceededError(
                 f"arity {n} exceeds the configured cap {self.arity_cap}"
             )
+        ell = memo is self._ell_memo
         if n == 1:
-            return unary(labels[0])
-        labels = tuple(labels)
+            if ell:
+                return CohClass.zero(labels[0].g_degree + 1), 1
+            return realize(labels[0], self.data), 1
         canonical = self._canonical_memo.get(labels)
         if canonical is None:
             canonical = self._canonical_memo[labels] = _canonical(labels)
         key, chi = canonical
         if key is None:
-            return zero(sum(lab.g_degree for lab in labels) + 2 - n)
+            degree = sum(lab.g_degree for lab in labels) + 2 - n
+            return (CohClass.zero(degree) if ell
+                    else MultiVec.zero(degree)), 1
         value = memo.get(key)
         if value is None:
-            if n == 2:
-                value = memo[key] = binary(*key)
-            else:
+            if n > 2:
                 self._compute_stage(key)
                 value = memo[key]
-        return value * chi
+            elif ell:
+                data = self.data
+                value = memo[key] = project(schouten(
+                    realize(key[0], data), realize(key[1], data)), data)
+            else:
+                value = memo[key] = f2_table(self.data, *key)
+        return value, chi
 
     def _compute_stage(self, key: tuple[BasisLabel, ...]) -> None:
         """Fill the caches at one canonical tuple of arity >= 3."""
         n = len(key)
-        t_value = compute_T(self, n, [CohClass.single(lab) for lab in key])
+        t_value = self.T_labels(key)
         # On tuples of bivector classes the obstruction vanishes identically
         # for n >= 3, which is what makes the order-by-order deformation
         # formula close; fail loudly if it ever does not.
@@ -246,6 +317,67 @@ class TransferState:
         t_class, y = decompose(t_value, self.data)
         self._ell_memo[key] = -t_class
         self._f_memo[key] = y
+
+    def _nested_terms(self, labels: tuple[BasisLabel, ...],
+                      degrees: tuple[int, ...], memo: dict) -> list:
+        """(c, value) for the nonzero terms c * value of S_n (``memo`` is
+        the f memo) or J_n (the ell memo): the outer map on each label of
+        each inner ell_i, c an exact scalar."""
+        lookup = self._lookup
+        ell_memo = self._ell_memo
+        terms = []
+        for sign, first, rest in _nested_plan(degrees):
+            inner, chi = lookup(tuple([labels[k] for k in first]), ell_memo)
+            if inner.coeffs:
+                sign *= chi
+                rest = tuple([labels[k] for k in rest])
+                for label, coeff in inner.coeffs:
+                    value, chi = lookup((label,) + rest, memo)
+                    if not value.is_zero():
+                        terms.append((coeff * (sign * chi), value))
+        return terms
+
+    def T_labels(self, labels: Sequence[BasisLabel]) -> MultiVec:
+        """The obstruction T_n = S_n - U_n on basis labels (module
+        docstring): S_n as one product sum per output component, U_n as one
+        Schouten sum."""
+        labels = tuple(labels)
+        degrees = tuple([lab.g_degree for lab in labels])
+        degree = sum(degrees) + 3 - len(labels)
+        terms = self._nested_terms(labels, degrees, self._f_memo)
+        total = MultiVec.zero(degree)
+        if terms:
+            # over the common denominator of the ell coefficients
+            den = lcm(*[c.denominator for c, _ in terms])
+            total = linear_sum(degree, [
+                (c.numerator * (den // c.denominator), value)
+                for c, value in terms], den)
+        lookup = self._lookup
+        f_memo = self._f_memo
+        brackets = []
+        for sign, left, right in _bracket_plan(degrees):
+            p, chi_p = lookup(tuple([labels[k] for k in left]), f_memo)
+            q, chi_q = lookup(tuple([labels[k] for k in right]), f_memo)
+            brackets.append((sign * chi_p * chi_q, p, q))
+        return total - schouten_sum(brackets) if brackets else total
+
+    def E_labels(self, labels: Sequence[BasisLabel]) -> MultiVec:
+        """The morphism residual d(f_n(x)) - f_1(ell_n(x)) - T_n(x) on basis
+        labels; zero when the order-n morphism equation holds."""
+        labels = tuple(labels)
+        residual = coboundary(self.f_labels(labels), self.data.phi)
+        residual = residual - f1(self.ell_labels(labels), self.data)
+        return residual - self.T_labels(labels)
+
+    def J_labels(self, labels: Sequence[BasisLabel]) -> CohClass:
+        """The generalized Jacobi combination J_n on basis labels."""
+        labels = tuple(labels)
+        degrees = tuple([lab.g_degree for lab in labels])
+        coeffs: dict = {}
+        for c, value in self._nested_terms(labels, degrees, self._ell_memo):
+            for label, v in value.coeffs:
+                coeffs[label] = coeffs.get(label, 0) + c * v
+        return CohClass.make(sum(degrees) + 3 - len(labels), coeffs)
 
     # -- multilinear level ---------------------------------------------------
 
@@ -261,7 +393,7 @@ class TransferState:
 def _multilinear(on_labels, classes: Sequence[CohClass], zero):
     """Extend a map on label tuples multilinearly to class combinations;
     ``zero(k)`` builds the zero of output degree k, the value when some
-    class is zero."""
+    class is zero, where k is the sum of the class degrees plus 2 - n."""
     result = None
     for combo in product(*[c.coeffs for c in classes]):
         coeff = 1
@@ -274,77 +406,42 @@ def _multilinear(on_labels, classes: Sequence[CohClass], zero):
     return result
 
 
-def _unshuffles(classes: Sequence[CohClass], i: int):
-    """Yield (chi(s), x_{s(1..i)}, x_{s(i+1..n)}) for each (i, n-i)-shuffle
-    s of the classes x_1, ..., x_n, first blocks in lexicographic order."""
-    n = len(classes)
-    degrees = [c.g_degree for c in classes]
-    for first in combinations(range(n), i):
-        rest = tuple(k for k in range(n) if k not in first)
-        sigma = [k + 1 for k in first + rest]
-        yield (koszul_chi(sigma, degrees), [classes[k] for k in first],
-               [classes[k] for k in rest])
-
-
-def _nested_sum(state: TransferState, outer, classes: Sequence[CohClass],
-                zero):
-    """The sum S_n (``outer = state.f``) or J_n (``outer = state.ell``) of
-    the module docstring; ``zero(k)`` builds the zero of output degree k."""
-    n = len(classes)
-    total = zero(sum(c.g_degree for c in classes) + 3 - n)
-    for i in range(2, n):
-        outer_sign = -1 if (i * (n - i)) % 2 else 1    # (-1)^(i*(j-1))
-        for chi, first, rest in _unshuffles(classes, i):
-            total = total + outer([state.ell(first)] + rest) * (chi * outer_sign)
-    return total
+def _extended(on_labels, n: int, classes: Sequence[CohClass], zero):
+    """T_n, E_n or J_n (``on_labels``) extended multilinearly to n classes;
+    ``zero(k)`` builds the zero of output degree k."""
+    if len(classes) != n:
+        raise ValueError(f"expected {n} classes, got {len(classes)}")
+    # the output degree is one above that of ell_n and f_n
+    return _multilinear(on_labels, classes, lambda k: zero(k + 1))
 
 
 def compute_T(state: TransferState, n: int,
               classes: Sequence[CohClass]) -> MultiVec:
-    """The order-n obstruction T_n = S_n - U_n (see module docstring).
+    """The order-n obstruction T_n = S_n - U_n (see module docstring),
+    extended multilinearly from :meth:`TransferState.T_labels`.
 
     Needs brackets and homotopies of arity at most n - 1, so it is the
     quantity that drives the transfer recursion at arity n.
     """
-    if len(classes) != n:
-        raise ValueError(f"expected {n} classes, got {len(classes)}")
-    # S_n: homotopy applied after a lower bracket
-    total = _nested_sum(state, state.f, classes, MultiVec.zero)
-    # U_n: Schouten bracket of two lower homotopies.  The (s, t)-shuffles
-    # tau with tau(1) = 1 are x_1 put in front of the (s-1, t)-shuffles of
-    # x_2..x_n, and x_1 in front adds no inversion to chi.  All of its
-    # brackets are one Schouten sum, signs included.
-    brackets = []
-    for s in range(1, n):
-        for chi, first, rest in _unshuffles(classes[1:], s - 1):
-            left = [classes[0]] + first
-            exponent = (s - 1) + (n - s - 1) * sum(c.g_degree for c in left)
-            sign = -1 if exponent % 2 else 1
-            brackets.append((chi * sign, state.f(left), state.f(rest)))
-    return total - schouten_sum(brackets) if brackets else total
+    return _extended(state.T_labels, n, classes, MultiVec.zero)
 
 
 def check_E(state: TransferState, n: int,
             classes: Sequence[CohClass]) -> MultiVec:
     """Residual of the order-n morphism equation; zero when it holds.
 
-    Computes d(f_n(x)) - f_1(ell_n(x)) - T_n(x) exactly.  At n = 1 this
-    is just d of the canonical representative.
+    Computes d(f_n(x)) - f_1(ell_n(x)) - T_n(x) exactly, extended
+    multilinearly from :meth:`TransferState.E_labels`.  At n = 1 this is
+    just d of the canonical representative.
     """
-    f_value = state.f(list(classes))
-    residual = coboundary(f_value, state.data.phi)
-    ell_value = state.ell(list(classes))
-    residual = residual - f1(ell_value, state.data)
-    residual = residual - compute_T(state, n, classes)
-    return residual
+    return _extended(state.E_labels, n, classes, MultiVec.zero)
 
 
 def jacobiator(state: TransferState, n: int,
                classes: Sequence[CohClass]) -> CohClass:
-    """The order-n generalized Jacobi combination of the brackets.
+    """The order-n generalized Jacobi combination of the brackets,
+    extended multilinearly from :meth:`TransferState.J_labels`.
 
     Vanishes identically when (ell_k) is an L-infinity structure.
     """
-    if len(classes) != n:
-        raise ValueError(f"expected {n} classes, got {len(classes)}")
-    return _nested_sum(state, state.ell, classes, CohClass.zero)
+    return _extended(state.J_labels, n, classes, CohClass.zero)

@@ -58,8 +58,10 @@ Each closed form and coboundary form is one sum of products per
 output component: a list of (s, p, q) terms, int s, for one
 :meth:`poisdef.algebra.Poly.sum_of_products`.  div V and curl b are
 formed once per field, so [V, B] takes one product for its div term and
-[A, B] and d2 three per dot with a curl.  :func:`schouten_sum` puts a
-whole signed sum of brackets into one accumulation per component.
+[A, B] and d2 three per dot with a curl; a bivector keeps its curl once
+:func:`curl` has computed it.  :func:`schouten_sum` puts a whole signed
+sum of brackets into one accumulation per component, and
+:func:`linear_sum` a sum of integer multiples of fields.
 
 Multivector fields are immutable and share their parts: :meth:`MultiVec.zero`
 is one object per degree, and multiplying by 1 returns the field itself.
@@ -254,29 +256,31 @@ def _summed(degree: int, rows: list[Terms], divisor: int = 1) -> "MultiVec":
 # Each closed form returns the term lists of s [P, Q], one per component.
 
 
-def _vector_function(v: Comps, f: Comps, s: int) -> list[Terms]:
+def _vector_function(p: MultiVec, q: MultiVec, s: int) -> list[Terms]:
     """[V, F] = V(F)."""
-    return [_dot_terms(v, _grad(f[0]), s)]
+    return [_dot_terms(p.comps, _grad(q.comps[0]), s)]
 
 
-def _bivector_function(b: Comps, f: Comps, s: int) -> list[Terms]:
+def _bivector_function(p: MultiVec, q: MultiVec, s: int) -> list[Terms]:
     """[B, F] = b x grad F."""
-    return _cross_terms(b, _grad(f[0]), s)
+    return _cross_terms(p.comps, _grad(q.comps[0]), s)
 
 
-def _trivector_function(t: Comps, f: Comps, s: int) -> list[Terms]:
+def _trivector_function(p: MultiVec, q: MultiVec, s: int) -> list[Terms]:
     """[T, F] = t grad F."""
-    return [[(s, t[0], g)] for g in _grad(f[0])]
+    return [[(s, p.comps[0], g)] for g in _grad(q.comps[0])]
 
 
-def _vector_vector(v: Comps, w: Comps, s: int) -> list[Terms]:
+def _vector_vector(p: MultiVec, q: MultiVec, s: int) -> list[Terms]:
     """[V, W]_i = V(W_i) - W(V_i)."""
+    v, w = p.comps, q.comps
     return [_dot_terms(v, _grad(w[i]), s) + _dot_terms(w, _grad(v[i]), -s)
             for i in range(3)]
 
 
-def _vector_bivector(v: Comps, b: Comps, s: int) -> list[Terms]:
+def _vector_bivector(p: MultiVec, q: MultiVec, s: int) -> list[Terms]:
     """[V, B]_i = V(b_i) + b . d_i V - div(V) b_i."""
+    v, b = p.comps, q.comps
     div = _div(v)
     return [_dot_terms(v, _grad(b[i]), s)
             + _dot_terms(b, (v[0].diff(i), v[1].diff(i), v[2].diff(i)), s)
@@ -284,14 +288,16 @@ def _vector_bivector(v: Comps, b: Comps, s: int) -> list[Terms]:
             for i in range(3)]
 
 
-def _vector_trivector(v: Comps, t: Comps, s: int) -> list[Terms]:
+def _vector_trivector(p: MultiVec, q: MultiVec, s: int) -> list[Terms]:
     """[V, T] = V(t) - t div V."""
+    v, t = p.comps, q.comps
     return [_dot_terms(v, _grad(t[0]), s) + [(-s, _div(v), t[0])]]
 
 
-def _bivector_bivector(a: Comps, b: Comps, s: int) -> list[Terms]:
+def _bivector_bivector(p: MultiVec, q: MultiVec, s: int) -> list[Terms]:
     """[A, B] = a . curl b + b . curl a."""
-    return [_dot_terms(a, _curl(b), s) + _dot_terms(b, _curl(a), s)]
+    return [_dot_terms(p.comps, curl(q).comps, s)
+            + _dot_terms(q.comps, curl(p).comps, s)]
 
 
 # One closed form per (deg p, deg q) with a result in degrees 0..3; the
@@ -329,12 +335,12 @@ def schouten_sum(terms: Sequence[tuple[int, MultiVec, MultiVec]],
             continue
         form = _CLOSED_FORMS.get((p.degree, q.degree))
         if form is not None:
-            parts = form(p.comps, q.comps, s)
+            parts = form(p, q, s)
         else:
             # [P, Q] = -(-1)^((p-1)(q-1)) [Q, P]
             odd = (p.degree - 1) * (q.degree - 1) % 2
             parts = _CLOSED_FORMS[(q.degree, p.degree)](
-                q.comps, p.comps, s if odd else -s)
+                q, p, s if odd else -s)
         if rows:
             for row, part in zip(rows, parts):
                 row += part
@@ -343,6 +349,20 @@ def schouten_sum(terms: Sequence[tuple[int, MultiVec, MultiVec]],
     if not rows:
         return MultiVec.zero(degree)
     return _summed(degree, rows, divisor)
+
+
+def linear_sum(degree: int, terms: Sequence[tuple[int, MultiVec]],
+               divisor: int = 1) -> MultiVec:
+    """(sum of s P over the (s, P) terms) / divisor, for int multipliers s,
+    a positive int divisor and fields P of this degree: one
+    Poly.sum_of_products per output component, each term a product with 1.
+    """
+    if any(p.degree != degree for _, p in terms):
+        raise ValueError(f"a field of another degree in a sum of degree "
+                         f"{degree}")
+    return _summed(degree, [[(s, p.comps[k], _ONE) for s, p in terms]
+                            for k in range(len(SLOTS.get(degree, ())))],
+                   divisor)
 
 
 def schouten(p: MultiVec, q: MultiVec) -> MultiVec:
@@ -355,10 +375,16 @@ def schouten(p: MultiVec, q: MultiVec) -> MultiVec:
 
 
 def curl(b: MultiVec) -> MultiVec:
-    """Curl of a bivector read as a vector, returned as a vector field."""
-    if b.degree != 2:
-        raise ValueError(f"curl takes a bivector, got degree {b.degree}")
-    return MultiVec(1, _curl(b.comps))
+    """Curl of a bivector read as a vector, returned as a vector field;
+    computed once per bivector object and then kept on it, as a Poly keeps
+    its partials."""
+    cached = b.__dict__.get("_curl")
+    if cached is None:
+        if b.degree != 2:
+            raise ValueError(f"curl takes a bivector, got degree {b.degree}")
+        cached = MultiVec(1, _curl(b.comps))
+        object.__setattr__(b, "_curl", cached)
+    return cached
 
 
 # -- standard fields ----------------------------------------------------------
@@ -408,7 +434,7 @@ def coboundary(p: MultiVec, potential: Poly) -> MultiVec:
         inner = Poly.sum_of_products(_dot_terms(p.comps, grad_phi, 1))
         return _summed(2, [[(1, div, g), (-1, _ONE, h)] for g, h in
                              zip(grad_phi, _grad(inner))])
-    return _summed(3, [_dot_terms(grad_phi, _curl(p.comps), 1)])
+    return _summed(3, [_dot_terms(grad_phi, curl(p).comps, 1)])
 
 
 # -- weight grading -----------------------------------------------------------

@@ -83,7 +83,7 @@ from .deform import (
     jacobi_residual,
     mc_image,
 )
-from .linfty import TransferState, check_E, compute_T, jacobiator
+from .linfty import TransferState
 from .multivec import (
     SLOTS,
     MultiVec,
@@ -233,10 +233,6 @@ def _sweep(checks: list, name: str, cases: Iterable,
                    + "; ".join(_case_str(case) for case in failing[:6]))
 
 
-def _classes(labels: Sequence[BasisLabel]) -> list[CohClass]:
-    return [CohClass.single(lab) for lab in labels]
-
-
 def _finish(name: str, checks: list) -> dict:
     n_pass = sum(1 for entry in checks if entry["pass"])
     return {
@@ -364,7 +360,7 @@ def run_tables_suite(data: SingularityData, config: SuiteConfig,
     _sweep(checks, "order2_morphism_equation_on_basis_pairs",
            itertools.combinations_with_replacement(
                all_basis_labels(data, config.pair_cap(data)), 2),
-           lambda pair: check_E(state, 2, _classes(pair)).is_zero())
+           lambda pair: state.E_labels(pair).is_zero())
 
     return _finish("tables", checks)
 
@@ -382,7 +378,7 @@ def run_transfer_suite(data: SingularityData, config: SuiteConfig,
     triples = list(itertools.combinations_with_replacement(
         enumerate_basis(data, 1, cap), 3))
     _sweep(checks, "order3_obstruction_vanishes_on_degree1_triples", triples,
-           lambda triple: compute_T(state, 3, _classes(triple)).is_zero(),
+           lambda triple: state.T_labels(triple).is_zero(),
            count=max(1, len(triples)))
 
     labels = all_basis_labels(data, cap)
@@ -395,15 +391,15 @@ def run_transfer_suite(data: SingularityData, config: SuiteConfig,
     for n in arities:
         tuples = sampled_tuples(n)
         _sweep(checks, f"order{n}_obstructions_are_cocycles", tuples,
-               lambda chosen: coboundary(compute_T(state, n, _classes(chosen)),
+               lambda chosen: coboundary(state.T_labels(chosen),
                                          data.phi).is_zero())
         _sweep(checks, f"order{n}_morphism_equation_on_sampled_tuples", tuples,
-               lambda chosen: check_E(state, n, _classes(chosen)).is_zero())
+               lambda chosen: state.E_labels(chosen).is_zero())
 
     for n in arities:
         _sweep(checks, f"order{n}_jacobi_identity_on_sampled_tuples",
                sampled_tuples(n),
-               lambda chosen: jacobiator(state, n, _classes(chosen)).is_zero())
+               lambda chosen: state.J_labels(chosen).is_zero())
 
     if not data.special and config.arity_cap >= 3:
         # Closed-form value of the ternary bracket on (phi, phi, volume):

@@ -8,14 +8,18 @@ import importlib.util
 import io
 import json
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poisdef.algebra import MAX_NESTING
-from poisdef.cli import MAX_ORDER, main
+from poisdef import (CoeffFamily, a_index_range, infer_weights, milnor_basis,
+                     parse_poly)
+from poisdef.algebra import MAX_COEFFICIENT_BITS, MAX_NESTING
+from poisdef.cli import MAX_ORDER, _family_byte_limit, main
+from poisdef.deform import MAX_PHI_POWER
 
 # -- helpers --------------------------------------------------------------------
 
@@ -308,6 +312,50 @@ def test_deform_unreadable_family_exit_1(capsys, tmp_path, content):
         "--order", "1", "--family", str(fam_path))
     assert code == 1 and not out
     assert json.loads(err)["error"]["type"] == "InvalidFamilyError"
+
+
+@pytest.mark.parametrize("phi", ["x^2+y^2+z^2", "x^2+y^3+z^5",
+                                 "x^3+y^3+z^3"])
+def test_largest_family_fits_the_byte_limit(phi):
+    """Every order up to MAX_ORDER, phi power up to MAX_PHI_POWER and index,
+    each value a signed fraction of two MAX_COEFFICIENT_BITS-bit integers:
+    its compact JSON, and its JSON indented by 2, fit the limit by size
+    alone."""
+    data = milnor_basis(parse_poly(phi), infer_weights(parse_poly(phi)))
+    top = 1 << MAX_COEFFICIENT_BITS
+    value = Fraction(-top, top - 1)
+    orders = range(1, MAX_ORDER + 1)
+    family = CoeffFamily.make(
+        {(n, l, i): value for n in orders for l in range(MAX_PHI_POWER + 1)
+         for i in a_index_range(data)},
+        {(n, r): value for n in orders for r in range(1, data.mu)})
+    family.validate(data)
+    limit = _family_byte_limit(data)
+    compact = json.dumps(family.to_json_dict(), separators=(",", ":"))
+    assert len(compact.encode()) <= limit
+    assert len(json.dumps(family.to_json_dict(), indent=2).encode()) <= limit
+
+
+def test_deform_family_file_above_byte_limit_exit_1(capsys, tmp_path):
+    """A valid empty family padded with spaces to the limit is read; one
+    byte more is refused without being parsed."""
+    phi = "x^2+y^3+z^5"
+    limit = _family_byte_limit(
+        milnor_basis(parse_poly(phi), infer_weights(parse_poly(phi))))
+    fam_path = tmp_path / "family.json"
+    fam_path.write_bytes(b"{}" + b" " * (limit - 2))
+    code, report, _ = run_json(
+        capsys, "deform", "--phi", phi, "--order", "1",
+        "--family", str(fam_path))
+    assert code == 0 and report["family"] == {"c": [], "cbar": []}
+    fam_path.write_bytes(b"{}" + b" " * (limit - 1))
+    code, out, err = run_cli(
+        capsys, "deform", "--phi", phi, "--order", "1",
+        "--family", str(fam_path))
+    assert code == 1 and not out
+    error = json.loads(err)["error"]
+    assert error["type"] == "InvalidFamilyError"
+    assert f"larger than {limit} bytes" in error["message"]
 
 
 def test_deform_missing_family_file_exit_1(capsys, tmp_path):

@@ -29,6 +29,8 @@ from poisdef import (
     solve_coboundary,
 )
 from poisdef.suites import SuiteConfig, all_basis_labels, run_suite
+import transfer_oracle
+from transfer_oracle import OracleState
 
 # -- Koszul signs ------------------------------------------------------------------
 
@@ -325,3 +327,104 @@ def test_transfer_stages_match_second_solve(request, fixture_name):
         live += not t_value.is_zero()
     # Brieskorn: the ternary witness (ell_3 != 0); cubic: an f_3 != 0
     assert live >= 1
+
+
+# -- the label kernel against the class-level oracle -----------------------------------
+
+
+def _labels_by_degree(data) -> dict:
+    """Basis labels of weight at most d per homological degree, degrees
+    without labels left out."""
+    by_degree = {g: enumerate_basis(data, g, data.d) for g in (-1, 0, 1, 2)}
+    return {g: labels for g, labels in by_degree.items() if labels}
+
+
+def _assert_kernel_matches_oracle(state, oracle, labels):
+    n = len(labels)
+    classes = [CohClass.single(lab) for lab in labels]
+    assert state.T_labels(labels) == \
+        transfer_oracle.compute_T(oracle, n, classes), labels
+    assert state.E_labels(labels) == \
+        transfer_oracle.check_E(oracle, n, classes), labels
+    assert state.J_labels(labels) == \
+        transfer_oracle.jacobiator(oracle, n, classes), labels
+
+
+@pytest.mark.parametrize("fixture_name", ["quadric", "brieskorn", "cubic"])
+def test_label_kernel_matches_class_oracle_on_every_degree_pattern(
+        request, fixture_name):
+    """T_n, E_n and J_n on a seeded random label tuple of every degree
+    pattern of arity 1 to 4 equal the class-level sums, each side with
+    its own recursion for ell_3 and f_3, and the two recursions fill their
+    caches with the same values."""
+    data = request.getfixturevalue(fixture_name)
+    state = TransferState(data=data, arity_cap=4)
+    oracle = OracleState(data=data, arity_cap=4)
+    rng = random.Random(23)
+    by_degree = _labels_by_degree(data)
+    for n in range(1, 5):
+        for pattern in itertools.product(sorted(by_degree), repeat=n):
+            labels = tuple(rng.choice(by_degree[g]) for g in pattern)
+            _assert_kernel_matches_oracle(state, oracle, labels)
+    assert sum(len(key) >= 3 for key in state._f_memo) >= 10
+    for memo, oracle_memo in ((state._f_memo, oracle._f_memo),
+                              (state._ell_memo, oracle._ell_memo)):
+        shared = memo.keys() & oracle_memo.keys()
+        assert len(shared) == len(memo) == len(oracle_memo)
+        for key in shared:
+            assert memo[key] == oracle_memo[key], key
+
+
+@pytest.mark.parametrize("fixture_name", ["quadric", "brieskorn", "cubic"])
+def test_label_kernel_forced_zeros_on_repeated_even_labels(
+        request, fixture_name):
+    """A repeated label of even degree (Cas, Eul, Top) forces ell_n = f_n =
+    0; T_n, E_n and J_n there still equal the class-level sums."""
+    data = request.getfixturevalue(fixture_name)
+    state = TransferState(data=data, arity_cap=4)
+    oracle = OracleState(data=data, arity_cap=4)
+    rng = random.Random(29)
+    by_degree = _labels_by_degree(data)
+    everything = [lab for g in sorted(by_degree) for lab in by_degree[g]]
+    even = [lab for lab in everything if lab.g_degree % 2 == 0]
+    assert even
+    for n in (2, 3, 4):
+        for _ in range(6):
+            labels = [rng.choice(even)] * 2
+            labels += [rng.choice(everything) for _ in range(n - 2)]
+            rng.shuffle(labels)
+            labels = tuple(labels)
+            assert state.f_labels(labels).is_zero()
+            assert state.ell_labels(labels).is_zero()
+            _assert_kernel_matches_oracle(state, oracle, labels)
+
+
+@pytest.mark.parametrize("fixture_name", ["quadric", "brieskorn", "cubic"])
+def test_class_entry_points_match_class_oracle(request, fixture_name):
+    """compute_T, check_E and jacobiator on combinations of up to three
+    labels with rational coefficients, zero classes included, equal the
+    class-level sums."""
+    data = request.getfixturevalue(fixture_name)
+    state = TransferState(data=data, arity_cap=4)
+    oracle = OracleState(data=data, arity_cap=4)
+    rng = random.Random(31)
+    by_degree = _labels_by_degree(data)
+
+    def random_class() -> CohClass:
+        g = rng.choice(sorted(by_degree))
+        cls = CohClass.zero(g)
+        for _ in range(rng.randint(0, 3)):
+            cls = cls + CohClass.single(
+                rng.choice(by_degree[g]), Fraction(rng.randint(-5, 5),
+                                                   rng.randint(1, 3)))
+        return cls
+
+    for n in (1, 2, 3, 4):
+        for _ in range(8 if n < 4 else 4):
+            classes = [random_class() for _ in range(n)]
+            assert compute_T(state, n, classes) == \
+                transfer_oracle.compute_T(oracle, n, classes)
+            assert check_E(state, n, classes) == \
+                transfer_oracle.check_E(oracle, n, classes)
+            assert jacobiator(state, n, classes) == \
+                transfer_oracle.jacobiator(oracle, n, classes)
