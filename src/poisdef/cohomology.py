@@ -38,9 +38,13 @@ slice at a time: for fixed (cochain degree, weight) the slice of
 multivector fields is finite-dimensional, and one
 :class:`poisdef.multivec.WeightSlice`
 eliminating [coboundary images | class representatives] is cached per
-slice and reused for every solve against it.  Building it also checks
-that the class representatives are independent modulo coboundaries: a
-representative that is a coboundary raises CohomologyError.
+slice and reused for every solve against it.  Its coboundary rows are
+written straight from exponents by :func:`poisdef.multivec.image_rows`,
+whose test oracle is :func:`poisdef.multivec.coboundary`, and its class
+representatives, read off the generators by :func:`labels_of_weight`,
+follow.  Building it also checks that the class representatives are
+independent modulo coboundaries: a representative that is a coboundary
+raises CohomologyError.
 """
 
 from __future__ import annotations
@@ -58,9 +62,9 @@ from .multivec import (
     coboundary,
     coordinate_volume,
     euler_field,
+    image_rows,
     multivec_weight_parts,
     poisson_from_potential,
-    slice_basis,
 )
 from .singularity import SingularityData
 
@@ -229,9 +233,16 @@ def enumerate_basis(data: SingularityData, g: int,
 
 
 def labels_of_weight(data: SingularityData, g: int, weight: int) -> list[BasisLabel]:
-    """All basis labels of homological degree g with exactly this weight."""
-    return [lab for lab in enumerate_basis(data, g, weight)
-            if label_weight(lab, data) == weight]
+    """All basis labels of homological degree g with exactly this weight,
+    in :meth:`BasisLabel.sort_key` order: phi^i times each generator whose
+    weight is weight - i*d, i = 0 only for a B generator."""
+    out: list[BasisLabel] = []
+    for gen in _generators(data, g):
+        i, rest = divmod(weight - label_weight(gen, data), data.d)
+        if rest == 0 and (i == 0 or (i > 0 and gen.kind != "B")):
+            out.append(gen if i == 0 else
+                       BasisLabel(gen.kind, (i,) + gen.indices[1:]))
+    return sorted(out, key=BasisLabel.sort_key)
 
 
 # -- cohomology classes -------------------------------------------------------
@@ -350,20 +361,19 @@ def _slice_solver(data: SingularityData, degree: int, weight: int) -> WeightSlic
 
     Coboundary images are tagged by their (slot, monomial) preimage and
     inserted first, so they select the same pivots as the coboundaries
-    alone; class representatives follow, tagged by their label.  A
-    representative that reduces to zero is a coboundary, which means the
-    stored basis is wrong for this potential.
+    alone; each is written straight as a row by
+    :func:`poisdef.multivec.image_rows`.  Class representatives follow,
+    tagged by their label.  A representative that reduces to zero is a
+    coboundary, which means the stored basis is wrong for this potential.
     """
     cached = data._coboundary_slices.get((degree, weight))
     if cached is not None:
         return cached
     solver = WeightSlice(data.weights, degree, weight)
     delta = data.d - data.weights.total
-    for slot, m in slice_basis(data.weights, degree - 1, weight - delta):
-        comps = [Poly.zero()] * len(SLOTS[degree - 1])
-        comps[slot] = Poly.monomial(m)
-        image = coboundary(MultiVec(degree - 1, tuple(comps)), data.phi)
-        solver.add(image, (slot, m))
+    add = solver.eliminator.add
+    for tag, row in image_rows(data.phi, degree - 1, weight - delta, solver):
+        add(row, tag)
     for label in labels_of_weight(data, degree - 1, weight):
         if solver.add(realize(label, data), label) is None:
             raise CohomologyError(

@@ -12,8 +12,9 @@ canonical coboundary solver.
 Conventions (graded skew-symmetric, Koszul signs chi):
 
 * ell_1 = 0 and f_1 realizes a class as its canonical representative;
-* ell_2([a], [b]) = [ [f_1 a, f_1 b] ] is the induced bracket, and
-  f_2 is the explicit homotopy table :func:`f2_table`;
+* ell_2([a], [b]) = [ [f_1 a, f_1 b] ] = -[T_2(a, b)] is the induced
+  bracket, read off the T_2 below, and f_2 is the explicit homotopy table
+  :func:`f2_table`;
 * for n >= 3 the obstruction combination is
 
       T_n(x_1, ..., x_n) = S_n - U_n,
@@ -88,7 +89,6 @@ from .multivec import (
     euler_field,
     linear_sum,
     poisson_from_potential,
-    schouten,
     schouten_sum,
 )
 from .singularity import SingularityData
@@ -266,7 +266,7 @@ class TransferState:
     def _lookup(self, labels: tuple[BasisLabel, ...], memo: dict):
         """(value, chi) with ell_n (``memo`` is the ell memo) or f_n (the f
         memo) of the label tuple equal to chi * value, chi = +-1: ell_1 = 0
-        and f_1 = realize at arity 1, the induced bracket and
+        and f_1 = realize at arity 1, the induced bracket -[T_2] and
         :func:`f2_table` on canonical pairs, :meth:`_compute_stage` above.
         Canonical tuples are memoized in ``memo``."""
         n = len(labels)
@@ -281,10 +281,7 @@ class TransferState:
             if ell:
                 return CohClass.zero(labels[0].g_degree + 1), 1
             return realize(labels[0], self.data), 1
-        canonical = self._canonical_memo.get(labels)
-        if canonical is None:
-            canonical = self._canonical_memo[labels] = _canonical(labels)
-        key, chi = canonical
+        key, chi = self._canonical_key(labels)
         if key is None:
             degree = sum(lab.g_degree for lab in labels) + 2 - n
             return (CohClass.zero(degree) if ell
@@ -295,12 +292,18 @@ class TransferState:
                 self._compute_stage(key)
                 value = memo[key]
             elif ell:
-                data = self.data
-                value = memo[key] = project(schouten(
-                    realize(key[0], data), realize(key[1], data)), data)
+                value = memo[key] = -project(self.T_labels(key), self.data)
             else:
                 value = memo[key] = f2_table(self.data, *key)
         return value, chi
+
+    def _canonical_key(self, labels: tuple[BasisLabel, ...]
+                       ) -> tuple[Optional[tuple], int]:
+        """:func:`_canonical` of the label tuple, cached per tuple."""
+        canonical = self._canonical_memo.get(labels)
+        if canonical is None:
+            canonical = self._canonical_memo[labels] = _canonical(labels)
+        return canonical
 
     def _compute_stage(self, key: tuple[BasisLabel, ...]) -> None:
         """Fill the caches at one canonical tuple of arity >= 3."""
@@ -365,9 +368,16 @@ class TransferState:
         """The morphism residual d(f_n(x)) - f_1(ell_n(x)) - T_n(x) on basis
         labels; zero when the order-n morphism equation holds."""
         labels = tuple(labels)
-        residual = coboundary(self.f_labels(labels), self.data.phi)
-        residual = residual - f1(self.ell_labels(labels), self.data)
-        return residual - self.T_labels(labels)
+        data = self.data
+        t_value = self.T_labels(labels)
+        if len(labels) == 2:
+            # ell_2 = -[T_2]: read off this T_2, the pair is bracketed once
+            key, chi = self._canonical_key(labels)
+            if key is not None and key not in self._ell_memo:
+                self._ell_memo[key] = -project(t_value, data) * chi
+        residual = coboundary(self.f_labels(labels), data.phi)
+        residual = residual - f1(self.ell_labels(labels), data)
+        return residual - t_value
 
     def J_labels(self, labels: Sequence[BasisLabel]) -> CohClass:
         """The generalized Jacobi combination J_n on basis labels."""

@@ -69,13 +69,19 @@ is one object per degree, and multiplying by 1 returns the field itself.
 A monomial m on slot s has weight wt(m) - wt(s), wt(s) the sum of the
 weights the slot differentiates by.  Every exact elimination in the package
 (the Jacobian-ideal and coboundary slices) runs on a :class:`WeightSlice`.
+Their rows come from :func:`image_rows`, which writes the image of each
+(slot, x^m) of a slice straight as the slice's index vector, from the same
+exact-potential forms and from V(phi) for the Jacobian ideal, read off
+the exponents of x^m and the terms of phi's partials; :func:`coboundary`
+is its test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Optional, Sequence
+from math import lcm
+from typing import Hashable, Iterator, Optional, Sequence
 
 from .algebra import (
     Exponents,
@@ -83,6 +89,7 @@ from .algebra import (
     ScalarLike,
     VARIABLE_POLYS,
     WeightSystem,
+    exact_scalar,
     monomials_of_weight,
     poly_str,
 )
@@ -437,6 +444,91 @@ def coboundary(p: MultiVec, potential: Poly) -> MultiVec:
     return _summed(3, [_dot_terms(grad_phi, curl(p).comps, 1)])
 
 
+# -- slice rows ---------------------------------------------------------------
+
+# A row rule writes the image of x^m on one source slot as a sum of
+# (target slot, sign, j, k, l) terms: sign * m_j * x^(m - e_j) times the
+# partial d_k d_l phi, with j None for x^m itself, k None for phi's
+# gradient component l.  For V = x^m on slot s, B = x^m on slot s (b the
+# vector of its components) and F = x^m:
+#
+#   d0 F:  (grad phi x grad F)_i = d_{i+1} phi m_{i+2} x^(m - e_{i+2})
+#                                - d_{i+2} phi m_{i+1} x^(m - e_{i+1})
+#   d1 V:  (div(V) grad phi - grad(V . grad phi))_i
+#          = d_i phi m_s x^(m - e_s) - d_s phi m_i x^(m - e_i)
+#            - d_i d_s phi x^m
+#   d2 B:  grad phi . curl b = d_{s+1} phi m_{s+2} x^(m - e_{s+2})
+#                            - d_{s+2} phi m_{s+1} x^(m - e_{s+1})
+#   V(phi) = d_s phi x^m
+#
+# with indices mod 3, keyed by (source degree, target degree).
+_ROW_RULES = {
+    (0, 1): [[(i, 1, (i + 2) % 3, None, (i + 1) % 3) for i in range(3)]
+             + [(i, -1, (i + 1) % 3, None, (i + 2) % 3) for i in range(3)]],
+    (1, 2): [[(i, 1, s, None, i) for i in range(3)]
+             + [(i, -1, i, None, s) for i in range(3)]
+             + [(i, -1, None, i, s) for i in range(3)]
+             for s in range(3)],
+    (2, 3): [[(0, 1, (s + 2) % 3, None, (s + 1) % 3),
+              (0, -1, (s + 1) % 3, None, (s + 2) % 3)] for s in range(3)],
+    (1, 0): [[(0, 1, None, None, s)] for s in range(3)],
+}
+
+
+def image_rows(potential: Poly, source_degree: int, source_weight: int,
+               target: "WeightSlice"
+               ) -> Iterator[tuple[tuple[int, Exponents], SparseVec]]:
+    """((slot, m), row) for each (slot, x^m) of the source weight slice,
+    in :func:`slice_basis` order, row the image of x^m on that slot as
+    ``target``'s index vector with the values ``target.vector`` gives.
+
+    The image is the coboundary of :func:`coboundary` when the target
+    degree is one above the source degree, and V(phi) when a vector field
+    V goes to a slice of functions (the Jacobian ideal).  Each row is
+    written straight from the closed forms on exponents (``_ROW_RULES``),
+    and ``coboundary`` is its test oracle; the terms of phi's partials are
+    read once per call, as integers over one common denominator.
+    """
+    basis = slice_basis(target.weights, source_degree, source_weight)
+    if not basis:
+        return
+    rules = _ROW_RULES.get((source_degree, target.degree))
+    if rules is None:
+        raise ValueError(f"no row rule from degree {source_degree} to "
+                         f"degree {target.degree}")
+    grad = _grad(potential)
+    items = {(k, l): (grad[l] if k is None else grad[l].diff(k)).items()
+             for rule in rules for *_, k, l in rule}
+    den = lcm(*[c.denominator for terms in items.values() for _, c in terms])
+    partials = {key: [(e, c.numerator * (den // c.denominator))
+                      for e, c in terms]
+                for key, terms in items.items()}
+    rules = [[(target._slot_index[out], sign, j, partials[(k, l)])
+              for out, sign, j, k, l in rule] for rule in rules]
+    for slot, m in basis:
+        row: dict[int, int] = {}
+        get = row.get
+        for index, sign, j, terms in rules[slot]:
+            if j is None:
+                scale, (a, b, c) = sign, m
+            else:
+                e = m[j]
+                if not e:
+                    continue
+                scale = sign * e
+                lowered = list(m)
+                lowered[j] = e - 1
+                a, b, c = lowered
+            for (a2, b2, c2), n in terms:
+                i = index[(a + a2, b + b2, c + c2)]
+                row[i] = get(i, 0) + scale * n
+        if den == 1:
+            yield (slot, m), {i: v for i, v in row.items() if v}
+        else:
+            yield (slot, m), {i: exact_scalar(Fraction(v, den))
+                              for i, v in row.items() if v}
+
+
 # -- weight grading -----------------------------------------------------------
 
 
@@ -479,8 +571,14 @@ class WeightSlice:
     :class:`poisdef.linalg.Eliminator` over positions in ``basis``."""
 
     def __init__(self, weights: WeightSystem, degree: int, weight: int):
+        self.weights = weights
+        self.degree = degree
         self.basis = slice_basis(weights, degree, weight)
-        self._index = {sm: i for i, sm in enumerate(self.basis)}
+        # position in ``basis`` of each monomial, slot by slot
+        self._slot_index: list[dict[Exponents, int]] = [
+            {} for _ in SLOTS.get(degree, ())]
+        for i, (slot, m) in enumerate(self.basis):
+            self._slot_index[slot][m] = i
         self.eliminator = Eliminator()
 
     @property
@@ -489,9 +587,8 @@ class WeightSlice:
 
     def vector(self, mv: MultiVec) -> SparseVec:
         """Coordinates of a multivector of this slice on ``basis``."""
-        index = self._index
-        return {index[(slot, exps)]: coeff
-                for slot, comp in enumerate(mv.comps)
+        return {index[exps]: coeff
+                for index, comp in zip(self._slot_index, mv.comps)
                 for exps, coeff in comp.items()}
 
     def add(self, mv: MultiVec, tag: Optional[Hashable] = None) -> Optional[int]:

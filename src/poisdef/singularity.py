@@ -21,7 +21,7 @@ from .algebra import (
     _exponents_of_weight,
     weighted_degree,
 )
-from .multivec import MultiVec, WeightSlice, slice_basis
+from .multivec import WeightSlice, image_rows
 
 # Largest Milnor number analysed, so that no potential can demand an
 # unbounded elimination; x^17+y^17+z^17 (mu = 4096) is the largest
@@ -58,10 +58,10 @@ def jacobian_slice_reduction(phi: Poly, weights: WeightSystem,
     d = weighted_degree(phi, weights)
     if d is None:
         raise SingularityError("potential must be weight-homogeneous and nonzero")
-    grad = [phi.diff(v) for v in range(3)]
     reduction = WeightSlice(weights, 0, degree)
-    for slot, m in slice_basis(weights, 1, degree - d):
-        reduction.add(MultiVec.function(Poly.monomial(m) * grad[slot]))
+    add = reduction.eliminator.add
+    for _, row in image_rows(phi, 1, degree - d, reduction):
+        add(row)
     return reduction
 
 
