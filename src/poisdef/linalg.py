@@ -5,14 +5,14 @@ A vector is a dictionary mapping an index to a nonzero exact rational, an
 coefficients ``Poly.items()`` hands out.  One incremental eliminator
 serves every weight slice in the package, each a
 :class:`poisdef.multivec.WeightSlice`.  It does two things: it adds a
-vector to the span, and it solves for a target as a combination of the
-tagged inputs.
+tagged vector to the span, and it solves for a target as a combination
+of the inputs.
 
 The elimination is fraction-free.  A stored row is a primitive ``int``
-vector (its content divided out) whose pivot entry is left as it is.  A
-vector added with a tag is augmented by one column keyed ``(tag,)``, as
-in the textbook [A | I] elimination, so each stored row carries its own
-record as a combination of the tagged inputs.  A vector is reduced by
+vector (its content divided out) whose pivot entry is left as it is.
+Every input is augmented by one column keyed ``(tag,)``, as in the
+textbook [A | I] elimination, so each stored row carries its own record
+as a combination of the inputs.  A vector is reduced by
 cross-multiplication with the stored rows and its content is divided out
 after each step (fraction-free elimination, after Bareiss 1968), so no
 step forms a ``Fraction``.
@@ -69,10 +69,10 @@ class Eliminator:
     at every pivot.  Adding vectors one by one therefore keeps exactly the
     inputs that are not in the span of the earlier ones.
 
-    A vector added with a ``tag`` (distinct from every earlier tag, else
-    ValueError) enters as input t with the column ``(t,)`` set to 1, so
-    every stored row's ``int`` entries equal the sum of ``row[(t,)]``
-    times input t, which is what :meth:`solve` reads.
+    Each vector is added with a ``tag`` (distinct from every earlier tag,
+    else ValueError) and enters as input t with the column ``(t,)`` set
+    to 1, so every stored row's ``int`` entries equal the sum of
+    ``row[(t,)]`` times input t, which is what :meth:`solve` reads.
     """
 
     def __init__(self) -> None:
@@ -90,10 +90,10 @@ class Eliminator:
         return list(self._pivots)
 
     def _eliminate(self, vec: Mapping[int, ScalarLike],
-                   tag: Optional[Hashable]) -> IntVec:
-        """Reduce vec, as input ``tag`` unless that is None, by every
-        stored row: a primitive row vanishing at every pivot."""
-        out = _integral(vec if tag is None else {**vec, (tag,): 1})
+                   tag: Hashable) -> IntVec:
+        """Reduce vec, as input ``tag``, by every stored row: a primitive
+        row vanishing at every pivot."""
+        out = _integral({**vec, (tag,): 1})
         for pivot in self._pivots:
             a = out.get(pivot)
             if a is None:
@@ -117,9 +117,10 @@ class Eliminator:
         return out
 
     def add(self, vec: Mapping[int, ScalarLike],
-            tag: Optional[Hashable] = None) -> Optional[int]:
-        """Insert vec; return its new pivot, or None if it lies in the span."""
-        if tag is not None and tag in self._tags:
+            tag: Hashable) -> Optional[int]:
+        """Insert vec as input ``tag``; return its new pivot, or None if it
+        lies in the span."""
+        if tag in self._tags:
             raise ValueError(f"tag {tag!r} was added before")
         self._tags.add(tag)
         out = self._eliminate(vec, tag)
@@ -130,14 +131,11 @@ class Eliminator:
         return pivot
 
     def solve(self, target: Mapping[int, ScalarLike]) -> Optional[dict]:
-        """Coefficients of tagged inputs summing to target, or None.
+        """Coefficients of inputs, by tag, summing to target, or None.
 
         Only inputs that became pivots appear, so the answer is the
-        solution with every free variable set to zero.  Every vector
-        must have been added with a tag, else ValueError.
+        solution with every free variable set to zero.
         """
-        if None in self._tags:
-            raise ValueError("solve needs every input added with a tag")
         out = self._eliminate(target, _TARGET)
         # 0 = scale * target + the sum of out[(t,)] * input t
         scale = out.pop((_TARGET,))

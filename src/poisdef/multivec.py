@@ -47,18 +47,18 @@ V(f) = V . grad f.  Then
 
 and graded antisymmetry gives the pairs in the other order: [F, V] =
 -V(F), [F, B] = [B, F], [F, T] = -[T, F], [B, V] = -[V, B], [T, V] =
--[V, T].  A result degree outside 0..3 gives the zero carrier.  For the
-exact bivector of a potential, curl grad phi = 0 turns [pi_phi, .] into
+-[V, T].  A result degree outside 0..3 gives the zero carrier.  The
+Poisson differential d = [pi_phi, .] of a potential is this bracket with
+its exact bivector, and :func:`coboundary` evaluates it as that bracket.
+curl grad phi = 0 turns it into the exact-potential forms
 d0 F = grad phi x grad F, d1 V = div(V) grad phi - grad(V . grad phi) and
-d2 B = grad phi . curl b, and :func:`coboundary` evaluates those forms;
-the generic ``schouten(poisson_from_potential(phi), p)`` is its test
-oracle.
+d2 B = grad phi . curl b, which only :func:`image_rows` writes out.
 
-Each closed form and coboundary form is one sum of products per
-output component: a list of (s, p, q) terms, int s, for one
+Each closed form is one sum of products per output component: a list of
+(s, p, q) terms, int s, for one
 :meth:`poisdef.algebra.Poly.sum_of_products`.  div V and curl b are
 formed once per field, so [V, B] takes one product for its div term and
-[A, B] and d2 three per dot with a curl; a bivector keeps its curl once
+[A, B] three per dot with a curl; a bivector keeps its curl once
 :func:`curl` has computed it.  :func:`schouten_sum` puts a whole signed
 sum of brackets into one accumulation per component, and
 :func:`linear_sum` a sum of integer multiples of fields.
@@ -70,7 +70,7 @@ A monomial m on slot s has weight wt(m) - wt(s), wt(s) the sum of the
 weights the slot differentiates by.  Every exact elimination in the package
 (the Jacobian-ideal and coboundary slices) runs on a :class:`WeightSlice`.
 Their rows come from :func:`image_rows`, which writes the image of each
-(slot, x^m) of a slice straight as the slice's index vector, from the same
+(slot, x^m) of a slice straight as the slice's index vector, from the
 exact-potential forms and from V(phi) for the Jacobian ideal, read off
 the exponents of x^m and the terms of phi's partials; :func:`coboundary`
 is its test oracle.
@@ -422,26 +422,14 @@ def coordinate_volume() -> MultiVec:
 
 
 def coboundary(p: MultiVec, potential: Poly) -> MultiVec:
-    """Poisson-cohomology differential [pi, p] for the exact bivector pi of
-    the potential; raises the multivector degree by one.
+    """Poisson-cohomology differential d p = [pi, p] for the exact bivector
+    pi of the potential; raises the multivector degree by one.
 
-    It evaluates the exact-potential forms of the module docstring, which
-    curl grad phi = 0 leaves of the Schouten bracket:
-    d0 F = grad phi x grad F, d1 V = div(V) grad phi - grad(V . grad phi)
-    and d2 B = grad phi . curl b.  Other degrees give the zero carrier.
+    It is the one bracket of :func:`schouten_sum`, so degrees whose
+    result falls outside 0..3 give the zero carrier.  The exact-potential
+    forms of the module docstring are written only by :func:`image_rows`.
     """
-    degree = p.degree
-    if degree not in (0, 1, 2) or p.is_zero():
-        return MultiVec.zero(degree + 1)
-    grad_phi = _grad(potential)
-    if degree == 0:
-        return _summed(1, _cross_terms(grad_phi, _grad(p.comps[0]), 1))
-    if degree == 1:
-        div = _div(p.comps)
-        inner = Poly.sum_of_products(_dot_terms(p.comps, grad_phi, 1))
-        return _summed(2, [[(1, div, g), (-1, _ONE, h)] for g, h in
-                             zip(grad_phi, _grad(inner))])
-    return _summed(3, [_dot_terms(grad_phi, curl(p).comps, 1)])
+    return schouten_sum([(1, poisson_from_potential(potential), p)])
 
 
 # -- slice rows ---------------------------------------------------------------
@@ -482,12 +470,14 @@ def image_rows(potential: Poly, source_degree: int, source_weight: int,
     in :func:`slice_basis` order, row the image of x^m on that slot as
     ``target``'s index vector with the values ``target.vector`` gives.
 
-    The image is the coboundary of :func:`coboundary` when the target
-    degree is one above the source degree, and V(phi) when a vector field
-    V goes to a slice of functions (the Jacobian ideal).  Each row is
-    written straight from the closed forms on exponents (``_ROW_RULES``),
-    and ``coboundary`` is its test oracle; the terms of phi's partials are
-    read once per call, as integers over one common denominator.
+    The image is the coboundary [pi_phi, x^m] when the target degree is
+    one above the source degree, and V(phi) when a vector field V goes to
+    a slice of functions (the Jacobian ideal).  Each row is written
+    straight from the exact-potential forms on exponents
+    (``_ROW_RULES``, the only place they are written), and
+    :func:`coboundary`, the bracket itself, is its test oracle; the terms
+    of phi's partials are read once per call, as integers over one common
+    denominator.
     """
     basis = slice_basis(target.weights, source_degree, source_weight)
     if not basis:
@@ -591,10 +581,11 @@ class WeightSlice:
                 for index, comp in zip(self._slot_index, mv.comps)
                 for exps, coeff in comp.items()}
 
-    def add(self, mv: MultiVec, tag: Optional[Hashable] = None) -> Optional[int]:
-        """Insert mv; return its pivot, or None if it lies in the span."""
+    def add(self, mv: MultiVec, tag: Hashable) -> Optional[int]:
+        """Insert mv as input ``tag``; return its pivot, or None if it lies
+        in the span."""
         return self.eliminator.add(self.vector(mv), tag)
 
     def solve(self, mv: MultiVec) -> Optional[dict]:
-        """Coefficients of tagged multivectors summing to mv, or None."""
+        """Coefficients of the inputs, by tag, summing to mv, or None."""
         return self.eliminator.solve(self.vector(mv))

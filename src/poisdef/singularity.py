@@ -54,14 +54,15 @@ class NotIsolatedError(SingularityError):
 def jacobian_slice_reduction(phi: Poly, weights: WeightSystem,
                              degree: int) -> WeightSlice:
     """Eliminate the weight-``degree`` slice of the Jacobian ideal of phi:
-    the image V(phi) of the vector fields V of weight degree - d."""
+    the image V(phi) of the vector fields V of weight degree - d, each
+    row tagged by its (slot, m), as the coboundary slices are."""
     d = weighted_degree(phi, weights)
     if d is None:
         raise SingularityError("potential must be weight-homogeneous and nonzero")
     reduction = WeightSlice(weights, 0, degree)
     add = reduction.eliminator.add
-    for _, row in image_rows(phi, 1, degree - d, reduction):
-        add(row)
+    for tag, row in image_rows(phi, 1, degree - d, reduction):
+        add(row, tag)
     return reduction
 
 

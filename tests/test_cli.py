@@ -544,17 +544,26 @@ def test_default_caps_report_is_byte_identical(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == _DEFAULT_CAPS_HASH
 
 
-# SHA-256 of `poisdef verify gauge --phi "x^2+y^2+z^2" --order 5`: gauged
-# series whose coefficients are almost all non-integral rationals.
-_GAUGE_ORDER5_HASH = (
-    "6394fa56bba7007a5630c3b5a884f353bd0745f5dc09870123784cfb0fa055e5")
+# SHA-256 of `poisdef verify gauge` reports: on the quadric at order 5,
+# gauged series whose coefficients are almost all non-integral rationals;
+# on the balanced cubic at order 6 with arity cap 6, the class-level gauge
+# through transfer stages of arity 5 and 6.
+_GAUGE_HASHES = {
+    "quadric-order5": (
+        ("x^2+y^2+z^2", "--order", "5"),
+        "6394fa56bba7007a5630c3b5a884f353bd0745f5dc09870123784cfb0fa055e5"),
+    "cubic-order6-arity6": (
+        ("x^3+y^3+z^3", "--order", "6", "--arity-cap", "6"),
+        "e9f598970b811c000fab3d73c59815d5b7bf7aa1da002485e1967796353b7648"),
+}
 
 
-def test_gauge_order5_report_is_byte_identical(capsys):
-    code, out, _ = run_cli(capsys, "verify", "gauge", "--phi", "x^2+y^2+z^2",
-                           "--order", "5")
+@pytest.mark.parametrize("case", list(_GAUGE_HASHES))
+def test_gauge_order5_report_is_byte_identical(capsys, case):
+    args, expected = _GAUGE_HASHES[case]
+    code, out, _ = run_cli(capsys, "verify", "gauge", "--phi", *args)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == _GAUGE_ORDER5_HASH
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
 # SHA-256 of `poisdef deform --order 3` on one family with integral and

@@ -140,7 +140,7 @@ def test_integer_vectors_keep_exact_entries():
         with pytest.raises(TypeError):
             elim.solve(bad)
         with pytest.raises(TypeError):
-            Eliminator().add(bad)
+            Eliminator().add(bad, "bad")
 
 
 def test_int_tags_stay_apart_from_indices():
@@ -188,16 +188,6 @@ def test_repeated_tag_is_refused():
     elim.add({0: 2, 1: 2}, "b")                    # in the span of a, b
     with pytest.raises(ValueError):
         elim.add({2: 1}, "b")
-
-
-def test_solve_refuses_untagged_inputs():
-    """An untagged input has no column to record it, so a solve over it
-    would leave it out of the combination."""
-    elim = Eliminator()
-    elim.add({0: 1}, "a")
-    elim.add({1: 1})
-    with pytest.raises(ValueError):
-        elim.solve({0: 1, 1: 1})
 
 
 wide = st.builds(Fraction, st.integers(-40, 40).filter(bool) | st.just(0),

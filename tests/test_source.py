@@ -92,3 +92,45 @@ def test_transfer_stage_reads_one_decomposition():
                if isinstance(node, ast.FunctionDef)
                and "combinations" in _called_names(node)}
     assert walkers == {"_unshuffles"}, walkers
+
+
+def test_coboundary_is_one_bracket():
+    """d = [pi_phi, .] goes through the one bracket kernel: coboundary
+    calls schouten_sum and writes no exact-potential form of its own."""
+    from poisdef import multivec
+
+    called = set(_called_names(ast.parse(textwrap.dedent(
+        inspect.getsource(multivec.coboundary)))))
+    assert "schouten_sum" in called
+    assert not {"_cross_terms", "_dot_terms", "_div"} & called, called
+
+
+def test_row_rules_read_only_by_image_rows():
+    """The exact-potential forms are written once, in _ROW_RULES, and
+    only image_rows reads them."""
+    readers = set()
+    for path in sorted(SOURCE_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for top in tree.body:
+            owner = getattr(top, "name", f"{path.name}:{top.lineno}")
+            readers |= {owner for node in ast.walk(top)
+                        if (isinstance(node, ast.Name)
+                            and node.id == "_ROW_RULES"
+                            and isinstance(node.ctx, ast.Load))
+                        or (isinstance(node, ast.Attribute)
+                            and node.attr == "_ROW_RULES")}
+    assert readers == {"image_rows"}, readers
+
+
+def test_every_eliminator_input_is_tagged():
+    """Eliminator.add, and WeightSlice.add that feeds it, take the tag
+    with no default, so every stored row records its input."""
+    from poisdef.linalg import Eliminator
+
+    for method in (Eliminator.add, WeightSlice.add):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(method)))
+        args = tree.body[0].args
+        names = [a.arg for a in args.posonlyargs + args.args]
+        assert "tag" in names, method
+        defaulted = names[len(names) - len(args.defaults):]
+        assert "tag" not in defaulted, method
