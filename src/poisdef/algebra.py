@@ -234,12 +234,9 @@ class Poly:
         if not self._nums:
             return other if sign == 1 else -other
         d1, d2 = self._den, other._den
-        if d1 == d2:
-            den, nums, scale = d1, dict(self._nums), sign
-        else:
-            den = math.lcm(d1, d2)
-            s1, scale = den // d1, sign * (den // d2)
-            nums = {e: n * s1 for e, n in self._nums.items()}
+        den = math.lcm(d1, d2)
+        s1, scale = den // d1, sign * (den // d2)
+        nums = {e: n * s1 for e, n in self._nums.items()}
         for exps, n in other._nums.items():
             acc = nums.get(exps)
             if acc is None:

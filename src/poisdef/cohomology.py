@@ -36,13 +36,13 @@ splits a closed multivector as p = f_1(c) + [pi, y]; :func:`project` (c)
 and :func:`solve_coboundary` (y) are its two views.  It solves one weight
 slice at a time: for fixed (cochain degree, weight) the slice of
 multivector fields is finite-dimensional, and one
-:class:`poisdef.multivec.WeightSlice`
-eliminating [coboundary images | class representatives] is cached per
-slice and reused for every solve against it.  Its coboundary rows are
-written straight from exponents by :func:`poisdef.multivec.image_rows`,
-whose test oracle is :func:`poisdef.multivec.coboundary`, and its class
-representatives, read off the generators by :func:`labels_of_weight`,
-follow.  Building it also checks that the class representatives are
+:class:`poisdef.multivec.WeightSlice`, the eliminator of [coboundary
+images | class representatives] over the slice's basis positions, is
+cached per slice and reused for every solve against it.  Its coboundary
+rows are written straight from exponents by
+:func:`poisdef.multivec.image_rows`, whose test oracle is
+:func:`poisdef.multivec.coboundary`, and its class representatives, read
+off the generators by :func:`labels_of_weight`, follow.  Building it also checks that the class representatives are
 independent modulo coboundaries: a representative that is a coboundary
 raises CohomologyError.
 """
@@ -371,11 +371,10 @@ def _slice_solver(data: SingularityData, degree: int, weight: int) -> WeightSlic
         return cached
     solver = WeightSlice(data.weights, degree, weight)
     delta = data.d - data.weights.total
-    add = solver.eliminator.add
     for tag, row in image_rows(data.phi, degree - 1, weight - delta, solver):
-        add(row, tag)
+        solver.add(row, tag)
     for label in labels_of_weight(data, degree - 1, weight):
-        if solver.add(realize(label, data), label) is None:
+        if solver.add(solver.vector(realize(label, data)), label) is None:
             raise CohomologyError(
                 f"basis class {label} is dependent on the coboundaries and "
                 f"the other classes of weight {weight}"
@@ -404,7 +403,8 @@ def decompose(p: MultiVec,
     coeffs: dict[BasisLabel, ScalarLike] = {}
     terms: list[dict[Exponents, ScalarLike]] = [{} for _ in SLOTS.get(g, ())]
     for weight, part in multivec_weight_parts(p, data.weights).items():
-        solution = _slice_solver(data, p.degree, weight).solve(part)
+        solver = _slice_solver(data, p.degree, weight)
+        solution = solver.solve(solver.vector(part))
         if solution is None:
             raise CohomologyError(
                 f"closed slice of weight {weight} lies outside span of "

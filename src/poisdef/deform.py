@@ -184,7 +184,9 @@ class CoeffFamily:
     def from_json_dict(cls, payload: dict) -> "CoeffFamily":
         """Read the JSON form.  Its only keys are "c" and "cbar", so no
         misspelled table is dropped; indices must be JSON integers and
-        values integers or "p/q" strings, so no inexact number gets in."""
+        values integers or "p/q" strings, so no inexact number gets in;
+        no two entries of a table may share their indices, so none is
+        dropped for a later one."""
         if not isinstance(payload, dict):
             raise InvalidFamilyError("family JSON must be an object")
         unknown = [key for key in payload if key not in ("c", "cbar")]
@@ -206,7 +208,12 @@ class CoeffFamily:
                     raise InvalidFamilyError(
                         f"{name} entry {entry!r} must be {shape} with "
                         "integer indices")
-                table[tuple(entry[:-1])] = _exact_value(entry[-1], name, entry)
+                key = tuple(entry[:-1])
+                if key in table:
+                    raise InvalidFamilyError(
+                        f"{name} entry {entry!r} repeats the indices of an "
+                        "earlier entry")
+                table[key] = _exact_value(entry[-1], name, entry)
             tables.append(table)
         return cls.make(*tables)
 
@@ -329,8 +336,7 @@ def mc_image(state: TransferState, gamma: NuSeries, m: int) -> NuSeries:
     for n in range(1, m + 1):
         pairs = MultiVec.zero(2)
         for a in range(1, n):
-            if not (classes[a].is_zero() or classes[n - a].is_zero()):
-                pairs = pairs + state.f([classes[a], classes[n - a]])
+            pairs = pairs + state.f([classes[a], classes[n - a]])
         coeffs.append(f1(classes[n], data) + pairs * Fraction(1, 2))
     return NuSeries(order_cap=m, coeffs=tuple(coeffs),
                     anchor=poisson_from_potential(data.phi))
@@ -403,8 +409,6 @@ def gauge_special(state: TransferState, gamma: NuSeries,
                 combo = [b - a for a, b in zip((0,) + cuts, cuts + (n,))]
                 args = [xi.coefficient(combo[0])]
                 args += [gamma.coefficient(b) for b in combo[1:]]
-                if any(c.is_zero() for c in args):
-                    continue
                 out[n - 1] = out[n - 1] - state.ell(args) * scale
     return NuSeries(order_cap=m, coeffs=tuple(out))
 

@@ -2,11 +2,12 @@
 
 A vector is a dictionary mapping an index to a nonzero exact rational, an
 ``int`` or a ``fractions.Fraction`` (floats raise TypeError): the
-coefficients ``Poly.items()`` hands out.  One incremental eliminator
-serves every weight slice in the package, each a
-:class:`poisdef.multivec.WeightSlice`.  It does two things: it adds a
-tagged vector to the span, and it solves for a target as a combination
-of the inputs.
+coefficients ``Poly.items()`` hands out.  Every weight slice in the
+package is one incremental eliminator, a
+:class:`poisdef.multivec.WeightSlice` subclassing :class:`Eliminator`
+that indexes vectors by positions in its slice's basis.  It does two
+things: it adds a tagged vector to the span, and it solves for a target
+as a combination of the inputs.
 
 The elimination is fraction-free.  A stored row is a primitive ``int``
 vector (its content divided out) whose pivot entry is left as it is.

@@ -70,7 +70,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
-from math import lcm
 from typing import Optional, Sequence
 
 from .algebra import Poly
@@ -347,14 +346,8 @@ class TransferState:
         labels = tuple(labels)
         degrees = tuple([lab.g_degree for lab in labels])
         degree = sum(degrees) + 3 - len(labels)
-        terms = self._nested_terms(labels, degrees, self._f_memo)
-        total = MultiVec.zero(degree)
-        if terms:
-            # over the common denominator of the ell coefficients
-            den = lcm(*[c.denominator for c, _ in terms])
-            total = linear_sum(degree, [
-                (c.numerator * (den // c.denominator), value)
-                for c, value in terms], den)
+        total = linear_sum(degree, self._nested_terms(labels, degrees,
+                                                      self._f_memo))
         lookup = self._lookup
         f_memo = self._f_memo
         brackets = []

@@ -61,14 +61,16 @@ formed once per field, so [V, B] takes one product for its div term and
 [A, B] three per dot with a curl; a bivector keeps its curl once
 :func:`curl` has computed it.  :func:`schouten_sum` puts a whole signed
 sum of brackets into one accumulation per component, and
-:func:`linear_sum` a sum of integer multiples of fields.
+:func:`linear_sum` a sum of exact multiples of fields, over the common
+denominator of the multipliers.
 
 Multivector fields are immutable and share their parts: :meth:`MultiVec.zero`
 is one object per degree, and multiplying by 1 returns the field itself.
 
 A monomial m on slot s has weight wt(m) - wt(s), wt(s) the sum of the
 weights the slot differentiates by.  Every exact elimination in the package
-(the Jacobian-ideal and coboundary slices) runs on a :class:`WeightSlice`.
+(the Jacobian-ideal and coboundary slices) is a :class:`WeightSlice`, an
+eliminator over the positions of its slice's basis.
 Their rows come from :func:`image_rows`, which writes the image of each
 (slot, x^m) of a slice straight as the slice's index vector, from the
 exact-potential forms and from V(phi) for the Jacobian ideal, read off
@@ -81,7 +83,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Hashable, Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .algebra import (
     Exponents,
@@ -358,18 +360,27 @@ def schouten_sum(terms: Sequence[tuple[int, MultiVec, MultiVec]],
     return _summed(degree, rows, divisor)
 
 
-def linear_sum(degree: int, terms: Sequence[tuple[int, MultiVec]],
-               divisor: int = 1) -> MultiVec:
-    """(sum of s P over the (s, P) terms) / divisor, for int multipliers s,
-    a positive int divisor and fields P of this degree: one
-    Poly.sum_of_products per output component, each term a product with 1.
+def linear_sum(degree: int,
+               terms: Sequence[tuple[ScalarLike, MultiVec]]) -> MultiVec:
+    """The sum of c P over the (c, P) terms, for exact scalar multipliers c
+    (a float raises TypeError) and fields P of this degree.
+
+    The multipliers go over their common denominator, and each output
+    component is one Poly.sum_of_products of the integer numerators, each
+    term a product with 1, divided by it.
     """
+    if not terms:
+        return MultiVec.zero(degree)
     if any(p.degree != degree for _, p in terms):
         raise ValueError(f"a field of another degree in a sum of degree "
                          f"{degree}")
-    return _summed(degree, [[(s, p.comps[k], _ONE) for s, p in terms]
+    scalars = [exact_scalar(c) for c, _ in terms]
+    den = lcm(*[c.denominator for c in scalars])
+    nums = [c.numerator * (den // c.denominator) for c in scalars]
+    return _summed(degree, [[(n, p.comps[k], _ONE)
+                             for n, (_, p) in zip(nums, terms)]
                             for k in range(len(SLOTS.get(degree, ())))],
-                   divisor)
+                   den)
 
 
 def schouten(p: MultiVec, q: MultiVec) -> MultiVec:
@@ -556,11 +567,13 @@ def slice_basis(weights: WeightSystem, degree: int,
                 weights, weight + slot_weight_offset(weights, degree, slot))]
 
 
-class WeightSlice:
-    """One weight slice of degree-k multivectors, with an
-    :class:`poisdef.linalg.Eliminator` over positions in ``basis``."""
+class WeightSlice(Eliminator):
+    """One weight slice of degree-k multivectors: an
+    :class:`poisdef.linalg.Eliminator` whose indices are positions in
+    ``basis``, the format :meth:`vector` writes a multivector in."""
 
     def __init__(self, weights: WeightSystem, degree: int, weight: int):
+        super().__init__()
         self.weights = weights
         self.degree = degree
         self.basis = slice_basis(weights, degree, weight)
@@ -569,23 +582,9 @@ class WeightSlice:
             {} for _ in SLOTS.get(degree, ())]
         for i, (slot, m) in enumerate(self.basis):
             self._slot_index[slot][m] = i
-        self.eliminator = Eliminator()
-
-    @property
-    def rank(self) -> int:
-        return self.eliminator.rank
 
     def vector(self, mv: MultiVec) -> SparseVec:
         """Coordinates of a multivector of this slice on ``basis``."""
         return {index[exps]: coeff
                 for index, comp in zip(self._slot_index, mv.comps)
                 for exps, coeff in comp.items()}
-
-    def add(self, mv: MultiVec, tag: Hashable) -> Optional[int]:
-        """Insert mv as input ``tag``; return its pivot, or None if it lies
-        in the span."""
-        return self.eliminator.add(self.vector(mv), tag)
-
-    def solve(self, mv: MultiVec) -> Optional[dict]:
-        """Coefficients of the inputs, by tag, summing to mv, or None."""
-        return self.eliminator.solve(self.vector(mv))

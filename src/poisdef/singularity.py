@@ -60,9 +60,8 @@ def jacobian_slice_reduction(phi: Poly, weights: WeightSystem,
     if d is None:
         raise SingularityError("potential must be weight-homogeneous and nonzero")
     reduction = WeightSlice(weights, 0, degree)
-    add = reduction.eliminator.add
     for tag, row in image_rows(phi, 1, degree - d, reduction):
-        add(row, tag)
+        reduction.add(row, tag)
     return reduction
 
 
@@ -144,7 +143,7 @@ def milnor_basis(phi: Poly, weights: WeightSystem) -> SingularityData:
         missing = len(reduction.basis) - reduction.rank
         if degree <= socle:
             # the non-pivot monomials span the quotient, slice by slice
-            pivots = set(reduction.eliminator.pivots)
+            pivots = set(reduction.pivots)
             basis += [m for i, (_, m) in enumerate(reduction.basis)
                       if i not in pivots]
         elif missing:

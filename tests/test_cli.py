@@ -253,8 +253,10 @@ def test_deform_invalid_family_exit_1(capsys, tmp_path):
     {"cbar": [[1, 1, "0.5"]]},           # decimal string
     {"cbar": {"n": 1}},                  # table that is not a list
     {"c": [[1, 17, 1, "1"]]},            # phi power above MAX_PHI_POWER
+    {"c": [[1, 0, 1, "3/2"], [1, 0, 1, "-3/2"]]},  # repeated c indices
+    {"cbar": [[1, 2, "1"], [1, 2, "5"]]},          # repeated cbar indices
 ], ids=["row", "float", "order", "bool", "abc", "div0", "decimal", "table",
-        "power"])
+        "power", "repeat-c", "repeat-cbar"])
 def test_deform_inexact_family_exit_1(capsys, tmp_path, payload):
     fam_path = tmp_path / "family.json"
     fam_path.write_text(json.dumps(payload))

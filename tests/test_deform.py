@@ -79,6 +79,18 @@ def test_family_refuses_unknown_keys():
     assert CoeffFamily.from_json_dict({"c": []}) == CoeffFamily.make({}, {})
 
 
+def test_family_refuses_repeated_indices():
+    """A repeated entry is refused, not read as the last of its kind."""
+    with pytest.raises(InvalidFamilyError, match=r"c entry \[1, 0, 1, '-3/2'\]"):
+        CoeffFamily.from_json_dict(
+            {"c": [[1, 0, 1, "3/2"], [1, 0, 1, "-3/2"]]})
+    with pytest.raises(InvalidFamilyError, match="repeats the indices"):
+        CoeffFamily.from_json_dict({"cbar": [[1, 2, "1"], [1, 2, "5"]]})
+    fam = CoeffFamily.from_json_dict(
+        {"c": [[1, 0, 1, "3/2"]], "cbar": [[1, 2, 1], [2, 2, 5]]})
+    assert fam.cbar == (((1, 2), 1), ((2, 2), 5))
+
+
 def test_family_validation(brieskorn):
     CoeffFamily.make({(1, 0, 1): 1}, {(1, 7): 1}).validate(brieskorn)
     with pytest.raises(InvalidFamilyError):

@@ -20,7 +20,7 @@ from poisdef import (
     poisson_from_potential,
     schouten,
 )
-from poisdef.multivec import SLOTS
+from poisdef.multivec import SLOTS, linear_sum
 from shuffle_oracle import evaluate, shuffle_sum
 
 rationals = st.fractions(
@@ -188,16 +188,37 @@ def test_structure_identities_frozen():
     assert schouten(e, pi) == pi * delta
 
 
+def test_linear_sum_takes_exact_multipliers():
+    """linear_sum puts exact multipliers over their common denominator
+    itself; a float multiplier raises, and no terms give the shared zero."""
+    v = MultiVec.vector(X, Y * Fraction(1, 3), Z)
+    w = MultiVec.vector(Y, Poly.zero(), X * Fraction(2, 5))
+    terms = [(Fraction(1, 2), v), (-3, w), (Fraction(5, 6), v)]
+    assert linear_sum(1, terms) == (v * Fraction(1, 2) + w * -3
+                                    + v * Fraction(5, 6))
+    assert linear_sum(1, [(Fraction(1, 2), v),
+                          (Fraction(-1, 2), v)]).is_zero()
+    assert linear_sum(2, []) is MultiVec.zero(2)
+    with pytest.raises(TypeError):
+        linear_sum(1, [(0.5, v)])
+    with pytest.raises(ValueError):
+        linear_sum(2, [(1, v)])
+
+
 # -- coboundary operator -------------------------------------------------------
 
 
 @given(multivecs(0))
 def test_coboundary_on_functions_is_hamiltonian(f):
-    phi = parse_poly("x^2 + y^2 + z^2")
-    pi = poisson_from_potential(phi)
-    image = coboundary(f, phi)
-    assert image.degree == 1
-    assert image == schouten(pi, f)
+    """d F is the Hamiltonian field X_F = grad phi x grad F, written out
+    here from partials, on the three reference potentials."""
+    g = f.comps[0]
+    gx, gy, gz = g.diff(0), g.diff(1), g.diff(2)
+    for text in ("x^2 + y^2 + z^2", "x^2 + y^3 + z^5", "x^3 + y^3 + z^3"):
+        phi = parse_poly(text)
+        px, py, pz = phi.diff(0), phi.diff(1), phi.diff(2)
+        assert coboundary(f, phi) == MultiVec.vector(
+            py * gz - pz * gy, pz * gx - px * gz, px * gy - py * gx), text
 
 
 def _coboundary_inputs(degree):

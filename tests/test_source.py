@@ -39,19 +39,67 @@ def test_no_true_division_in_package():
 
 
 def test_eliminator_built_only_by_the_slice_layer():
-    """Every exact elimination runs through WeightSlice: no module but
-    linalg and the one defining WeightSlice constructs an Eliminator."""
-    slice_module = Path(inspect.getsourcefile(WeightSlice)).name
-    builders = set()
+    """Every exact elimination runs through WeightSlice: it is the only
+    subclass of Eliminator in src/poisdef, and no module constructs an
+    Eliminator itself."""
+    subclasses, builders = [], []
     for path in sorted(SOURCE_DIR.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and "Eliminator" in (
+            if isinstance(node, ast.ClassDef) and "Eliminator" in [
+                    getattr(base, "id", None) or getattr(base, "attr", None)
+                    for base in node.bases]:
+                subclasses.append(node.name)
+            elif isinstance(node, ast.Call) and "Eliminator" in (
                     getattr(node.func, "id", None),
                     getattr(node.func, "attr", None)):
-                builders.add(path.name)
-    assert slice_module in builders
-    assert builders <= {"linalg.py", slice_module}, builders
+                builders.append(f"{path.name}:{node.lineno}")
+    assert subclasses == [WeightSlice.__name__], subclasses
+    assert not builders, builders
+
+
+def test_no_dead_imports_or_private_helpers():
+    """Every name a module imports (bar __future__ and the re-exports of
+    __init__.py) is loaded in that module, and every private module-level
+    function, class or assigned name is referenced somewhere in the
+    package."""
+    unused, referenced, private = [], set(), {}
+    for path in sorted(SOURCE_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        loads = {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name)
+                 and isinstance(node.ctx, ast.Load)}
+        referenced |= loads | {node.attr for node in ast.walk(tree)
+                               if isinstance(node, ast.Attribute)}
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                names = [top.name]
+            else:
+                targets = (top.targets if isinstance(top, ast.Assign) else
+                           [top.target] if isinstance(top, ast.AnnAssign)
+                           else [])
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            private.update({name: f"{path.name}:{top.lineno}" for name in names
+                            if name.startswith("_")
+                            and not name.startswith("__")})
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported = [a.asname or a.name.split(".")[0]
+                            for a in node.names]
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                imported = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno} {name}"
+                       for name in imported if name not in loads]
+    assert private, "package sources not found"
+    assert not unused, f"imported and never loaded: {unused}"
+    dead = [f"{where} {name}" for name, where in private.items()
+            if name not in referenced]
+    assert not dead, f"private names never referenced: {dead}"
 
 
 def test_poly_storage_read_only_in_algebra():
