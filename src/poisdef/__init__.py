@@ -60,10 +60,8 @@ from .deform import (
 from .linfty import (
     ArityCapExceededError,
     TransferState,
-    check_E,
     compute_T,
     f2_table,
-    jacobiator,
     koszul_chi,
 )
 from .multivec import (
@@ -115,7 +113,6 @@ __all__ = [
     "a_index_range",
     "all_basis_labels",
     "build_deformation",
-    "check_E",
     "class_str",
     "coboundary",
     "compute_T",
@@ -130,7 +127,6 @@ __all__ = [
     "gauge_special",
     "infer_weights",
     "jacobi_residual",
-    "jacobiator",
     "koszul_chi",
     "label_weight",
     "labels_of_weight",

@@ -33,8 +33,8 @@ from .algebra import (
     poly_str,
     weighted_degree,
 )
-from .cohomology import (CohomologyError, a_index_range, class_str,
-                         enumerate_basis)
+from .cohomology import (CohomologyError, a_index_range, b_index_range,
+                         class_str, enumerate_basis)
 from .deform import (
     MAX_PHI_POWER,
     CoeffFamily,
@@ -179,7 +179,7 @@ def _family_byte_limit(data: SingularityData) -> int:
     order, power = len(str(MAX_ORDER)), len(str(MAX_PHI_POWER))
     index = len(str(data.mu))
     n_c = MAX_ORDER * (MAX_PHI_POWER + 1) * len(a_index_range(data))
-    n_cbar = MAX_ORDER * (data.mu - 1)
+    n_cbar = MAX_ORDER * len(b_index_range(data))
     compact = (len('{"c":[],"cbar":[]}')
                + n_c * (len("[,,,]") + order + power + index + value)
                + n_cbar * (len("[,,]") + order + index + value))

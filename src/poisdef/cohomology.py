@@ -141,6 +141,11 @@ def a_index_range(data: SingularityData) -> range:
     return range(0 if data.special else 1, data.mu)
 
 
+def b_index_range(data: SingularityData) -> range:
+    """Valid u-indices for B labels: the exact bivectors of u_1..u_{mu-1}."""
+    return range(1, data.mu)
+
+
 def _generator(label: BasisLabel) -> tuple[BasisLabel, int]:
     """(g, i) with label = phi^i * g for g in :func:`_generators`; a B label
     carries no phi power and is its own generator (i = 0)."""
@@ -209,7 +214,7 @@ def _generators(data: SingularityData, g: int) -> list[BasisLabel]:
         return [BasisLabel("Eul", (0,))] if data.special else []
     if g == 1:
         return ([BasisLabel("A", (0, q)) for q in a_index_range(data)]
-                + [BasisLabel("B", (r,)) for r in range(1, data.mu)])
+                + [BasisLabel("B", (r,)) for r in b_index_range(data)])
     if g == 2:
         return [BasisLabel("Top", (0, s)) for s in range(data.mu)]
     return []

@@ -64,7 +64,8 @@ from typing import Optional
 
 from .algebra import (MAX_COEFFICIENT_BITS, Poly, ScalarLike, bounded_int,
                       exact_scalar)
-from .cohomology import BasisLabel, CohClass, a_index_range, f1, project
+from .cohomology import (BasisLabel, CohClass, a_index_range, b_index_range,
+                         f1, project)
 from .linfty import TransferState
 from .multivec import MultiVec, curl, poisson_from_potential, schouten_sum
 from .singularity import SingularityData
@@ -158,7 +159,7 @@ class CoeffFamily:
         for (n, r), _ in self.cbar:
             if n < 1:
                 raise InvalidFamilyError(f"cbar[{n},{r}]: order must be >= 1")
-            if not 1 <= r <= data.mu - 1:
+            if r not in b_index_range(data):
                 raise InvalidFamilyError(
                     f"cbar[{n},{r}]: index {r} outside 1..{data.mu - 1}"
                 )

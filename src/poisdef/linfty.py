@@ -44,20 +44,21 @@ which must vanish for an L-infinity structure, and the morphism residual
 
     E_n = d(f_n(x)) - f_1(ell_n(x)) - T_n(x),
 
-which must vanish for an L-infinity morphism; both are exposed for
-verification.
+which must vanish for an L-infinity morphism.
+:meth:`TransferState.E_labels` and :meth:`~TransferState.J_labels` evaluate
+them, and the verification suites call those.
 
 Label-level evaluation: T_n, E_n and J_n are multilinear, so they are
 evaluated on tuples of basis labels (:meth:`TransferState.T_labels`,
-:meth:`~TransferState.E_labels`, :meth:`~TransferState.J_labels`), and
-:func:`compute_T`, :func:`check_E` and :func:`jacobiator` extend them to
-class combinations.  The unshuffle blocks and signs of S_n, U_n and J_n
-depend only on the degree pattern of the inputs; :func:`_nested_plan` and
-:func:`_bracket_plan` build them once per pattern from :func:`_unshuffles`,
-the one shuffle enumerator.  A label-level term reads ell and f through
-the canonical-order memos, unsigned, with the Koszul sign of the
-reordering folded into its integer multiplier, and expands only the few
-labels of each inner ell_i; all the f_j(ell_i(..), ..) terms of T_n go
+:meth:`~TransferState.E_labels`, :meth:`~TransferState.J_labels`); only
+:func:`compute_T`, :meth:`~TransferState.ell` and :meth:`~TransferState.f`
+extend to class combinations.  The unshuffle blocks and signs of S_n, U_n
+and J_n depend only on the degree pattern of the inputs; :func:`_nested_plan`
+and :func:`_bracket_plan` build them once per pattern from
+:func:`_unshuffles`, the one shuffle enumerator.  A label-level term reads
+ell and f through the canonical-order memos, unsigned, with the Koszul sign
+of the reordering folded into its integer multiplier, and expands only the
+few labels of each inner ell_i; all the f_j(ell_i(..), ..) terms of T_n go
 into one product sum per component and all its brackets into one
 :func:`poisdef.multivec.schouten_sum`.  The class-level sums, which
 enumerate the shuffles afresh on every call, are the test oracle
@@ -409,15 +410,6 @@ def _multilinear(on_labels, classes: Sequence[CohClass], zero):
     return result
 
 
-def _extended(on_labels, n: int, classes: Sequence[CohClass], zero):
-    """T_n, E_n or J_n (``on_labels``) extended multilinearly to n classes;
-    ``zero(k)`` builds the zero of output degree k."""
-    if len(classes) != n:
-        raise ValueError(f"expected {n} classes, got {len(classes)}")
-    # the output degree is one above that of ell_n and f_n
-    return _multilinear(on_labels, classes, lambda k: zero(k + 1))
-
-
 def compute_T(state: TransferState, n: int,
               classes: Sequence[CohClass]) -> MultiVec:
     """The order-n obstruction T_n = S_n - U_n (see module docstring),
@@ -426,25 +418,8 @@ def compute_T(state: TransferState, n: int,
     Needs brackets and homotopies of arity at most n - 1, so it is the
     quantity that drives the transfer recursion at arity n.
     """
-    return _extended(state.T_labels, n, classes, MultiVec.zero)
-
-
-def check_E(state: TransferState, n: int,
-            classes: Sequence[CohClass]) -> MultiVec:
-    """Residual of the order-n morphism equation; zero when it holds.
-
-    Computes d(f_n(x)) - f_1(ell_n(x)) - T_n(x) exactly, extended
-    multilinearly from :meth:`TransferState.E_labels`.  At n = 1 this is
-    just d of the canonical representative.
-    """
-    return _extended(state.E_labels, n, classes, MultiVec.zero)
-
-
-def jacobiator(state: TransferState, n: int,
-               classes: Sequence[CohClass]) -> CohClass:
-    """The order-n generalized Jacobi combination of the brackets,
-    extended multilinearly from :meth:`TransferState.J_labels`.
-
-    Vanishes identically when (ell_k) is an L-infinity structure.
-    """
-    return _extended(state.J_labels, n, classes, CohClass.zero)
+    if len(classes) != n:
+        raise ValueError(f"expected {n} classes, got {len(classes)}")
+    # the output degree is one above that of ell_n and f_n
+    return _multilinear(state.T_labels, classes,
+                        lambda k: MultiVec.zero(k + 1))

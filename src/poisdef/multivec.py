@@ -255,7 +255,7 @@ def _dot_terms(u: Comps, v: Comps, s: int) -> Terms:
     return [(s, u[0], v[0]), (s, u[1], v[1]), (s, u[2], v[2])]
 
 
-def _summed(degree: int, rows: list[Terms], divisor: int = 1) -> "MultiVec":
+def _summed(degree: int, rows: list[Terms], divisor: int) -> "MultiVec":
     return MultiVec(degree, tuple(Poly.sum_of_products(r, divisor)
                                   for r in rows))
 

@@ -67,6 +67,7 @@ from .cohomology import (
     BasisLabel,
     CohClass,
     a_index_range,
+    b_index_range,
     class_str,
     enumerate_basis,
     label_weight,
@@ -93,8 +94,6 @@ from .multivec import (
     schouten,
 )
 from .singularity import SingularityData
-
-SUITE_NAMES = ("schouten", "tables", "transfer", "deform", "gauge")
 
 # Largest power of the potential in the closed identity sweeps and in
 # random coefficient families.
@@ -171,7 +170,7 @@ def random_family(rng: random.Random, data: SingularityData, *,
     c: dict[tuple[int, int, int], Fraction] = {}
     cbar: dict[tuple[int, int], Fraction] = {}
     a_indices = list(a_index_range(data))
-    b_indices = list(range(1, data.mu))
+    b_indices = list(b_index_range(data))
     for n in range(1, order + 1):
         for _ in range(rng.randint(1, 3)):
             use_a = a_indices and (not b_indices or rng.random() < 0.6)
@@ -277,7 +276,7 @@ def run_schouten_suite(data: SingularityData, config: SuiteConfig,
         for a in range(PHI_POWER_CAP + 1)
         for k in range(data.mu)
     }
-    exact = {r: poisson_from_potential(u[r]) for r in range(1, data.mu)}
+    exact = {r: poisson_from_potential(u[r]) for r in b_index_range(data)}
     ham_keys = sorted(hamiltonian)
     exact_keys = sorted(exact)
 
@@ -456,7 +455,7 @@ def run_deform_suite(data: SingularityData, config: SuiteConfig,
            lambda case: verdicts[case[0]][3][case[1] - 1])
 
     a_indices = list(a_index_range(data))
-    b_indices = list(range(1, data.mu))
+    b_indices = list(b_index_range(data))
     if m >= 2 and a_indices and b_indices:
         # Unit coefficients on one Hamiltonian-type and one exact label
         # must produce the closed-form cross term at order 2.
@@ -540,6 +539,8 @@ _RUNNERS = {
     "deform": run_deform_suite,
     "gauge": run_gauge_suite,
 }
+
+SUITE_NAMES = tuple(_RUNNERS)
 
 
 def run_suite(name: str, data: SingularityData, config: SuiteConfig,

@@ -14,14 +14,12 @@ from poisdef import (
     ArityCapExceededError,
     CohClass,
     TransferState,
-    check_E,
     coboundary,
     compute_T,
     enumerate_basis,
     euler_field,
     f1,
     f2_table,
-    jacobiator,
     koszul_chi,
     parse_label,
     poisson_from_potential,
@@ -178,8 +176,7 @@ def test_order2_equation_exhaustive(request, fixture_name):
     labels = all_basis_labels(data, data.d)  # small cap keeps this quick
     for i, a in enumerate(labels):
         for b in labels[i:]:
-            residual = check_E(
-                state, 2, [CohClass.single(a), CohClass.single(b)])
+            residual = state.E_labels((a, b))
             assert residual.is_zero(), f"order-2 equation fails at ({a},{b})"
 
 
@@ -224,7 +221,7 @@ def test_order3_equation_sampled(brieskorn, brieskorn_state):
         classes = [CohClass.single(lab) for lab in chosen]
         t_value = compute_T(brieskorn_state, 3, classes)
         assert coboundary(t_value, brieskorn.phi).is_zero()
-        assert check_E(brieskorn_state, 3, classes).is_zero()
+        assert brieskorn_state.E_labels(chosen).is_zero()
 
 
 def test_order4_equation_sampled(brieskorn, brieskorn_state):
@@ -235,7 +232,14 @@ def test_order4_equation_sampled(brieskorn, brieskorn_state):
         classes = [CohClass.single(lab) for lab in chosen]
         t_value = compute_T(brieskorn_state, 4, classes)
         assert coboundary(t_value, brieskorn.phi).is_zero()
-        assert check_E(brieskorn_state, 4, classes).is_zero()
+        assert brieskorn_state.E_labels(chosen).is_zero()
+
+
+def test_compute_T_rejects_wrong_arity(brieskorn_state):
+    classes = [CohClass.single(parse_label("Cas(1)")),
+               CohClass.single(parse_label("Top(0,0)"))]
+    with pytest.raises(ValueError, match="expected 3 classes, got 2"):
+        compute_T(brieskorn_state, 3, classes)
 
 
 def test_jacobi_identities_sampled(brieskorn, brieskorn_state):
@@ -244,8 +248,7 @@ def test_jacobi_identities_sampled(brieskorn, brieskorn_state):
     for n in (3, 4):
         for _ in range(4 if n == 3 else 2):
             chosen = [rng.choice(labels) for _ in range(n)]
-            classes = [CohClass.single(lab) for lab in chosen]
-            assert jacobiator(brieskorn_state, n, classes).is_zero()
+            assert brieskorn_state.J_labels(chosen).is_zero()
 
 
 def test_special_ternary_stage(cubic, cubic_state):
@@ -254,8 +257,7 @@ def test_special_ternary_stage(cubic, cubic_state):
     labels = all_basis_labels(cubic, cubic.d)
     for _ in range(6):
         chosen = [rng.choice(labels) for _ in range(3)]
-        classes = [CohClass.single(lab) for lab in chosen]
-        assert check_E(cubic_state, 3, classes).is_zero()
+        assert cubic_state.E_labels(chosen).is_zero()
 
 
 # -- multilinearity and state mechanics ------------------------------------------------
@@ -401,9 +403,8 @@ def test_label_kernel_forced_zeros_on_repeated_even_labels(
 
 @pytest.mark.parametrize("fixture_name", ["quadric", "brieskorn", "cubic"])
 def test_class_entry_points_match_class_oracle(request, fixture_name):
-    """compute_T, check_E and jacobiator on combinations of up to three
-    labels with rational coefficients, zero classes included, equal the
-    class-level sums."""
+    """compute_T on combinations of up to three labels with rational
+    coefficients, zero classes included, equals the class-level sum."""
     data = request.getfixturevalue(fixture_name)
     state = TransferState(data=data, arity_cap=4)
     oracle = OracleState(data=data, arity_cap=4)
@@ -424,7 +425,3 @@ def test_class_entry_points_match_class_oracle(request, fixture_name):
             classes = [random_class() for _ in range(n)]
             assert compute_T(state, n, classes) == \
                 transfer_oracle.compute_T(oracle, n, classes)
-            assert check_E(state, n, classes) == \
-                transfer_oracle.check_E(oracle, n, classes)
-            assert jacobiator(state, n, classes) == \
-                transfer_oracle.jacobiator(oracle, n, classes)

@@ -102,6 +102,40 @@ def test_no_dead_imports_or_private_helpers():
     assert not dead, f"private names never referenced: {dead}"
 
 
+def test_every_public_name_is_used():
+    """Every public module-level function and class (outside __init__.py)
+    is loaded somewhere in the package outside its own definition, or is
+    imported from poisdef by the benchmark in perfbench/.  parse_label is
+    exempt: the planned ``poisdef classify`` command reads labels with
+    it."""
+    exempt = {"parse_label"}
+    bench = sorted((Path(__file__).resolve().parents[1]
+                    / "perfbench").glob("*.py"))
+    assert bench, "perfbench sources not found"
+    used, public = set(), {}
+    for path in sorted(SOURCE_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for top in tree.body:
+            own = getattr(top, "name", None)
+            used |= {node.id for node in ast.walk(top)
+                     if isinstance(node, ast.Name)
+                     and isinstance(node.ctx, ast.Load) and node.id != own}
+            if (path.name != "__init__.py"
+                    and isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                    and not top.name.startswith("_")):
+                public[top.name] = f"{path.name}:{top.lineno}"
+    for path in bench:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        used |= {alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)
+                 and (node.module or "").split(".")[0] == "poisdef"
+                 for alias in node.names}
+    assert public, "package sources not found"
+    unused = [f"{where} {name}" for name, where in public.items()
+              if name not in used | exempt]
+    assert not unused, f"public names used nowhere: {unused}"
+
+
 def test_poly_storage_read_only_in_algebra():
     """A Poly's numerators, denominator and kept partials are shared by
     every result that reuses them, so no module but algebra.py reads or
