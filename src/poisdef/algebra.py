@@ -402,25 +402,27 @@ def _monomial_str(exponents: Exponents) -> str:
     return "*".join(factors)
 
 
-def poly_str(p: Poly) -> str:
-    """Render a polynomial in the grammar accepted by :func:`parse_poly`."""
-    if p.is_zero():
-        return "0"
+def signed_sum_str(terms: Iterable[tuple[str, ScalarLike]]) -> str:
+    """Render (name, nonzero coefficient) pairs as e.g. '-x^2 + 1/2*y - 3':
+    no unit magnitude before a name, '' names the constant term, and the
+    empty sum is '0'."""
     pieces: list[str] = []
-    for exps, coeff in p.items():
-        mono = _monomial_str(exps)
+    for name, coeff in terms:
         mag = abs(coeff)
-        if mono and mag == 1:
-            body = mono
-        elif mono:
-            body = f"{mag}*{mono}"
+        if name:
+            body = name if mag == 1 else f"{mag}*{name}"
         else:
             body = str(mag)
         if not pieces:
             pieces.append(f"-{body}" if coeff < 0 else body)
         else:
             pieces.append(f"- {body}" if coeff < 0 else f"+ {body}")
-    return " ".join(pieces)
+    return " ".join(pieces) or "0"
+
+
+def poly_str(p: Poly) -> str:
+    """Render a polynomial in the grammar accepted by :func:`parse_poly`."""
+    return signed_sum_str((_monomial_str(e), c) for e, c in p.items())
 
 
 # -- parsing ----------------------------------------------------------------

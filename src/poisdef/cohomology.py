@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import Exponents, Poly, ScalarLike, exact_scalar
+from .algebra import Exponents, Poly, ScalarLike, exact_scalar, signed_sum_str
 from .multivec import (
     SLOTS,
     MultiVec,
@@ -337,17 +337,7 @@ class CohClass:
 
 def class_str(cls: CohClass) -> str:
     """Render e.g. '2*A(0,1) + B(2) - 1/2*Top(0,0)'; '0' when empty."""
-    if cls.is_zero():
-        return "0"
-    pieces = []
-    for label, value in cls.coeffs:
-        mag = abs(value)
-        body = str(label) if mag == 1 else f"{mag}*{label}"
-        if not pieces:
-            pieces.append(f"-{body}" if value < 0 else body)
-        else:
-            pieces.append(f"- {body}" if value < 0 else f"+ {body}")
-    return " ".join(pieces)
+    return signed_sum_str((str(label), v) for label, v in cls.coeffs)
 
 
 def f1(cls: CohClass, data: SingularityData) -> MultiVec:

@@ -13,10 +13,10 @@ The elimination is fraction-free.  A stored row is a primitive ``int``
 vector (its content divided out) whose pivot entry is left as it is.
 Every input is augmented by one column keyed ``(tag,)``, as in the
 textbook [A | I] elimination, so each stored row carries its own record
-as a combination of the inputs.  A vector is reduced by
-cross-multiplication with the stored rows and its content is divided out
-after each step (fraction-free elimination, after Bareiss 1968), so no
-step forms a ``Fraction``.
+as a combination of the inputs.  An input row is primitive as it enters;
+it is reduced by cross-multiplication with the stored rows and its
+content is divided out after each step (fraction-free elimination, after
+Bareiss 1968), so no step forms a ``Fraction``.
 
 Its pivot set is that of the leftmost-pivot reduced echelon form, and its
 solutions are the ones that set every free variable to zero, which are
@@ -40,9 +40,11 @@ SparseVec = dict[int, ScalarLike]
 IntVec = dict[Hashable, int]
 
 
-def _integral(vec: Mapping[Hashable, ScalarLike]) -> IntVec:
-    """The primitive integer vector that is a positive multiple of vec
-    (empty for the zero vector)."""
+def _integral(vec: Mapping[int, ScalarLike], tag: Hashable) -> IntVec:
+    """vec times L, the lcm of its denominators, with ``(tag,)`` set to L.
+    The row is primitive, so it takes no gcd pass: if p^e exactly divides
+    L, some denominator holds p^e, and its entry's scaled numerator and
+    hence the content are prime to p."""
     lcm = 1
     for value in vec.values():
         if type(value) is not int:
@@ -51,9 +53,7 @@ def _integral(vec: Mapping[Hashable, ScalarLike]) -> IntVec:
                 lcm = math.lcm(lcm, value.denominator)
     out = {i: v.numerator * (lcm // v.denominator)
            for i, v in vec.items() if v}
-    content = math.gcd(*out.values()) or 1
-    if content > 1:
-        out = {i: v // content for i, v in out.items()}
+    out[(tag,)] = lcm
     return out
 
 
@@ -71,8 +71,8 @@ class Eliminator:
     inputs that are not in the span of the earlier ones.
 
     Each vector is added with a ``tag`` (distinct from every earlier tag,
-    else ValueError) and enters as input t with the column ``(t,)`` set
-    to 1, so every stored row's ``int`` entries equal the sum of
+    else ValueError) and enters as input t times L > 0 with ``(t,)`` set
+    to L, so every stored row's ``int`` entries equal the sum of
     ``row[(t,)]`` times input t, which is what :meth:`solve` reads.
     """
 
@@ -94,7 +94,7 @@ class Eliminator:
                    tag: Hashable) -> IntVec:
         """Reduce vec, as input ``tag``, by every stored row: a primitive
         row vanishing at every pivot."""
-        out = _integral({**vec, (tag,): 1})
+        out = _integral(vec, tag)
         for pivot in self._pivots:
             a = out.get(pivot)
             if a is None:

@@ -161,28 +161,22 @@ class MultiVec:
         return not any(self.comps)
 
     def __add__(self, other: "MultiVec") -> "MultiVec":
-        if not isinstance(other, MultiVec):
-            return NotImplemented
-        if self.degree != other.degree:
-            raise ValueError(
-                f"cannot add multivectors of degrees {self.degree} and {other.degree}"
-            )
-        return MultiVec(self.degree,
-                        tuple(a + b for a, b in zip(self.comps, other.comps)))
+        return self._combine(other, Poly.__add__)
 
     def __neg__(self) -> "MultiVec":
         return MultiVec(self.degree, tuple(-c for c in self.comps))
 
     def __sub__(self, other: "MultiVec") -> "MultiVec":
+        return self._combine(other, Poly.__sub__)
+
+    def _combine(self, other: "MultiVec", op) -> "MultiVec":
+        """op (Poly.__add__ or Poly.__sub__) applied slot by slot."""
         if not isinstance(other, MultiVec):
             return NotImplemented
         if self.degree != other.degree:
-            raise ValueError(
-                f"cannot subtract multivectors of degrees {self.degree} "
-                f"and {other.degree}"
-            )
-        return MultiVec(self.degree,
-                        tuple(a - b for a, b in zip(self.comps, other.comps)))
+            raise ValueError(f"cannot combine multivectors of degrees "
+                             f"{self.degree} and {other.degree}")
+        return MultiVec(self.degree, tuple(map(op, self.comps, other.comps)))
 
     def __mul__(self, scalar: ScalarLike) -> "MultiVec":
         if type(scalar) is int:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from .algebra import (
     Exponents,
@@ -40,15 +39,7 @@ class SingularityError(ValueError):
 
 
 class NotIsolatedError(SingularityError):
-    """Raised when the critical point of the potential is not isolated.
-
-    ``offending_degree`` is the weight slice that witnessed the failure,
-    or None when the failure came from a global consistency check.
-    """
-
-    def __init__(self, message: str, offending_degree: Optional[int] = None):
-        super().__init__(message)
-        self.offending_degree = offending_degree
+    """Raised when the critical point of the potential is not isolated."""
 
 
 def jacobian_slice_reduction(phi: Poly, weights: WeightSystem,
@@ -151,7 +142,6 @@ def milnor_basis(phi: Poly, weights: WeightSystem) -> SingularityData:
                 f"Jacobian ideal misses {missing} monomial(s) in weight "
                 f"{degree}, above the socle degree {socle}: the critical "
                 "point is not isolated",
-                offending_degree=degree,
             )
     mu = len(basis)
     if expected != mu:

@@ -24,6 +24,7 @@ from poisdef.algebra import (
     MAX_NESTING,
     bounded_int,
     exact_scalar,
+    signed_sum_str,
 )
 
 # -- strategies ----------------------------------------------------------------
@@ -207,11 +208,16 @@ def test_unit_scalars_are_exact_and_shared():
 
 
 def test_exponents_must_be_integers():
-    """A non-integer exponent raises TypeError instead of printing x^1.5;
-    a bool exponent is stored as the plain int it equals."""
+    """A non-integer exponent raises TypeError instead of printing x^1.5,
+    a negative one ValueError, in a monomial as in a power; a bool
+    exponent is stored as the plain int it equals."""
     for exps in ((1.5, 0, 0), (0, 1.0, 0), (0, 0, Fraction(1)), ("1", 0, 0)):
         with pytest.raises(TypeError):
             Poly({exps: 1})
+    with pytest.raises(ValueError, match="negative exponent"):
+        Poly({(1, -1, 0): 1})
+    with pytest.raises(ValueError, match="nonnegative integer exponents"):
+        Poly.variable(0) ** -1
     p = Poly({(True, 0, False): 2})
     assert p == Poly({(1, 0, 0): 2}) and str(p) == "2*x"
     assert all(type(e) is int for exps in p.exponents() for e in exps)
@@ -348,6 +354,8 @@ def test_parse_examples(text, expected):
     "", "x +", "x^-1", "x^y", "2x", "x y", "w", "1/0", "(x", "x)", "x**2",
     # str.isdigit() holds for these, but integer literals are ASCII digits
     "x^\u00b2", "\u00b3*x", "z^\u0663", "x^1\u0665",
+    # a denominator that is not an integer literal; a quotient by a name
+    "1/x", "(x/2)",
 ])
 def test_parse_rejects(text):
     with pytest.raises(PolyParseError):
@@ -445,6 +453,32 @@ def test_print_parse_round_trip(p):
 def test_print_canonical_order():
     p = parse_poly("z^5 + y^3 + x^2")
     assert poly_str(p) == "x^2 + y^3 + z^5"
+
+
+def test_signed_sum_str_format():
+    """The one writer of a signed rational sum: '-' on a negative first
+    term, '- ' / '+ ' between terms, no unit magnitude before a name, ''
+    naming the constant term and '0' for the empty sum."""
+    assert signed_sum_str([]) == "0"
+    assert signed_sum_str(iter([])) == "0"
+    assert signed_sum_str([("x", -1), ("y", 1)]) == "-x + y"
+    assert signed_sum_str([("x", Fraction(-1, 2)), ("", 1)]) == "-1/2*x + 1"
+    assert signed_sum_str([("", -3), ("z^2", Fraction(2, 3)),
+                           ("y", -2)]) == "-3 + 2/3*z^2 - 2*y"
+    assert signed_sum_str([("B(1)", Fraction(7))]) == "7*B(1)"
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("0", "0"),
+    ("7", "7"),
+    ("-1/2", "-1/2"),
+    ("1 - z", "1 - z"),
+    ("-x + 3/2*y - 1", "-1 - x + 3/2*y"),
+    ("-x^2*y - 1/3", "-1/3 - x^2*y"),
+    ("x*y*z - 2*z^4", "x*y*z - 2*z^4"),
+])
+def test_poly_str_exact_strings(text, expected):
+    assert poly_str(parse_poly(text)) == expected
 
 
 # -- weight systems ------------------------------------------------------------

@@ -255,8 +255,9 @@ def test_deform_invalid_family_exit_1(capsys, tmp_path):
     {"c": [[1, 17, 1, "1"]]},            # phi power above MAX_PHI_POWER
     {"c": [[1, 0, 1, "3/2"], [1, 0, 1, "-3/2"]]},  # repeated c indices
     {"cbar": [[1, 2, "1"], [1, 2, "5"]]},          # repeated cbar indices
+    {"cbar": [[0, 1, "1"]]},             # cbar order below 1
 ], ids=["row", "float", "order", "bool", "abc", "div0", "decimal", "table",
-        "power", "repeat-c", "repeat-cbar"])
+        "power", "repeat-c", "repeat-cbar", "cbar-order0"])
 def test_deform_inexact_family_exit_1(capsys, tmp_path, payload):
     fam_path = tmp_path / "family.json"
     fam_path.write_text(json.dumps(payload))

@@ -332,6 +332,18 @@ def test_class_that_is_a_coboundary_is_rejected(monkeypatch):
         project(coordinate_volume(), data)
 
 
+def test_closed_slice_outside_the_basis_is_rejected(monkeypatch):
+    """With the Top generators dropped, the volume form's closed slice
+    lies outside the span of the classes and coboundaries."""
+    import poisdef.cohomology as cohomology
+    data = milnor_basis(parse_poly("x^2 + y^2 + z^2"), WeightSystem((1, 1, 1)))
+    generators = cohomology._generators
+    monkeypatch.setattr(cohomology, "_generators",
+                        lambda data, g: [] if g == 2 else generators(data, g))
+    with pytest.raises(CohomologyError, match="outside span"):
+        decompose(coordinate_volume(), data)
+
+
 # -- classes and f1 ---------------------------------------------------------------
 
 
@@ -347,6 +359,21 @@ def test_class_arithmetic():
         1, {parse_label("B(1)"): Fraction(-1, 3), parse_label("A(0,1)"): -2})
     assert class_str(CohClass.zero(1)) == "0"
     assert "A(0,1)" in class_str(combo)
+
+
+@pytest.mark.parametrize("coeffs,expected", [
+    ({}, "0"),
+    ({"A(0,1)": 2, "B(1)": Fraction(-1, 2), "B(2)": -1},
+     "2*A(0,1) - 1/2*B(1) - B(2)"),
+    ({"B(2)": -1, "A(0,1)": Fraction(3, 2)}, "3/2*A(0,1) - B(2)"),
+    ({"B(1)": Fraction(-2, 3)}, "-2/3*B(1)"),
+    ({"B(3)": 1, "B(1)": -1}, "-B(1) + B(3)"),
+])
+def test_class_str_exact_strings(coeffs, expected):
+    """class_str is signed_sum_str over (label, coefficient) in label
+    order, the text CLI reports and the benchmark oracle read."""
+    cls = CohClass.make(1, {parse_label(t): v for t, v in coeffs.items()})
+    assert class_str(cls) == str(cls) == expected
 
 
 def test_class_refuses_inexact_coefficients():
@@ -370,6 +397,8 @@ def test_class_degree_mismatch_rejected():
     c = CohClass.single(parse_label("Cas(0)"))
     with pytest.raises(ValueError):
         a + c
+    with pytest.raises(ValueError, match="has degree -1"):
+        CohClass.make(1, {parse_label("Cas(0)"): 1})
 
 
 def test_f1_realizes_linear_combinations(brieskorn):

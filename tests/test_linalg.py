@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from poisdef import MultiVec, Poly, coboundary, monomials_of_weight
 from poisdef.cohomology import _slice_solver, labels_of_weight
-from poisdef.linalg import Eliminator
+from poisdef.linalg import Eliminator, _integral
 from poisdef.multivec import SLOTS, slot_weight_offset
 import gauss_jordan
 
@@ -110,6 +110,24 @@ def _assert_stored_form(elim, inputs):
                 for i, v in inputs[tag].items():
                     total[i] = total.get(i, 0) + n * v
         assert {i: v for i, v in total.items() if v} == indices
+
+
+entries = st.one_of(
+    st.integers(-40, 40),
+    st.fractions(min_value=-40, max_value=40, max_denominator=36))
+
+
+@given(st.dictionaries(st.integers(0, 8), entries, max_size=6))
+def test_integral_input_rows_are_primitive(vec):
+    """An input row is vec times the lcm L of its denominators, with L on
+    its tag column, and its content is already 1, so it takes no gcd
+    pass."""
+    row = _integral(vec, "t")
+    lcm = math.lcm(*(Fraction(v).denominator for v in vec.values()))
+    assert row.pop(("t",)) == lcm >= 1
+    assert all(type(v) is int and v for v in row.values())
+    assert row == {i: v * lcm for i, v in vec.items() if v}
+    assert math.gcd(lcm, *row.values()) == 1
 
 
 def test_integer_vectors_keep_exact_entries():

@@ -280,6 +280,8 @@ def test_arity_cap_enforced(brieskorn):
                    ("Cas(1)", "Cas(1)", "Cas(1)", "Top(0,0)"))
     with pytest.raises(ArityCapExceededError):
         state.ell_labels(labels)
+    with pytest.raises(ValueError, match="arity must be at least 1"):
+        state.ell_labels(())
 
 
 def test_repeated_even_degree_label_forces_zero(brieskorn_state):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from poisdef import (
     poisson_from_potential,
     schouten,
 )
-from poisdef.multivec import SLOTS, linear_sum
+from poisdef.multivec import SLOTS, linear_sum, schouten_sum
 from shuffle_oracle import evaluate, shuffle_sum
 
 rationals = st.fractions(
@@ -56,6 +57,26 @@ def test_component_counts():
     assert len(SLOTS[1]) == 3
     assert len(SLOTS[2]) == 3
     assert len(SLOTS[3]) == 1
+    with pytest.raises(ValueError, match="degree 2 needs 3 components, got 1"):
+        MultiVec(2, (Poly.one(),))
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub])
+def test_sum_and_difference_need_one_degree(op):
+    """+ and - share one combine, whose message names both degrees."""
+    v, b = euler_field(WeightSystem((1, 1, 1))), coordinate_volume()
+    with pytest.raises(ValueError,
+                       match="cannot combine multivectors of degrees 1 and 3"):
+        op(v, b)
+
+
+def test_schouten_sum_needs_terms_of_one_degree():
+    v = euler_field(WeightSystem((1, 1, 1)))
+    f = MultiVec.function(Poly.variable(0))
+    with pytest.raises(ValueError, match="at least one term"):
+        schouten_sum([])
+    with pytest.raises(ValueError, match="brackets of degrees"):
+        schouten_sum([(1, v, f), (1, v, v)])
 
 
 def test_multivec_str_round_readable():

@@ -197,6 +197,22 @@ def test_regular_point_rejected():
         milnor_basis(parse_poly("x + y + z"), WeightSystem((1, 1, 1)))
 
 
+@pytest.mark.parametrize("phi_text,message", [
+    ("x^2 + y^3", "weight-homogeneous and nonzero"),
+    ("0", "weight-homogeneous and nonzero"),
+    ("5", "nonconstant"),
+])
+def test_potential_must_be_homogeneous_and_nonconstant(phi_text, message):
+    with pytest.raises(SingularityError, match=message):
+        milnor_basis(parse_poly(phi_text), WeightSystem((1, 1, 1)))
+
+
+def test_jacobian_slice_needs_a_homogeneous_potential():
+    with pytest.raises(SingularityError, match="weight-homogeneous"):
+        singularity.jacobian_slice_reduction(
+            parse_poly("x^2 + y^3"), WeightSystem((1, 1, 1)), 2)
+
+
 def test_milnor_budget_checked_before_elimination(monkeypatch, slice_builds):
     """The product formula is compared with MAX_MILNOR before any slice
     is eliminated; a value at the budget is still analysed."""

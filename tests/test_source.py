@@ -187,6 +187,16 @@ def test_coboundary_is_one_bracket():
     assert not {"_cross_terms", "_dot_terms", "_div"} & called, called
 
 
+def test_signed_sums_have_one_writer():
+    """Polynomials and classes print through the one signed-sum writer."""
+    from poisdef import algebra, cohomology
+
+    for function in (algebra.poly_str, cohomology.class_str):
+        called = _called_names(ast.parse(textwrap.dedent(
+            inspect.getsource(function))))
+        assert "signed_sum_str" in called, function.__name__
+
+
 def test_row_rules_read_only_by_image_rows():
     """The exact-potential forms are written once, in _ROW_RULES, and
     only image_rows reads them."""
