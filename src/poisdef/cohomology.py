@@ -39,12 +39,11 @@ multivector fields is finite-dimensional, and one
 :class:`poisdef.multivec.WeightSlice`, the eliminator of [coboundary
 images | class representatives] over the slice's basis positions, is
 cached per slice and reused for every solve against it.  Its coboundary
-rows are written straight from exponents by
-:func:`poisdef.multivec.image_rows`, whose test oracle is
-:func:`poisdef.multivec.coboundary`, and its class representatives, read
-off the generators by :func:`labels_of_weight`, follow.  Building it also checks that the class representatives are
-independent modulo coboundaries: a representative that is a coboundary
-raises CohomologyError.
+rows come from :func:`poisdef.multivec.image_rows` (test oracle:
+:func:`poisdef.multivec.coboundary`) and its class representatives, read
+off the generators by :func:`labels_of_weight`, are checked independent
+cocycles (CohomologyError otherwise), so every row is closed and a solve
+that succeeds certifies that the solved multivector is closed.
 """
 
 from __future__ import annotations
@@ -358,8 +357,8 @@ def _slice_solver(data: SingularityData, degree: int, weight: int) -> WeightSlic
     inserted first, so they select the same pivots as the coboundaries
     alone; each is written straight as a row by
     :func:`poisdef.multivec.image_rows`.  Class representatives follow,
-    tagged by their label.  A representative that reduces to zero is a
-    coboundary, which means the stored basis is wrong for this potential.
+    tagged by their label.  A representative that is not closed or that
+    reduces to zero means the stored basis is wrong for this potential.
     """
     cached = data._coboundary_slices.get((degree, weight))
     if cached is not None:
@@ -369,11 +368,12 @@ def _slice_solver(data: SingularityData, degree: int, weight: int) -> WeightSlic
     for tag, row in image_rows(data.phi, degree - 1, weight - delta, solver):
         solver.add(row, tag)
     for label in labels_of_weight(data, degree - 1, weight):
-        if solver.add(solver.vector(realize(label, data)), label) is None:
+        rep = realize(label, data)
+        if (not coboundary(rep, data.phi).is_zero()
+                or solver.add(solver.vector(rep), label) is None):
             raise CohomologyError(
                 f"basis class {label} is dependent on the coboundaries and "
-                f"the other classes of weight {weight}"
-            )
+                f"the other classes of weight {weight}")
     data._coboundary_slices[(degree, weight)] = solver
     return solver
 
@@ -383,24 +383,23 @@ def decompose(p: MultiVec,
     """Split a closed multivector as p = f_1(c) + [pi, y].
 
     Returns the class c in the label basis and the canonical y, whose free
-    part is zero, solving each weight slice of p once.  Raises
-    NotACocycleError if [pi, p] != 0, and CohomologyError if a slice lies
-    outside the span of class representatives and coboundaries.
+    part is zero, solving each weight slice of p once.  The solves certify
+    that p is closed, so p is bracketed only when one fails: then raises
+    NotACocycleError if [pi, p] != 0, CohomologyError (outside span) if not.
     """
     g = p.degree - 1
     if p.degree not in SLOTS or p.is_zero():
         return CohClass.zero(g), MultiVec.zero(g)
-    if not coboundary(p, data.phi).is_zero():
-        raise NotACocycleError(
-            f"degree {p.degree} multivector is not closed under the "
-            "Poisson differential"
-        )
     coeffs: dict[BasisLabel, ScalarLike] = {}
     terms: list[dict[Exponents, ScalarLike]] = [{} for _ in SLOTS.get(g, ())]
     for weight, part in multivec_weight_parts(p, data.weights).items():
         solver = _slice_solver(data, p.degree, weight)
         solution = solver.solve(solver.vector(part))
         if solution is None:
+            if not coboundary(p, data.phi).is_zero():
+                raise NotACocycleError(
+                    f"degree {p.degree} multivector is not closed under the "
+                    "Poisson differential")
             raise CohomologyError(
                 f"closed slice of weight {weight} lies outside span of "
                 "basis classes and coboundaries; the stored basis is "

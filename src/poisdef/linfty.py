@@ -11,11 +11,9 @@ canonical coboundary solver.
 
 Conventions (graded skew-symmetric, Koszul signs chi):
 
-* ell_1 = 0 and f_1 realizes a class as its canonical representative;
-* ell_2([a], [b]) = [ [f_1 a, f_1 b] ] = -[T_2(a, b)] is the induced
-  bracket, read off the T_2 below, and f_2 is the explicit homotopy table
-  :func:`f2_table`;
-* for n >= 3 the obstruction combination is
+* ell_1 = 0, f_1 realizes a class as its canonical representative, and
+  f_2 is the explicit homotopy table :func:`f2_table`;
+* for n >= 2 the obstruction combination is
 
       T_n(x_1, ..., x_n) = S_n - U_n,
 
@@ -27,13 +25,14 @@ Conventions (graded skew-symmetric, Koszul signs chi):
       e_{s,t}(tau) = (-1)^(s-1) *
             (-1)^((t-1) * (|x_{tau(1)}| + ... + |x_{tau(s)}|)),
 
-  which is closed, and the recursion reads both halves off the one
+  which is closed.  Every stage reads ell_n, and f_n for n >= 3, off the one
   splitting T_n = f_1(c) + [pi, y] of :func:`poisdef.cohomology.decompose`:
 
-      ell_n = -c   and   f_n = y,   so that   d f_n = T_n + f_1(ell_n).
+      ell_n = -c   and   f_n = y,   so that   d f_n = T_n + f_1(ell_n);
 
-  On tuples of bivector classes (degree-1 inputs) T_n vanishes
-  identically for n >= 3, which gives ell_n = 0 and f_n = 0.
+  ell_2 is the induced bracket [ [f_1 a, f_1 b] ] = -[T_2(a, b)].  On
+  tuples of bivector classes (degree-1 inputs) T_n vanishes identically
+  for n >= 3, which gives ell_n = 0 and f_n = 0.
 
 The same chi-weighted sums give the generalized Jacobi combination
 
@@ -80,7 +79,6 @@ from .cohomology import (
     CohomologyError,
     decompose,
     f1,
-    project,
     realize,
 )
 from .multivec import (
@@ -266,8 +264,8 @@ class TransferState:
     def _lookup(self, labels: tuple[BasisLabel, ...], memo: dict):
         """(value, chi) with ell_n (``memo`` is the ell memo) or f_n (the f
         memo) of the label tuple equal to chi * value, chi = +-1: ell_1 = 0
-        and f_1 = realize at arity 1, the induced bracket -[T_2] and
-        :func:`f2_table` on canonical pairs, :meth:`_compute_stage` above.
+        and f_1 = realize at arity 1, :func:`f2_table` for f_2 on canonical
+        pairs, and :meth:`_compute_stage` for every other canonical tuple.
         Canonical tuples are memoized in ``memo``."""
         n = len(labels)
         if n < 1:
@@ -288,13 +286,11 @@ class TransferState:
                     else MultiVec.zero(degree)), 1
         value = memo.get(key)
         if value is None:
-            if n > 2:
+            if n == 2 and not ell:
+                value = memo[key] = f2_table(self.data, *key)
+            else:
                 self._compute_stage(key)
                 value = memo[key]
-            elif ell:
-                value = memo[key] = -project(self.T_labels(key), self.data)
-            else:
-                value = memo[key] = f2_table(self.data, *key)
         return value, chi
 
     def _canonical_key(self, labels: tuple[BasisLabel, ...]
@@ -305,21 +301,23 @@ class TransferState:
             canonical = self._canonical_memo[labels] = _canonical(labels)
         return canonical
 
-    def _compute_stage(self, key: tuple[BasisLabel, ...]) -> None:
-        """Fill the caches at one canonical tuple of arity >= 3."""
+    def _compute_stage(self, key: tuple[BasisLabel, ...],
+                       t_value: Optional[MultiVec] = None) -> None:
+        """Fill the caches at one canonical tuple of arity >= 2 from its
+        T_n, which ``t_value`` holds when the caller has it already."""
         n = len(key)
-        t_value = self.T_labels(key)
-        # On tuples of bivector classes the obstruction vanishes identically
-        # for n >= 3, which is what makes the order-by-order deformation
-        # formula close; fail loudly if it ever does not.
-        if all(lab.g_degree == 1 for lab in key) and not t_value.is_zero():
+        t_value = self.T_labels(key) if t_value is None else t_value
+        # T_n (n >= 3) vanishes on bivector-class tuples, which makes the
+        # order-by-order deformation formula close; fail loudly if not.
+        if (n > 2 and all(lab.g_degree == 1 for lab in key)
+                and not t_value.is_zero()):
             raise CohomologyError(
                 f"obstruction T_{n} expected to vanish on bivector-class "
-                f"tuple {tuple(str(l) for l in key)} but did not"
-            )
+                f"tuple {tuple(str(l) for l in key)} but did not")
         t_class, y = decompose(t_value, self.data)
         self._ell_memo[key] = -t_class
-        self._f_memo[key] = y
+        if n > 2:
+            self._f_memo[key] = y
 
     def _nested_terms(self, labels: tuple[BasisLabel, ...],
                       degrees: tuple[int, ...], memo: dict) -> list:
@@ -360,17 +358,16 @@ class TransferState:
 
     def E_labels(self, labels: Sequence[BasisLabel]) -> MultiVec:
         """The morphism residual d(f_n(x)) - f_1(ell_n(x)) - T_n(x) on basis
-        labels; zero when the order-n morphism equation holds."""
+        labels; zero when the order-n morphism equation holds.  A fresh
+        stage is filled from this T_n, as T(key) = chi * T(labels)."""
         labels = tuple(labels)
-        data = self.data
         t_value = self.T_labels(labels)
-        if len(labels) == 2:
-            # ell_2 = -[T_2]: read off this T_2, the pair is bracketed once
+        if 1 < len(labels) <= self.arity_cap:
             key, chi = self._canonical_key(labels)
             if key is not None and key not in self._ell_memo:
-                self._ell_memo[key] = -project(t_value, data) * chi
-        residual = coboundary(self.f_labels(labels), data.phi)
-        residual = residual - f1(self.ell_labels(labels), data)
+                self._compute_stage(key, t_value * chi)
+        residual = coboundary(self.f_labels(labels), self.data.phi)
+        residual = residual - f1(self.ell_labels(labels), self.data)
         return residual - t_value
 
     def J_labels(self, labels: Sequence[BasisLabel]) -> CohClass:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -321,6 +322,53 @@ def test_decompose_solves_each_weight_slice_once(brieskorn, monkeypatch):
                                     parse_label("B(3)"): 1})
     assert len(solved) == len(set(solved)) == len(
         multivec_weight_parts(p, brieskorn.weights)) > 1
+
+
+def test_warm_decompose_brackets_only_after_a_failed_solve(brieskorn,
+                                                         monkeypatch):
+    """The slice solves certify that a field is closed: with its slices
+    built, decompose of a closed field brackets nothing, and a field that
+    is not closed is bracketed once, after its solve fails."""
+    import poisdef.cohomology as cohomology
+    closed = (realize(parse_label("A(0,1)"), brieskorn)
+              + coboundary(euler_field(brieskorn.weights).mul_poly(
+                  parse_poly("z")), brieskorn.phi))
+    not_closed = MultiVec.vector(Poly.variable(0), Poly.zero(), Poly.zero())
+    expected = decompose(closed, brieskorn)
+    with pytest.raises(NotACocycleError):
+        decompose(not_closed, brieskorn)
+    brackets = []
+    original = cohomology.coboundary
+
+    def counting_coboundary(p, phi):
+        brackets.append(p.degree)
+        return original(p, phi)
+
+    monkeypatch.setattr(cohomology, "coboundary", counting_coboundary)
+    assert decompose(closed, brieskorn) == expected
+    assert brackets == []
+    with pytest.raises(NotACocycleError, match="not closed"):
+        decompose(not_closed, brieskorn)
+    assert brackets == [1]
+
+
+@pytest.mark.parametrize("label, field", [
+    ("Cas(0)", "x"),       # a non-cocycle of another weight
+    ("Cas(1)", "x^2"),     # a non-cocycle of the class's own weight
+])
+def test_representative_that_is_not_a_cocycle_is_rejected(
+        monkeypatch, label, field):
+    """Building a slice checks every class representative closed, so a
+    solve that succeeds certifies closedness."""
+    import poisdef.cohomology as cohomology
+    data = milnor_basis(parse_poly("x^2 + y^2 + z^2"), WeightSystem((1, 1, 1)))
+    target, original = parse_label(label), cohomology.realize
+    monkeypatch.setattr(
+        cohomology, "realize",
+        lambda lab, data: (MultiVec.function(parse_poly(field))
+                           if lab == target else original(lab, data)))
+    with pytest.raises(CohomologyError, match=re.escape(label)):
+        project(realize(target, data), data)
 
 
 def test_class_that_is_a_coboundary_is_rejected(monkeypatch):

@@ -312,6 +312,48 @@ def test_stage_recursion_consistency(brieskorn, brieskorn_state):
     assert solve_coboundary(target, brieskorn) == f3
 
 
+def test_one_stage_fills_every_bracket_from_one_T(brieskorn, monkeypatch):
+    """ell_n (n >= 2) and f_n (n >= 3) come from one _compute_stage:
+    E_labels of a fresh triple evaluates T_3 once and hands it, with the
+    Koszul sign of the reordering, to the stage; ell_2 of a fresh pair runs
+    one stage and f_2 of a fresh pair none (it is f2_table)."""
+    t_arities, stages = [], []
+    t_labels = TransferState.T_labels
+    compute_stage = TransferState._compute_stage
+
+    def counting_T(self, labels):
+        t_arities.append(len(labels))
+        return t_labels(self, labels)
+
+    def counting_stage(self, key, *rest):
+        stages.append(key)
+        return compute_stage(self, key, *rest)
+
+    monkeypatch.setattr(TransferState, "T_labels", counting_T)
+    monkeypatch.setattr(TransferState, "_compute_stage", counting_stage)
+    cas, top = parse_label("Cas(1)"), parse_label("Top(0,0)")
+    triple, key = (cas, top, cas), (cas, cas, top)   # chi = -1
+    state = TransferState(data=brieskorn, arity_cap=4)
+    assert state.E_labels(triple).is_zero()
+    assert t_arities.count(3) == 1
+    assert stages.count(key) == 1
+
+    pair = (top, cas)
+    fresh = TransferState(data=brieskorn, arity_cap=4)
+    stages.clear()
+    assert fresh.f_labels(pair) == f2_table(brieskorn, *pair)
+    assert stages == []
+    classes = [CohClass.single(lab) for lab in pair]
+    assert fresh.ell_labels(pair) == \
+        -project(compute_T(fresh, 2, classes), brieskorn)
+    assert stages == [(cas, top)]
+
+    # the stage E_labels filled equals the one ell_labels fills
+    assert not fresh.ell_labels(key).is_zero()
+    assert state.ell_labels(triple) == -fresh.ell_labels(key)
+    assert state.f_labels(key) == fresh.f_labels(key)
+
+
 @pytest.mark.parametrize("fixture_name", ["brieskorn", "cubic"])
 def test_transfer_stages_match_second_solve(request, fixture_name):
     """Every stage the transfer suite fills reads ell_n and f_n off one

@@ -159,9 +159,11 @@ def _called_names(node) -> list[str]:
 
 
 def test_transfer_stage_reads_one_decomposition():
-    """A transfer stage reads ell_n and f_n off one decompose(T_n), and
-    every signed shuffle sum of linfty takes its blocks from _unshuffles,
-    the one function that enumerates them."""
+    """A transfer stage reads ell_n and f_n off one decompose(T_n), it is
+    the only code in linfty that decomposes (nothing there projects), and
+    E_labels fills no memo itself; every signed shuffle sum of linfty
+    takes its blocks from _unshuffles, the one function that enumerates
+    them."""
     from poisdef import linfty
 
     stage = ast.parse(textwrap.dedent(
@@ -170,6 +172,19 @@ def test_transfer_stage_reads_one_decomposition():
     assert called.count("decompose") == 1
     assert not {"project", "solve_coboundary"} & set(called)
     tree = ast.parse(inspect.getsource(linfty))
+    decomposers = {node.name for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef)
+                   and "decompose" in _called_names(node)}
+    assert decomposers == {"_compute_stage"}, decomposers
+    assert "project" not in _called_names(tree)
+    residual = ast.parse(textwrap.dedent(
+        inspect.getsource(linfty.TransferState.E_labels)))
+    stores = [node.lineno for node in ast.walk(residual)
+              if isinstance(node, (ast.Assign, ast.AugAssign))
+              and any(isinstance(target, ast.Subscript) for target in
+                      getattr(node, "targets", [getattr(node, "target",
+                                                        None)]))]
+    assert not stores, f"E_labels writes a memo at lines {stores}"
     walkers = {node.name for node in ast.walk(tree)
                if isinstance(node, ast.FunctionDef)
                and "combinations" in _called_names(node)}

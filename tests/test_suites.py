@@ -68,6 +68,25 @@ def test_suites_pass_on_brieskorn_small_caps(brieskorn, brieskorn_state):
         assert report["status"] == "pass", report
 
 
+def test_deform_suite_brackets_the_anchor_once(brieskorn, brieskorn_state,
+                                               monkeypatch):
+    """Every family's series is anchored at pi_phi, so the deform suite
+    evaluates [pi_phi, pi_phi] once, not once per family."""
+    import poisdef.suites as suites
+    brackets = []
+    original = suites.schouten
+
+    def counting_schouten(p, q):
+        brackets.append((p.degree, q.degree))
+        return original(p, q)
+
+    monkeypatch.setattr(suites, "schouten", counting_schouten)
+    config = SuiteConfig(order=2, weight_cap=brieskorn.d, seed=1)
+    report = run_suite("deform", brieskorn, config, brieskorn_state)
+    assert report["status"] == "pass", report
+    assert brackets == [(2, 2)]
+
+
 def test_special_gauge_checks_present(cubic, cubic_state):
     config = SuiteConfig(order=2, weight_cap=cubic.d, seed=2)
     report = run_suite("gauge", cubic, config, cubic_state)

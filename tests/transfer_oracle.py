@@ -8,8 +8,9 @@ the multilinear ``state.ell`` and ``state.f``.  ``TransferState`` instead
 evaluates them on basis-label tuples from shuffle plans built once per
 degree pattern (``T_labels``, ``E_labels``, ``J_labels``).
 
-``OracleState`` fills its caches above arity 2 from this ``compute_T``,
-so its brackets and homotopies share no shuffle plan with the package.
+``OracleState`` fills its caches at arity 2 and above from this
+``compute_T``, so its brackets and homotopies share no shuffle plan with
+the package.
 """
 
 from __future__ import annotations
@@ -24,15 +25,18 @@ from poisdef.multivec import schouten_sum
 
 
 class OracleState(TransferState):
-    """A transfer state whose stages of arity >= 3 read ell_n and f_n off
-    decompose of the class-level :func:`compute_T`."""
+    """A transfer state whose stages of arity >= 2 read ell_n, and f_n
+    above arity 2, off decompose of the class-level :func:`compute_T`."""
 
-    def _compute_stage(self, key):
+    def _compute_stage(self, key, t_value=None):
+        # t_value, the package's label-level T_n, is ignored: T_n is
+        # recomputed class-level so the oracle stays independent
         classes = [CohClass.single(lab) for lab in key]
         t_value = compute_T(self, len(key), classes)
         t_class, y = decompose(t_value, self.data)
         self._ell_memo[key] = -t_class
-        self._f_memo[key] = y
+        if len(key) > 2:
+            self._f_memo[key] = y
 
 
 def _unshuffles(classes: Sequence[CohClass], i: int):
