@@ -369,8 +369,9 @@ def _slice_solver(data: SingularityData, degree: int, weight: int) -> WeightSlic
         solver.add(row, tag)
     for label in labels_of_weight(data, degree - 1, weight):
         rep = realize(label, data)
-        if (not coboundary(rep, data.phi).is_zero()
-                or solver.add(solver.vector(rep), label) is None):
+        if not coboundary(rep, data.phi).is_zero():
+            raise CohomologyError(f"basis class {label} is not closed")
+        if solver.add(solver.vector(rep), label) is None:
             raise CohomologyError(
                 f"basis class {label} is dependent on the coboundaries and "
                 f"the other classes of weight {weight}")

@@ -358,13 +358,15 @@ class TransferState:
 
     def E_labels(self, labels: Sequence[BasisLabel]) -> MultiVec:
         """The morphism residual d(f_n(x)) - f_1(ell_n(x)) - T_n(x) on basis
-        labels; zero when the order-n morphism equation holds.  A fresh
-        stage is filled from this T_n, as T(key) = chi * T(labels)."""
+        labels; zero when the order-n morphism equation holds.  A fresh pair
+        or canonical tuple fills its stage from this T_n (f_2 = f2_table
+        keeps E_2 a check); any other tuple is checked against T_n(key)."""
         labels = tuple(labels)
         t_value = self.T_labels(labels)
         if 1 < len(labels) <= self.arity_cap:
             key, chi = self._canonical_key(labels)
-            if key is not None and key not in self._ell_memo:
+            if key is not None and key not in self._ell_memo and (
+                    len(labels) == 2 or key == labels):
                 self._compute_stage(key, t_value * chi)
         residual = coboundary(self.f_labels(labels), self.data.phi)
         residual = residual - f1(self.ell_labels(labels), self.data)

@@ -420,12 +420,12 @@ def run_transfer_suite(data: SingularityData, config: SuiteConfig,
 
 
 def _family_verdicts(data: SingularityData, state: TransferState,
-                     fam: CoeffFamily, m: int, anchor_poisson: bool) -> tuple:
-    """(Poisson, Maurer-Cartan image, first-order class, per-lower-order
-    prefix) verdicts for one family; its series is dropped on return.
-    ``anchor_poisson``: [pi_phi, pi_phi] = 0 for the shared anchor."""
+                     fam: CoeffFamily, m: int) -> tuple:
+    """(Poisson above order 0, Maurer-Cartan image, first-order class,
+    per-lower-order prefix) verdicts for one family; its series is dropped
+    on return."""
     series = build_deformation(data, fam, m)
-    poisson = anchor_poisson and jacobi_residual(series).is_zero()
+    poisson = jacobi_residual(series).is_zero()
     gamma = gamma_classes(fam, data, m)
     route = mc_image(state, gamma, m) == series
     first = first_order_class(series, data) == gamma.coefficient(1)
@@ -444,10 +444,10 @@ def run_deform_suite(data: SingularityData, config: SuiteConfig,
     m = config.order
 
     families = [random_family(rng, data, order=m) for _ in range(N_FAMILIES)]
-    pi = poisson_from_potential(data.phi)
-    anchor_poisson = schouten(pi, pi).is_zero()
-    verdicts = [_family_verdicts(data, state, fam, m, anchor_poisson)
-                for fam in families]
+    verdicts = [_family_verdicts(data, state, fam, m) for fam in families]
+    pi = poisson_from_potential(data.phi)   # the anchor of every series
+    if not schouten(pi, pi).is_zero():
+        verdicts = [(False,) + verdict[1:] for verdict in verdicts]
     indices = range(len(families))
     for j, name in enumerate(("random_families_are_poisson_to_order",
                               "deformation_equals_maurer_cartan_image",

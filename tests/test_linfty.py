@@ -314,15 +314,16 @@ def test_stage_recursion_consistency(brieskorn, brieskorn_state):
 
 def test_one_stage_fills_every_bracket_from_one_T(brieskorn, monkeypatch):
     """ell_n (n >= 2) and f_n (n >= 3) come from one _compute_stage:
-    E_labels of a fresh triple evaluates T_3 once and hands it, with the
-    Koszul sign of the reordering, to the stage; ell_2 of a fresh pair runs
-    one stage and f_2 of a fresh pair none (it is f2_table)."""
-    t_arities, stages = [], []
+    E_labels of a fresh canonical triple evaluates T_3 once and hands it to
+    the stage, while a triple in another order fills its stage from T_3 of
+    the canonical triple; ell_2 of a fresh pair runs one stage and f_2 of a
+    fresh pair none (it is f2_table)."""
+    t_calls, stages = [], []
     t_labels = TransferState.T_labels
     compute_stage = TransferState._compute_stage
 
     def counting_T(self, labels):
-        t_arities.append(len(labels))
+        t_calls.append(tuple(labels))
         return t_labels(self, labels)
 
     def counting_stage(self, key, *rest):
@@ -334,8 +335,15 @@ def test_one_stage_fills_every_bracket_from_one_T(brieskorn, monkeypatch):
     cas, top = parse_label("Cas(1)"), parse_label("Top(0,0)")
     triple, key = (cas, top, cas), (cas, cas, top)   # chi = -1
     state = TransferState(data=brieskorn, arity_cap=4)
-    assert state.E_labels(triple).is_zero()
-    assert t_arities.count(3) == 1
+    assert state.E_labels(key).is_zero()
+    assert [t for t in t_calls if len(t) == 3] == [key]
+    assert stages.count(key) == 1
+
+    reordered = TransferState(data=brieskorn, arity_cap=4)
+    t_calls.clear()
+    stages.clear()
+    assert reordered.E_labels(triple).is_zero()
+    assert [t for t in t_calls if len(t) == 3] == [triple, key]
     assert stages.count(key) == 1
 
     pair = (top, cas)
@@ -348,10 +356,36 @@ def test_one_stage_fills_every_bracket_from_one_T(brieskorn, monkeypatch):
         -project(compute_T(fresh, 2, classes), brieskorn)
     assert stages == [(cas, top)]
 
-    # the stage E_labels filled equals the one ell_labels fills
+    # the stages E_labels filled equal the one ell_labels fills
     assert not fresh.ell_labels(key).is_zero()
-    assert state.ell_labels(triple) == -fresh.ell_labels(key)
-    assert state.f_labels(key) == fresh.f_labels(key)
+    assert state.ell_labels(key) == fresh.ell_labels(key)
+    assert reordered.ell_labels(triple) == -fresh.ell_labels(key)
+    assert state.f_labels(key) == reordered.f_labels(key) == \
+        fresh.f_labels(key)
+
+
+@pytest.mark.parametrize("labels", [
+    ("Cas(1)", "Top(0,0)", "Cas(1)"),              # chi = -1
+    ("Top(0,0)", "Cas(1)", "Cas(1)"),              # chi = +1
+    ("B(4)", "Cas(2)", "Top(2,5)", "Top(1,4)"),    # chi = -1
+])
+def test_morphism_residual_catches_a_sign_error_in_one_order(
+        brieskorn, monkeypatch, labels):
+    """E_n on a fresh tuple out of canonical order compares its own T_n
+    with the T_n of the canonical tuple that fills the stage, so a sign
+    error in the label-level sum for that one order shows."""
+    wrong = tuple(parse_label(text) for text in labels)
+    t_labels = TransferState.T_labels
+
+    def flipped_T(self, labels):
+        value = t_labels(self, labels)
+        return -value if tuple(labels) == wrong else value
+
+    assert not t_labels(TransferState(data=brieskorn, arity_cap=4),
+                        wrong).is_zero()
+    monkeypatch.setattr(TransferState, "T_labels", flipped_T)
+    state = TransferState(data=brieskorn, arity_cap=4)
+    assert not state.E_labels(wrong).is_zero()
 
 
 @pytest.mark.parametrize("fixture_name", ["brieskorn", "cubic"])
