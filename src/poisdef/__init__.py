@@ -61,7 +61,6 @@ from .linfty import (
     ArityCapExceededError,
     TransferState,
     compute_T,
-    f2_table,
     koszul_chi,
 )
 from .multivec import (
@@ -120,7 +119,6 @@ __all__ = [
     "enumerate_basis",
     "euler_field",
     "f1",
-    "f2_table",
     "first_order_class",
     "gamma_classes",
     "gauge_apply",

@@ -12,7 +12,7 @@ canonical coboundary solver.
 Conventions (graded skew-symmetric, Koszul signs chi):
 
 * ell_1 = 0, f_1 realizes a class as its canonical representative, and
-  f_2 is the explicit homotopy table :func:`f2_table`;
+  f_2 is the explicit homotopy table :func:`_f2_table` on canonical pairs;
 * for n >= 2 the obstruction combination is
 
       T_n(x_1, ..., x_n) = S_n - U_n,
@@ -25,8 +25,10 @@ Conventions (graded skew-symmetric, Koszul signs chi):
       e_{s,t}(tau) = (-1)^(s-1) *
             (-1)^((t-1) * (|x_{tau(1)}| + ... + |x_{tau(s)}|)),
 
-  which is closed.  Every stage reads ell_n, and f_n for n >= 3, off the one
-  splitting T_n = f_1(c) + [pi, y] of :func:`poisdef.cohomology.decompose`:
+  which is closed.  Every stage, at one canonical tuple (the reordering of
+  :meth:`TransferState._canonical_key`), reads ell_n, and f_n for n >= 3,
+  off the one splitting T_n = f_1(c) + [pi, y] of
+  :func:`poisdef.cohomology.decompose`, T_n evaluated by its caller:
 
       ell_n = -c   and   f_n = y,   so that   d f_n = T_n + f_1(ell_n);
 
@@ -117,16 +119,12 @@ def koszul_chi(perm: Sequence[int], degrees: Sequence[int]) -> int:
     return -1 if exponent % 2 else 1
 
 
-def f2_table(data: SingularityData, a: BasisLabel, b: BasisLabel) -> MultiVec:
-    """The closed-form homotopy f_2 on a pair of basis labels.
-
-    Total in both arguments: out-of-order pairs are folded through graded
-    symmetry f_2(b, a) = chi * f_2(a, b).  The value is a multivector of
-    degree |a| + |b| (degrees above 3 are identically zero carriers).
+def _f2_table(data: SingularityData, a: BasisLabel, b: BasisLabel) -> MultiVec:
+    """The closed-form homotopy f_2 on a canonical pair of basis labels
+    (a.sort_key() <= b.sort_key()); :meth:`TransferState.f_labels` signs
+    every other order onto it.  The value is a multivector of degree
+    |a| + |b| (degrees above 3 are identically zero carriers).
     """
-    if b.sort_key() < a.sort_key():
-        chi = koszul_chi((2, 1), (a.g_degree, b.g_degree))
-        return f2_table(data, b, a) * chi
     ga, gb = a.g_degree, b.g_degree
     degree = ga + gb
     phi = data.phi
@@ -162,24 +160,6 @@ def f2_table(data: SingularityData, a: BasisLabel, b: BasisLabel) -> MultiVec:
         return poisson_from_potential(Poly.monomial(data.basis[r])).mul_poly(factor)
     # every other pair of basis classes has vanishing homotopy
     return MultiVec.zero(degree)
-
-
-def _canonical(labels: Sequence[BasisLabel]) -> tuple[Optional[tuple], int]:
-    """Sort a label tuple into canonical order, tracking the Koszul sign.
-
-    Returns (sorted tuple, chi) with value(labels) = chi * value(sorted);
-    (None, 0) when the value is forced to vanish because a label of even
-    degree repeats.
-    """
-    n = len(labels)
-    order = sorted(range(n), key=lambda i: labels[i].sort_key())
-    perm = tuple(i + 1 for i in order)
-    key = tuple(labels[i] for i in order)
-    for i in range(n - 1):
-        if key[i] == key[i + 1] and key[i].g_degree % 2 == 0:
-            return None, 0
-    degrees = [lab.g_degree for lab in labels]
-    return key, koszul_chi(perm, degrees)
 
 
 def _unshuffles(degrees: Sequence[int], i: int):
@@ -264,9 +244,9 @@ class TransferState:
     def _lookup(self, labels: tuple[BasisLabel, ...], memo: dict):
         """(value, chi) with ell_n (``memo`` is the ell memo) or f_n (the f
         memo) of the label tuple equal to chi * value, chi = +-1: ell_1 = 0
-        and f_1 = realize at arity 1, :func:`f2_table` for f_2 on canonical
-        pairs, and :meth:`_compute_stage` for every other canonical tuple.
-        Canonical tuples are memoized in ``memo``."""
+        and f_1 = realize at arity 1, :func:`_f2_table` for f_2 on canonical
+        pairs, and :meth:`_compute_stage` from T_n(key) for every other
+        canonical tuple.  Canonical tuples are memoized in ``memo``."""
         n = len(labels)
         if n < 1:
             raise ValueError("bracket arity must be at least 1")
@@ -287,26 +267,38 @@ class TransferState:
         value = memo.get(key)
         if value is None:
             if n == 2 and not ell:
-                value = memo[key] = f2_table(self.data, *key)
+                value = memo[key] = _f2_table(self.data, *key)
             else:
-                self._compute_stage(key)
+                self._compute_stage(key, self.T_labels(key))
                 value = memo[key]
         return value, chi
 
     def _canonical_key(self, labels: tuple[BasisLabel, ...]
                        ) -> tuple[Optional[tuple], int]:
-        """:func:`_canonical` of the label tuple, cached per tuple."""
+        """(key, chi) with key the label tuple in canonical order and
+        value(labels) = chi * value(key), or (None, 0) when a label of even
+        degree repeats and the value vanishes; cached per tuple.  The one
+        rule that reorders labels and signs the reordering."""
         canonical = self._canonical_memo.get(labels)
-        if canonical is None:
-            canonical = self._canonical_memo[labels] = _canonical(labels)
+        if canonical is not None:
+            return canonical
+        n = len(labels)
+        order = sorted(range(n), key=lambda i: labels[i].sort_key())
+        key = tuple(labels[i] for i in order)
+        for i in range(n - 1):
+            if key[i] == key[i + 1] and key[i].g_degree % 2 == 0:
+                canonical = self._canonical_memo[labels] = None, 0
+                return canonical
+        degrees = [lab.g_degree for lab in labels]
+        chi = koszul_chi([i + 1 for i in order], degrees)
+        canonical = self._canonical_memo[labels] = key, chi
         return canonical
 
     def _compute_stage(self, key: tuple[BasisLabel, ...],
-                       t_value: Optional[MultiVec] = None) -> None:
+                       t_value: MultiVec) -> None:
         """Fill the caches at one canonical tuple of arity >= 2 from its
-        T_n, which ``t_value`` holds when the caller has it already."""
+        T_n, ``t_value``, evaluated by the caller."""
         n = len(key)
-        t_value = self.T_labels(key) if t_value is None else t_value
         # T_n (n >= 3) vanishes on bivector-class tuples, which makes the
         # order-by-order deformation formula close; fail loudly if not.
         if (n > 2 and all(lab.g_degree == 1 for lab in key)
@@ -359,14 +351,14 @@ class TransferState:
     def E_labels(self, labels: Sequence[BasisLabel]) -> MultiVec:
         """The morphism residual d(f_n(x)) - f_1(ell_n(x)) - T_n(x) on basis
         labels; zero when the order-n morphism equation holds.  A fresh pair
-        or canonical tuple fills its stage from this T_n (f_2 = f2_table
-        keeps E_2 a check); any other tuple is checked against T_n(key)."""
+        in either order fills its stage from this T_2 (f_2 is the table, so
+        E_2 stays a check); a tuple of arity >= 3 is checked against the
+        T_n of its canonical tuple, which fills the stage."""
         labels = tuple(labels)
         t_value = self.T_labels(labels)
-        if 1 < len(labels) <= self.arity_cap:
+        if len(labels) == 2 <= self.arity_cap:
             key, chi = self._canonical_key(labels)
-            if key is not None and key not in self._ell_memo and (
-                    len(labels) == 2 or key == labels):
+            if key is not None and key not in self._ell_memo:
                 self._compute_stage(key, t_value * chi)
         residual = coboundary(self.f_labels(labels), self.data.phi)
         residual = residual - f1(self.ell_labels(labels), self.data)

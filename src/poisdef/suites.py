@@ -457,14 +457,11 @@ def run_deform_suite(data: SingularityData, config: SuiteConfig,
            [(idx, lower) for idx in indices for lower in range(1, m)],
            lambda case: verdicts[case[0]][3][case[1] - 1])
 
-    a_indices = list(a_index_range(data))
-    b_indices = list(b_index_range(data))
-    if m >= 2 and a_indices and b_indices:
+    if m >= 2 and data.mu >= 2:
         # Unit coefficients on one Hamiltonian-type and one exact label
-        # must produce the closed-form cross term at order 2.
-        q = a_indices[0] if a_indices[0] >= 1 else (
-            a_indices[1] if len(a_indices) > 1 else a_indices[0])
-        r = b_indices[0]
+        # must produce the closed-form cross term at order 2; index 1 is
+        # valid for both once mu >= 2.
+        q = r = 1
         fam = CoeffFamily.make({(1, 0, q): 1}, {(1, r): 1})
         series = build_deformation(data, fam, m)
         u = data.basis_polys
@@ -510,12 +507,9 @@ def run_gauge_suite(data: SingularityData, config: SuiteConfig,
                  if i * data.d <= config.pair_cap(data)]
 
         def class_gauge_verdicts() -> tuple[bool, bool]:
-            coeffs = []
-            for _ in range(m):
-                cls = CohClass.zero(0)
-                for lab in euler:
-                    cls = cls + CohClass.single(lab, random_fraction(rng))
-                coeffs.append(cls)
+            coeffs = [CohClass.make(0, {lab: random_fraction(rng)
+                                        for lab in euler})
+                      for _ in range(m)]
             xi = NuSeries(order_cap=m, coeffs=tuple(coeffs))
             gauged_gamma = gauge_special(state, gamma, xi)
             image = mc_image(state, gauged_gamma, m)

@@ -19,13 +19,13 @@ from poisdef import (
     enumerate_basis,
     euler_field,
     f1,
-    f2_table,
     koszul_chi,
     parse_label,
     poisson_from_potential,
     project,
     solve_coboundary,
 )
+from poisdef.linfty import _f2_table
 from poisdef.suites import SuiteConfig, all_basis_labels, run_suite
 import transfer_oracle
 from transfer_oracle import OracleState
@@ -92,20 +92,21 @@ def test_koszul_chi_is_permutation_sign_times_koszul_sign(case):
 def test_f2_casimir_exact_pair(brieskorn):
     # f2(Cas(i), B(r)) = i phi^(i-1) u_r as a function
     u1 = brieskorn.basis_polys[1]
-    value = f2_table(brieskorn, parse_label("Cas(1)"), parse_label("B(1)"))
+    value = _f2_table(brieskorn, parse_label("Cas(1)"), parse_label("B(1)"))
     assert value.degree == 0
     assert value.comps[0] == u1
-    value2 = f2_table(brieskorn, parse_label("Cas(2)"), parse_label("B(1)"))
+    value2 = _f2_table(brieskorn, parse_label("Cas(2)"), parse_label("B(1)"))
     assert value2.comps[0] == brieskorn.phi * u1 * 2
 
 
 def test_f2_casimir_top_pair(brieskorn):
     # f2(Cas(i), Top(j,0)) = (i/(|w|-d)) phi^(i+j-1) e for generic potentials
     e = euler_field(brieskorn.weights)
-    value = f2_table(brieskorn, parse_label("Cas(1)"), parse_label("Top(0,0)"))
+    value = _f2_table(brieskorn, parse_label("Cas(1)"),
+                      parse_label("Top(0,0)"))
     assert value == e * Fraction(1, brieskorn.weights.total - brieskorn.d)
-    value2 = f2_table(brieskorn, parse_label("Cas(2)"),
-                      parse_label("Top(1,0)"))
+    value2 = _f2_table(brieskorn, parse_label("Cas(2)"),
+                       parse_label("Top(1,0)"))
     assert value2 == e.mul_poly(brieskorn.phi ** 2) * \
         Fraction(2, brieskorn.weights.total - brieskorn.d)
 
@@ -113,7 +114,7 @@ def test_f2_casimir_top_pair(brieskorn):
 def test_f2_hamiltonian_exact_pair(brieskorn):
     # f2(A(i,k), B(r)) = phi^i u_k {., .}_{u_r}
     u = brieskorn.basis_polys
-    value = f2_table(brieskorn, parse_label("A(0,2)"), parse_label("B(1)"))
+    value = _f2_table(brieskorn, parse_label("A(0,2)"), parse_label("B(1)"))
     assert value == poisson_from_potential(u[1]).mul_poly(u[2])
 
 
@@ -129,12 +130,12 @@ def test_f2_zero_rows(brieskorn, cubic):
         ("Cas(1)", "Top(0,1)"),  # Top factor with a nonconstant u part
     ]
     for a_text, b_text in zero_pairs:
-        value = f2_table(brieskorn, parse_label(a_text), parse_label(b_text))
+        value = _f2_table(brieskorn, parse_label(a_text), parse_label(b_text))
         assert value.is_zero(), f"f2({a_text},{b_text}) nonzero"
     # special case: Eul x B is the only extra nonzero row
-    value = f2_table(cubic, parse_label("Eul(1)"), parse_label("B(1)"))
+    value = _f2_table(cubic, parse_label("Eul(1)"), parse_label("B(1)"))
     assert not value.is_zero()
-    value = f2_table(cubic, parse_label("Eul(0)"), parse_label("B(1)"))
+    value = _f2_table(cubic, parse_label("Eul(0)"), parse_label("B(1)"))
     assert value.is_zero()  # i = 0 row has vanishing prefactor
 
 
@@ -150,9 +151,9 @@ def test_f2_graded_symmetry(brieskorn, brieskorn_state):
 
 @pytest.mark.parametrize("fixture_name", ["brieskorn", "cubic"])
 def test_f2_table_out_of_order_pairs(request, fixture_name):
-    """f2_table folds a pair given out of order through graded symmetry;
-    the state never asks for one, so check the order-2 morphism equation
-    d f_2(b, a) = f_1(ell_2(b, a)) + T_2(b, a) on the folded values."""
+    """f_labels signs a pair given out of order onto the canonical-pair
+    table _f2_table; check the order-2 morphism equation
+    d f_2(b, a) = f_1(ell_2(b, a)) + T_2(b, a) on those values."""
     data = request.getfixturevalue(fixture_name)
     state = request.getfixturevalue(fixture_name + "_state")
     labels = sorted(all_basis_labels(data, 2 * data.d),
@@ -162,8 +163,31 @@ def test_f2_table_out_of_order_pairs(request, fixture_name):
             expected = (f1(state.ell_labels((b, a)), data)
                         + compute_T(state, 2, [CohClass.single(b),
                                                CohClass.single(a)]))
-            assert coboundary(f2_table(data, b, a), data.phi) == expected, \
+            assert coboundary(state.f_labels((b, a)), data.phi) == expected, \
                 f"order-2 equation fails at ({b},{a})"
+
+
+@pytest.mark.parametrize("fixture_name", ["brieskorn", "cubic"])
+def test_f2_table_is_asked_only_canonical_pairs(request, fixture_name,
+                                                monkeypatch):
+    """_f2_table takes only canonical pairs: every pair the tables,
+    transfer, deform and gauge suites ask it for is in canonical order."""
+    data = request.getfixturevalue(fixture_name)
+    pairs = []
+
+    def recording_table(data, a, b):
+        pairs.append((a, b))
+        return _f2_table(data, a, b)
+
+    monkeypatch.setattr("poisdef.linfty._f2_table", recording_table)
+    state = TransferState(data=data, arity_cap=4)
+    config = SuiteConfig(order=2, weight_cap=data.d, seed=2)
+    for suite in ("tables", "transfer", "deform", "gauge"):
+        assert run_suite(suite, data, config, state)["status"] == "pass"
+    assert pairs
+    unsorted = [(str(a), str(b)) for a, b in pairs
+                if b.sort_key() < a.sort_key()]
+    assert not unsorted, unsorted
 
 
 # -- the order-2 morphism equation ----------------------------------------------------
@@ -314,10 +338,9 @@ def test_stage_recursion_consistency(brieskorn, brieskorn_state):
 
 def test_one_stage_fills_every_bracket_from_one_T(brieskorn, monkeypatch):
     """ell_n (n >= 2) and f_n (n >= 3) come from one _compute_stage:
-    E_labels of a fresh canonical triple evaluates T_3 once and hands it to
-    the stage, while a triple in another order fills its stage from T_3 of
-    the canonical triple; ell_2 of a fresh pair runs one stage and f_2 of a
-    fresh pair none (it is f2_table)."""
+    E_labels of a fresh triple, canonical or not, evaluates its own T_3 and
+    the stage evaluates T_3 of the canonical triple; ell_2 of a fresh pair
+    runs one stage and f_2 of a fresh pair none (it is _f2_table)."""
     t_calls, stages = [], []
     t_labels = TransferState.T_labels
     compute_stage = TransferState._compute_stage
@@ -336,7 +359,7 @@ def test_one_stage_fills_every_bracket_from_one_T(brieskorn, monkeypatch):
     triple, key = (cas, top, cas), (cas, cas, top)   # chi = -1
     state = TransferState(data=brieskorn, arity_cap=4)
     assert state.E_labels(key).is_zero()
-    assert [t for t in t_calls if len(t) == 3] == [key]
+    assert [t for t in t_calls if len(t) == 3] == [key, key]
     assert stages.count(key) == 1
 
     reordered = TransferState(data=brieskorn, arity_cap=4)
@@ -349,7 +372,8 @@ def test_one_stage_fills_every_bracket_from_one_T(brieskorn, monkeypatch):
     pair = (top, cas)
     fresh = TransferState(data=brieskorn, arity_cap=4)
     stages.clear()
-    assert fresh.f_labels(pair) == f2_table(brieskorn, *pair)
+    chi = koszul_chi((2, 1), (top.g_degree, cas.g_degree))
+    assert fresh.f_labels(pair) == _f2_table(brieskorn, cas, top) * chi
     assert stages == []
     classes = [CohClass.single(lab) for lab in pair]
     assert fresh.ell_labels(pair) == \

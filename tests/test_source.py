@@ -159,18 +159,23 @@ def _called_names(node) -> list[str]:
 
 
 def test_transfer_stage_reads_one_decomposition():
-    """A transfer stage reads ell_n and f_n off one decompose(T_n), it is
-    the only code in linfty that decomposes (nothing there projects), and
-    E_labels fills no memo itself; every signed shuffle sum of linfty
-    takes its blocks from _unshuffles, the one function that enumerates
-    them."""
+    """A transfer stage reads ell_n and f_n off one decompose(T_n), with
+    T_n its caller's, and it is the only code in linfty that decomposes
+    (nothing there projects); E_labels fills no memo itself; every signed
+    shuffle sum of linfty takes its blocks from _unshuffles, the one
+    function that enumerates them, and _canonical_key is the one rule
+    that reorders a label tuple and signs the reordering."""
+    import poisdef
     from poisdef import linfty
 
     stage = ast.parse(textwrap.dedent(
         inspect.getsource(linfty.TransferState._compute_stage)))
     called = _called_names(stage)
     assert called.count("decompose") == 1
-    assert not {"project", "solve_coboundary"} & set(called)
+    assert not {"project", "solve_coboundary", "T_labels"} & set(called)
+    t_value = inspect.signature(
+        linfty.TransferState._compute_stage).parameters["t_value"]
+    assert t_value.default is inspect.Parameter.empty
     tree = ast.parse(inspect.getsource(linfty))
     decomposers = {node.name for node in ast.walk(tree)
                    if isinstance(node, ast.FunctionDef)
@@ -189,6 +194,12 @@ def test_transfer_stage_reads_one_decomposition():
                if isinstance(node, ast.FunctionDef)
                and "combinations" in _called_names(node)}
     assert walkers == {"_unshuffles"}, walkers
+    signers = {node.name for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)
+               and "koszul_chi" in _called_names(node)}
+    assert signers == {"_canonical_key", "_unshuffles"}, signers
+    assert not {"_canonical", "f2_table"} & set(vars(linfty))
+    assert "f2_table" not in poisdef.__all__
 
 
 def test_coboundary_is_one_bracket():

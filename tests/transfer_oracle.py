@@ -28,7 +28,7 @@ class OracleState(TransferState):
     """A transfer state whose stages of arity >= 2 read ell_n, and f_n
     above arity 2, off decompose of the class-level :func:`compute_T`."""
 
-    def _compute_stage(self, key, t_value=None):
+    def _compute_stage(self, key, t_value):
         # t_value, the package's label-level T_n, is ignored: T_n is
         # recomputed class-level so the oracle stays independent
         classes = [CohClass.single(lab) for lab in key]
