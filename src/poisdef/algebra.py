@@ -108,9 +108,9 @@ class Poly:
     :meth:`coefficient` as a ``Fraction``.  Exponents are plain ``int``s.
 
     Nothing mutates a Poly once it is built, so results are shared freely:
-    :meth:`zero` is one object, multiplying by 1 returns the polynomial
-    itself, and ``_partials`` keeps each partial derivative :meth:`diff`
-    has computed.
+    :meth:`zero` is one object, and ``_partials`` keeps each partial
+    derivative :meth:`diff` has computed.  Every scalar product, ``p * 1``
+    included, builds a new polynomial.
     """
 
     __slots__ = ("_nums", "_den", "_partials")
@@ -218,17 +218,15 @@ class Poly:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        if not isinstance(other, Poly):
-            return NotImplemented
         return self._combine(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        if not isinstance(other, Poly):
-            return NotImplemented
         return self._combine(other, -1)
 
     def _combine(self, other: "Poly", sign: int) -> "Poly":
         """self + sign * other in one pass, sign 1 or -1."""
+        if not isinstance(other, Poly):
+            return NotImplemented
         if not other._nums:
             return self
         if not self._nums:
@@ -257,12 +255,6 @@ class Poly:
         if isinstance(other, Poly):
             den = self._den * other._den
             return Poly._accumulate(((1, self._nums, other._nums, den),), den)
-        if type(other) is int:
-            # the Koszul signs and unit coefficients of the transfer sums
-            if other == 1:
-                return self
-            if other == -1:
-                return -self
         if isinstance(other, (int, Fraction)):
             if not other:
                 return _ZERO
@@ -271,8 +263,7 @@ class Poly:
                                  self._den * other.denominator)
         return NotImplemented
 
-    def __rmul__(self, other: ScalarLike) -> "Poly":
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     @staticmethod
     def sum_of_products(terms: Iterable[tuple[int, "Poly", "Poly"]],
@@ -721,9 +712,6 @@ class WeightSystem:
         a, b, c = exponents
         w1, w2, w3 = self.weights
         return a * w1 + b * w2 + c * w3
-
-    def __str__(self) -> str:
-        return ",".join(str(w) for w in self.weights)
 
 
 def weighted_degree(p: Poly, weights: WeightSystem) -> Optional[int]:

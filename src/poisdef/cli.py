@@ -213,7 +213,7 @@ def _load_family(path: Optional[str], data: SingularityData) -> CoeffFamily:
 def cmd_analyze(args) -> int:
     data, inferred = _load_data(args)
     _check_weight_cap(args, data)
-    cap = args.weight_cap if args.weight_cap is not None else 2 * data.d
+    cap = SuiteConfig(weight_cap=args.weight_cap).pair_cap(data)
     basis = {
         str(g): [str(lab) for lab in enumerate_basis(data, g, cap)]
         for g in (-1, 0, 1, 2)

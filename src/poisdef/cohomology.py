@@ -44,6 +44,10 @@ rows come from :func:`poisdef.multivec.image_rows` (test oracle:
 off the generators by :func:`labels_of_weight`, are checked independent
 cocycles (CohomologyError otherwise), so every row is closed and a solve
 that succeeds certifies that the solved multivector is closed.
+
+Errors form one chain: CohomologyError, then NotACoboundaryError (a
+nonzero class, no coboundary), then NotACocycleError (not closed, so no
+coboundary either); :func:`solve_coboundary` raises the last two.
 """
 
 from __future__ import annotations
@@ -72,12 +76,13 @@ class CohomologyError(ValueError):
     """Base class for cohomology-level failures."""
 
 
-class NotACocycleError(CohomologyError):
-    """The multivector is not closed under the Poisson differential."""
-
-
 class NotACoboundaryError(CohomologyError):
     """The multivector is not in the image of the Poisson differential."""
+
+
+class NotACocycleError(NotACoboundaryError):
+    """The multivector is not closed under the Poisson differential, so it
+    is no coboundary either."""
 
 
 KINDS = ("Cas", "Eul", "A", "B", "Top")
@@ -188,7 +193,7 @@ def realize(label: BasisLabel, data: SingularityData) -> MultiVec:
         cached = realize(generator, data).mul_poly(data.phi ** i)
     else:
         validate_label(label, data)
-        u = Poly.monomial(data.basis[label.indices[-1]])
+        u = data.basis_polys[label.indices[-1]]
         if label.kind == "Cas":
             cached = MultiVec.function(u)
         elif label.kind == "Eul":
@@ -290,9 +295,6 @@ class CohClass:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def as_dict(self) -> dict[BasisLabel, ScalarLike]:
-        return dict(self.coeffs)
-
     def coefficient(self, label: BasisLabel) -> Fraction:
         for known, value in self.coeffs:
             if known == label:
@@ -304,7 +306,7 @@ class CohClass:
             return NotImplemented
         if self.g_degree != other.g_degree:
             raise ValueError("cannot add classes of different degrees")
-        merged = self.as_dict()
+        merged = dict(self.coeffs)
         for label, value in other.coeffs:
             merged[label] = merged.get(label, 0) + value
         return CohClass.make(self.g_degree, merged)
@@ -424,15 +426,12 @@ def solve_coboundary(target: MultiVec, data: SingularityData) -> MultiVec:
     """A multivector y with [pi, y] = target, free part chosen zero: y of
     :func:`decompose`.
 
-    Raises NotACoboundaryError if the target is not closed or has a
-    nonzero class; the answer is the canonical pivot solution, so repeated
-    calls are deterministic.
+    Raises NotACoboundaryError if the target has a nonzero class, and its
+    subclass NotACocycleError, from :func:`decompose`, if the target is not
+    closed; the answer is the canonical pivot solution, so repeated calls
+    are deterministic.
     """
-    try:
-        cls, y = decompose(target, data)
-    except NotACocycleError:
-        raise NotACoboundaryError(
-            "the target is not closed, so not a coboundary") from None
+    cls, y = decompose(target, data)
     if not cls.is_zero():
         raise NotACoboundaryError(
             f"the target has the nonzero class {cls}, so is not a coboundary")

@@ -74,7 +74,6 @@ from functools import cache
 from itertools import combinations, product
 from typing import Optional, Sequence
 
-from .algebra import Poly
 from .cohomology import (
     BasisLabel,
     CohClass,
@@ -134,7 +133,7 @@ def _f2_table(data: SingularityData, a: BasisLabel, b: BasisLabel) -> MultiVec:
         (r,) = b.indices
         if i == 0:
             return MultiVec.zero(degree)
-        value = (phi ** (i - 1)) * Poly.monomial(data.basis[r]) * i
+        value = (phi ** (i - 1)) * data.basis_polys[r] * i
         return MultiVec.function(value)
     if pair == ("Cas", "Top"):
         i = a.indices[0]
@@ -151,13 +150,13 @@ def _f2_table(data: SingularityData, a: BasisLabel, b: BasisLabel) -> MultiVec:
             return MultiVec.zero(degree)
         total = data.weights.total
         scale = Fraction(data.basis_weight(r) - total, total) - i
-        factor = (phi ** (i - 1)) * Poly.monomial(data.basis[r]) * scale
+        factor = (phi ** (i - 1)) * data.basis_polys[r] * scale
         return euler_field(data.weights).mul_poly(factor)
     if pair == ("A", "B"):
         i, k = a.indices
         (r,) = b.indices
-        factor = (phi ** i) * Poly.monomial(data.basis[k])
-        return poisson_from_potential(Poly.monomial(data.basis[r])).mul_poly(factor)
+        u = data.basis_polys
+        return poisson_from_potential(u[r]).mul_poly((phi ** i) * u[k])
     # every other pair of basis classes has vanishing homotopy
     return MultiVec.zero(degree)
 

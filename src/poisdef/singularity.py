@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import (
     Exponents,
@@ -83,8 +84,9 @@ class SingularityData:
     def special(self) -> bool:
         return self.d == self.weights.total
 
-    @property
+    @cached_property
     def basis_polys(self) -> tuple[Poly, ...]:
+        """The basis monomials as polynomials, built once per potential."""
         return tuple(Poly.monomial(m) for m in self.basis)
 
     def basis_weight(self, index: int) -> int:

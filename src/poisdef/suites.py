@@ -420,12 +420,13 @@ def run_transfer_suite(data: SingularityData, config: SuiteConfig,
 
 
 def _family_verdicts(data: SingularityData, state: TransferState,
-                     fam: CoeffFamily, m: int) -> tuple:
-    """(Poisson above order 0, Maurer-Cartan image, first-order class,
-    per-lower-order prefix) verdicts for one family; its series is dropped
+                     fam: CoeffFamily, m: int, anchored: bool) -> tuple:
+    """(Poisson, Maurer-Cartan image, first-order class, per-lower-order
+    prefix) verdicts for one family, Poisson only if its anchor is
+    (``anchored``) and its Jacobi residual vanishes; its series is dropped
     on return."""
     series = build_deformation(data, fam, m)
-    poisson = jacobi_residual(series).is_zero()
+    poisson = jacobi_residual(series).is_zero() and anchored
     gamma = gamma_classes(fam, data, m)
     route = mc_image(state, gamma, m) == series
     first = first_order_class(series, data) == gamma.coefficient(1)
@@ -444,10 +445,10 @@ def run_deform_suite(data: SingularityData, config: SuiteConfig,
     m = config.order
 
     families = [random_family(rng, data, order=m) for _ in range(N_FAMILIES)]
-    verdicts = [_family_verdicts(data, state, fam, m) for fam in families]
     pi = poisson_from_potential(data.phi)   # the anchor of every series
-    if not schouten(pi, pi).is_zero():
-        verdicts = [(False,) + verdict[1:] for verdict in verdicts]
+    anchored = schouten(pi, pi).is_zero()
+    verdicts = [_family_verdicts(data, state, fam, m, anchored)
+                for fam in families]
     indices = range(len(families))
     for j, name in enumerate(("random_families_are_poisson_to_order",
                               "deformation_equals_maurer_cartan_image",

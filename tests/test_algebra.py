@@ -193,10 +193,10 @@ def test_exact_scalar_refuses_inexact_values():
 
 
 def test_unit_scalars_are_exact_and_shared():
-    """* 1 returns the polynomial itself and * -1 its negation; the float
+    """* 1 returns an equal polynomial and * -1 its negation; the float
     1.0, equal to 1, stays refused."""
     p = Poly({(1, 0, 0): Fraction(1, 2), (0, 2, 0): 3})
-    assert p * 1 is p and 1 * p is p
+    assert p * 1 == p and 1 * p == p
     assert p * -1 == -p == Poly({(1, 0, 0): Fraction(-1, 2), (0, 2, 0): -3})
     _assert_normalized(p * -1)
     for scalar in (1.0, -1.0):

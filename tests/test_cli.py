@@ -547,6 +547,26 @@ def test_default_caps_report_is_byte_identical(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == _DEFAULT_CAPS_HASH
 
 
+# SHA-256 of `poisdef verify tables transfer --phi "x^3+y^3+z^3"` with
+# default caps: a balanced tables suite above weight 2, whose order-2
+# morphism check covers all 1540 basis pairs up to weight 2d, the Eul(1)
+# pairs (weight 3) included.
+_BALANCED_TABLES_HASH = (
+    "15e057fdde3c17d92b18bb8bd1ba5865fe7ed60dfbcdcb9495d8fae1057351bc")
+
+
+def test_balanced_tables_transfer_report_is_byte_identical(capsys):
+    code, out, _ = run_cli(capsys, "verify", "tables", "transfer",
+                           "--phi", "x^3+y^3+z^3")
+    assert code == 0
+    report = json.loads(out)
+    pairs = next(check for suite in report["suites"]
+                 for check in suite["checks"]
+                 if check["name"] == "order2_morphism_equation_on_basis_pairs")
+    assert pairs["cases"] == 1540
+    assert hashlib.sha256(out.encode()).hexdigest() == _BALANCED_TABLES_HASH
+
+
 # SHA-256 of `poisdef verify gauge` reports: on the quadric at order 5,
 # gauged series whose coefficients are almost all non-integral rationals;
 # on the balanced cubic at order 6 with arity cap 6, the class-level gauge

@@ -224,7 +224,7 @@ def test_project_linear_combination(brieskorn):
     cls = project(combo, brieskorn)
     assert cls.coefficient(parse_label("A(0,1)")) == Fraction(3, 2)
     assert cls.coefficient(parse_label("B(2)")) == Fraction(-5)
-    assert len(cls.as_dict()) == 2
+    assert len(cls.coeffs) == 2
 
 
 def test_special_structure_bivector_is_basis_class(cubic):

@@ -275,6 +275,46 @@ def test_jacobi_identities_sampled(brieskorn, brieskorn_state):
             assert brieskorn_state.J_labels(chosen).is_zero()
 
 
+# Cubic tuples whose J_n sums nested ell(ell(.)) terms: 435 of the 29260
+# triples up to weight 2d have such a term, none of the Brieskorn draws
+# above has one.
+_NESTED_JACOBI_TUPLES = (
+    ("Cas(1)", "Eul(0)", "Top(0,1)"),
+    ("Cas(1)", "Eul(1)", "Top(1,0)"),
+    ("Eul(0)", "Eul(1)", "Top(0,0)"),
+    ("Cas(1)", "Eul(1)", "B(1)", "Top(0,0)"),
+    ("Cas(1)", "Eul(1)", "B(2)", "Top(0,1)"),
+)
+
+
+def _nested_jacobi_tuples():
+    return [tuple(parse_label(text) for text in texts)
+            for texts in _NESTED_JACOBI_TUPLES]
+
+
+def test_jacobi_identities_with_nested_terms(cubic):
+    """J_3 and J_4 vanish on tuples where their sums are not empty."""
+    state = TransferState(data=cubic, arity_cap=4)
+    for labels in _nested_jacobi_tuples():
+        degrees = tuple(lab.g_degree for lab in labels)
+        assert state._nested_terms(labels, degrees, state._ell_memo)
+        assert state.J_labels(labels).is_zero()
+
+
+def test_jacobi_identity_catches_a_sign_error_in_one_bracket(cubic):
+    """Negating the one stored ell_2(Cas(1), Eul(1)) makes J_3 and J_4
+    nonzero on the tuples that nest it."""
+    state = TransferState(data=cubic, arity_cap=4)
+    tuples = _nested_jacobi_tuples()
+    for labels in tuples:
+        state.J_labels(labels)
+    key = (parse_label("Cas(1)"), parse_label("Eul(1)"))
+    state._ell_memo[key] = -state._ell_memo[key]
+    broken = [len(labels) for labels in tuples
+              if not state.J_labels(labels).is_zero()]
+    assert 3 in broken and 4 in broken
+
+
 def test_special_ternary_stage(cubic, cubic_state):
     # the balanced potential also satisfies the order-3 equation
     rng = random.Random(19)

@@ -252,3 +252,45 @@ def test_every_eliminator_input_is_tagged():
         assert "tag" in names, method
         defaulted = names[len(names) - len(args.defaults):]
         assert "tag" not in defaulted, method
+
+
+def test_solve_coboundary_catches_nothing():
+    """A target that is not closed raises NotACocycleError straight from
+    decompose: it is a NotACoboundaryError, so nothing is re-raised."""
+    from poisdef import cohomology
+
+    tree = ast.parse(textwrap.dedent(
+        inspect.getsource(cohomology.solve_coboundary)))
+    handlers = [node.lineno for node in ast.walk(tree)
+                if isinstance(node, (ast.Try, ast.ExceptHandler))]
+    assert not handlers, handlers
+    assert issubclass(cohomology.NotACocycleError,
+                      cohomology.NotACoboundaryError)
+
+
+def test_poly_scalar_product_has_no_unit_branch():
+    """Poly.__mul__ scales by every scalar the same way: it compares
+    nothing with 1 or -1."""
+    from poisdef.algebra import Poly
+
+    def is_unit(node) -> bool:
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            node = node.operand
+        return isinstance(node, ast.Constant) and node.value == 1
+
+    tree = ast.parse(textwrap.dedent(inspect.getsource(Poly.__mul__)))
+    units = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Compare)
+             and any(map(is_unit, [node.left, *node.comparators]))]
+    assert not units, f"Poly.__mul__ compares with 1 or -1 at {units}"
+
+
+def test_basis_monomials_built_once_per_potential():
+    """realize and _f2_table read SingularityData.basis_polys instead of
+    rebuilding a basis monomial with Poly.monomial."""
+    from poisdef import cohomology, linfty
+
+    for function in (cohomology.realize, linfty._f2_table):
+        called = _called_names(ast.parse(textwrap.dedent(
+            inspect.getsource(function))))
+        assert "monomial" not in called, function.__name__
