@@ -173,12 +173,12 @@ def label_weight(label: BasisLabel, data: SingularityData) -> int:
     """Weight of the class representative: i*d for phi^i, plus the weight
     of its generator, which is that of its Milnor monomial u (u_0 = 1 for
     Cas and Eul) plus d - |w| for pi_phi (A) or -|w| for pi_u (B) and for
-    dx^dy^dz (Top)."""
-    generator, i = _generator(label)
+    dx^dy^dz (Top); i and u's index are read off the label itself."""
+    i = 0 if label.kind == "B" else label.indices[0]
+    u = 0 if label.kind in ("Cas", "Eul") else label.indices[-1]
     total = data.weights.total
     shift = {"A": data.d - total, "B": -total, "Top": -total}
-    return (i * data.d + data.basis_weight(generator.indices[-1])
-            + shift.get(label.kind, 0))
+    return i * data.d + data.basis_weight(u) + shift.get(label.kind, 0)
 
 
 def realize(label: BasisLabel, data: SingularityData) -> MultiVec:

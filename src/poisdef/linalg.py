@@ -28,7 +28,7 @@ unique, so results do not depend on how the elimination is organised:
 from __future__ import annotations
 
 import math
-from bisect import insort
+from bisect import bisect_left, insort
 from fractions import Fraction
 from typing import Hashable, Mapping, Optional
 
@@ -65,9 +65,10 @@ class Eliminator:
     """Echelon basis of the span of the vectors added so far.
 
     Each stored row pivots on its leftmost nonzero ``int`` index.  A vector
-    is reduced by the stored rows at existing pivots in increasing order;
-    since a stored row has no entry left of its pivot, the result vanishes
-    at every pivot.  Adding vectors one by one therefore keeps exactly the
+    is reduced by the stored rows at the pivots from its smallest index on,
+    in increasing order; since a stored row has no entry left of its pivot,
+    no step reaches a pivot left of that index and the result vanishes at
+    every pivot.  Adding vectors one by one therefore keeps exactly the
     inputs that are not in the span of the earlier ones.
 
     Each vector is added with a ``tag`` (distinct from every earlier tag,
@@ -92,10 +93,11 @@ class Eliminator:
 
     def _eliminate(self, vec: Mapping[int, ScalarLike],
                    tag: Hashable) -> IntVec:
-        """Reduce vec, as input ``tag``, by every stored row: a primitive
-        row vanishing at every pivot."""
+        """Reduce vec, as input ``tag``, by the stored rows from its
+        smallest index on: a primitive row vanishing at every pivot."""
         out = _integral(vec, tag)
-        for pivot in self._pivots:
+        start = bisect_left(self._pivots, min(vec, default=math.inf))
+        for pivot in self._pivots[start:]:
             a = out.get(pivot)
             if a is None:
                 continue

@@ -43,15 +43,16 @@ The five suites:
     bracket above ``arity_cap`` is skipped.
 
 ``deform``
-    Seeded random coefficient families give bivector series that are
-    Poisson to the truncation order, agree with the Maurer-Cartan image
-    of the transferred structure, recover their first-order class, and
-    truncate consistently.
+    Seeded random coefficient families on the degree-1 labels under the
+    cocycle cap give bivector series that are Poisson to the truncation
+    order, agree with the Maurer-Cartan image of the transferred
+    structure, recover their first-order class, and truncate consistently.
 
 ``gauge``
-    Seeded gauge transformations preserve both the Poisson property and
-    the first-order class; for balanced potentials the class-level gauge
-    action of degree-0 classes preserves Maurer-Cartan solutions.
+    Seeded gauge transformations (vector fields, not labels) of one such
+    family preserve both the Poisson property and the first-order class;
+    for balanced potentials the class-level gauge action of degree-0
+    classes preserves Maurer-Cartan solutions.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ from .algebra import Poly
 from .cohomology import (
     BasisLabel,
     CohClass,
-    a_index_range,
     b_index_range,
     class_str,
     enumerate_basis,
@@ -95,8 +95,7 @@ from .multivec import (
 )
 from .singularity import SingularityData
 
-# Largest power of the potential in the closed identity sweeps and in
-# random coefficient families.
+# Largest power of the potential in the schouten suite's closed identities.
 PHI_POWER_CAP = 2
 
 # Largest exponent of a variable in a random polynomial.
@@ -113,9 +112,9 @@ N_SAMPLES = 10
 class SuiteConfig:
     """Knobs shared by the verification suites.
 
-    ``weight_cap`` bounds the label weight of enumerated bases; when
-    None, sweeps over pairs/triples use twice the potential degree and
-    the cocycle sweep uses three times the potential degree.
+    ``weight_cap`` bounds the weight of every basis label a suite names;
+    when None, sweeps over pairs/triples use twice the potential degree,
+    and the cocycle sweep and sampled families three times that degree.
     """
 
     order: int = 3
@@ -158,28 +157,22 @@ def random_multivector(rng: random.Random, degree: int, *,
     return MultiVec(degree, comps)
 
 
-def random_family(rng: random.Random, data: SingularityData, *,
+def random_family(rng: random.Random, labels: Sequence[BasisLabel], *,
                   order: int) -> CoeffFamily:
-    """Random coefficient family supported on the degree-1 basis.
+    """Random coefficient family on the given degree-1 basis labels.
 
-    Every generated index is valid for ``data``: Hamiltonian-type
-    coefficients use Milnor indices from the admissible range and powers
-    of the potential up to ``PHI_POWER_CAP``; exact-bivector coefficients
-    use Milnor indices 1..mu-1.
+    Each order 1..order adds random coefficients to one to three draws
+    from ``labels``: A(l, i) into ``c``, B(r) into ``cbar``.  No labels
+    give the empty family.
     """
     c: dict[tuple[int, int, int], Fraction] = {}
     cbar: dict[tuple[int, int], Fraction] = {}
-    a_indices = list(a_index_range(data))
-    b_indices = list(b_index_range(data))
     for n in range(1, order + 1):
-        for _ in range(rng.randint(1, 3)):
-            use_a = a_indices and (not b_indices or rng.random() < 0.6)
-            if use_a:
-                key = (n, rng.randint(0, PHI_POWER_CAP), rng.choice(a_indices))
-                c[key] = c.get(key, Fraction(0)) + random_fraction(rng)
-            elif b_indices:
-                key_b = (n, rng.choice(b_indices))
-                cbar[key_b] = cbar.get(key_b, Fraction(0)) + random_fraction(rng)
+        for _ in range(rng.randint(1, 3) if labels else 0):
+            label = rng.choice(labels)
+            coeffs = c if label.kind == "A" else cbar
+            key = (n,) + label.indices
+            coeffs[key] = coeffs.get(key, Fraction(0)) + random_fraction(rng)
     return CoeffFamily.make(c, cbar)
 
 
@@ -444,7 +437,8 @@ def run_deform_suite(data: SingularityData, config: SuiteConfig,
     rng = random.Random(config.seed)
     m = config.order
 
-    families = [random_family(rng, data, order=m) for _ in range(N_FAMILIES)]
+    labels = enumerate_basis(data, 1, config.cocycle_cap(data))
+    families = [random_family(rng, labels, order=m) for _ in range(N_FAMILIES)]
     pi = poisson_from_potential(data.phi)   # the anchor of every series
     anchored = schouten(pi, pi).is_zero()
     verdicts = [_family_verdicts(data, state, fam, m, anchored)
@@ -486,7 +480,8 @@ def run_gauge_suite(data: SingularityData, config: SuiteConfig,
     rng = random.Random(config.seed)
     m = config.order
 
-    fam = random_family(rng, data, order=m)
+    fam = random_family(rng, enumerate_basis(data, 1, config.cocycle_cap(data)),
+                        order=m)
     base = build_deformation(data, fam, m)
     base_class = first_order_class(base, data)
 

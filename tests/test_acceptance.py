@@ -55,9 +55,11 @@ def _passed(report: dict, name: str) -> dict:
 
 @pytest.fixture(scope="module")
 def seeded_families(brieskorn):
-    """Twenty seeded random families on x^2+y^3+z^5 with phi-power <= 2."""
+    """Twenty seeded random families on x^2+y^3+z^5, on its degree-1
+    labels under the default cocycle cap (phi power <= 2)."""
     rng = random.Random(0)
-    families = [random_family(rng, brieskorn, order=3) for _ in range(20)]
+    labels = enumerate_basis(brieskorn, 1, SuiteConfig().cocycle_cap(brieskorn))
+    families = [random_family(rng, labels, order=3) for _ in range(20)]
     series = [build_deformation(brieskorn, fam, 3) for fam in families]
     return list(zip(families, series))
 

@@ -114,6 +114,24 @@ def test_label_weights(brieskorn, cubic):
     assert label_weight(parse_label("Eul(1)"), cubic) == 3
 
 
+def test_label_weight_builds_no_label(brieskorn, cubic, monkeypatch):
+    """label_weight reads the phi power and the Milnor index off the label,
+    so sorting a basis on it builds no throwaway generator label."""
+    cases = [(lab, data) for data in (brieskorn, cubic) for g in (-1, 0, 1, 2)
+             for lab in enumerate_basis(data, g, 3 * data.d)]
+    built = []
+    original = BasisLabel.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(BasisLabel, "__post_init__", counting_post_init)
+    weights = [label_weight(lab, data) for lab, data in cases]
+    assert len(weights) == len(cases) > 100
+    assert built == []
+
+
 def test_enumerate_basis_ordering(brieskorn):
     labels = enumerate_basis(brieskorn, 1, 2 * brieskorn.d)
     weights = [label_weight(lab, brieskorn) for lab in labels]

@@ -17,7 +17,9 @@ from poisdef import (
     MultiVec,
     NuSeries,
     Poly,
+    SuiteConfig,
     build_deformation,
+    enumerate_basis,
     first_order_class,
     gamma_classes,
     gauge_apply,
@@ -31,6 +33,12 @@ from poisdef.cohomology import CohClass
 from poisdef.deform import MAX_PHI_POWER
 from poisdef.suites import random_family, random_gauge_series
 from shuffle_oracle import evaluate, shuffle_sum
+
+
+def _degree1(data):
+    """The labels the deform suite samples families on at default caps."""
+    return enumerate_basis(data, 1, SuiteConfig().cocycle_cap(data))
+
 
 # -- families --------------------------------------------------------------------
 
@@ -145,7 +153,7 @@ def test_deformed_bracket_values(brieskorn):
 @pytest.mark.parametrize("seed", range(6))
 def test_random_families_poisson(brieskorn, seed):
     rng = random.Random(seed)
-    fam = random_family(rng, brieskorn, order=3)
+    fam = random_family(rng, _degree1(brieskorn), order=3)
     series = build_deformation(brieskorn, fam, 3)
     assert jacobi_residual(series).is_zero()
 
@@ -153,14 +161,14 @@ def test_random_families_poisson(brieskorn, seed):
 def test_special_random_families_poisson(cubic):
     rng = random.Random(23)
     for _ in range(4):
-        fam = random_family(rng, cubic, order=3)
+        fam = random_family(rng, _degree1(cubic), order=3)
         series = build_deformation(cubic, fam, 3)
         assert jacobi_residual(series).is_zero()
 
 
 def test_truncation_prefix_property(brieskorn):
     rng = random.Random(5)
-    fam = random_family(rng, brieskorn, order=3)
+    fam = random_family(rng, _degree1(brieskorn), order=3)
     full = build_deformation(brieskorn, fam, 3)
     for m in (1, 2):
         trunc = build_deformation(brieskorn, fam, m)
@@ -179,7 +187,7 @@ def test_build_matches_mc_image(request, name):
     state = request.getfixturevalue(f"{name}_state")
     rng = random.Random(31)
     for _ in range(4):
-        fam = random_family(rng, data, order=3)
+        fam = random_family(rng, _degree1(data), order=3)
         series = build_deformation(data, fam, 3)
         gamma = gamma_classes(fam, data, 3)
         assert mc_image(state, gamma, 3) == series
@@ -206,7 +214,7 @@ def test_gamma_classes_layout(brieskorn):
 
 def test_gauge_preserves_poisson_and_class(brieskorn):
     rng = random.Random(41)
-    fam = random_family(rng, brieskorn, order=2)
+    fam = random_family(rng, _degree1(brieskorn), order=2)
     base = build_deformation(brieskorn, fam, 2)
     base_class = first_order_class(base, brieskorn)
     for _ in range(4):
@@ -289,7 +297,7 @@ def test_gauge_rejects_wrong_degree(brieskorn, brieskorn_state, call, message):
 def test_special_gauge_action(cubic, cubic_state):
     """Class-level gauge by degree-0 classes preserves Maurer-Cartan."""
     rng = random.Random(43)
-    fam = random_family(rng, cubic, order=2)
+    fam = random_family(rng, _degree1(cubic), order=2)
     gamma = gamma_classes(fam, cubic, 2)
     for _ in range(3):
         coeffs = tuple(

@@ -274,3 +274,27 @@ def test_cubic_bivector_coboundary_rank_matches_sympy(cubic):
     labels = labels_of_weight(cubic, 1, weight)
     assert _slice_solver(cubic, 2, weight).rank == rank + len(labels)
 
+
+def test_elimination_visits_only_reachable_pivots(monkeypatch):
+    """A stored row has no entry left of its pivot, so reducing a vector
+    looks up no pivot below the vector's smallest index."""
+    import poisdef.linalg as linalg
+    visits = []
+
+    class CountingRow(dict):
+        def get(self, key, *default):
+            visits.append(key)
+            return super().get(key, *default)
+
+    solver = Eliminator()
+    for i in range(50):
+        solver.add({i: 1}, tag=i)
+    original = linalg._integral
+    monkeypatch.setattr(linalg, "_integral",
+                        lambda vec, tag: CountingRow(original(vec, tag)))
+    assert solver.solve({48: 2, 49: 3}) == {48: 2, 49: 3}
+    # pivots 48 and 49, then each unit row's pivot entry and tag column
+    assert len(visits) == 2 + 2 * 2
+    visits.clear()
+    assert solver.add({50: 1}, tag=50) == 50
+    assert visits == []

@@ -8,10 +8,12 @@ import pytest
 
 from poisdef import (
     SUITE_NAMES,
+    BasisLabel,
     MultiVec,
     Poly,
     SuiteConfig,
     WeightSystem,
+    enumerate_basis,
     milnor_basis,
     parse_poly,
 )
@@ -87,6 +89,26 @@ def test_deform_suite_brackets_the_anchor_once(brieskorn, brieskorn_state,
     assert brackets == [(2, 2)]
 
 
+@pytest.mark.parametrize("name, cap", [("cubic", 2), ("brieskorn", 30)])
+def test_deform_suite_builds_no_slice_above_the_weight_cap(request, monkeypatch,
+                                                          name, cap):
+    """``--weight-cap`` bounds the labels of sampled families, so every
+    cohomology slice the deform suite solves against is under the cap."""
+    import poisdef.cohomology as cohomology
+    data = request.getfixturevalue(name)
+    weights = []
+    original = cohomology._slice_solver
+
+    def recording_slice_solver(data, degree, weight):
+        weights.append(weight)
+        return original(data, degree, weight)
+
+    monkeypatch.setattr(cohomology, "_slice_solver", recording_slice_solver)
+    report = run_suite("deform", data, SuiteConfig(weight_cap=cap))
+    assert report["status"] == "pass", report
+    assert weights and max(weights) <= cap
+
+
 def test_special_gauge_checks_present(cubic, cubic_state):
     config = SuiteConfig(order=2, weight_cap=cubic.d, seed=2)
     report = run_suite("gauge", cubic, config, cubic_state)
@@ -131,19 +153,31 @@ def test_random_multivector_shape():
 
 
 def test_random_family_validity(brieskorn, cubic):
+    """Every entry of a sampled family names one of the labels it was
+    given: the degree-1 basis under the cap, here at caps 0, 2 and the
+    default."""
     rng = random.Random(11)
     for data in (brieskorn, cubic):
-        for _ in range(10):
-            fam = random_family(rng, data, order=3)
-            fam.validate(data)  # must not raise
-            for (n, l, _i), _v in fam.c:
-                assert 1 <= n <= 3
-                assert 0 <= l <= 2
+        for cap in (0, 2, None):
+            labels = enumerate_basis(
+                data, 1, SuiteConfig(weight_cap=cap).cocycle_cap(data))
+            assert labels
+            for _ in range(10):
+                fam = random_family(rng, labels, order=3)
+                fam.validate(data)  # must not raise
+                drawn = ([(n, BasisLabel("A", (l, i))) for (n, l, i), _v in fam.c]
+                         + [(n, BasisLabel("B", (r,))) for (n, r), _v in fam.cbar])
+                assert drawn
+                for n, label in drawn:
+                    assert 1 <= n <= 3
+                    assert label in labels
 
 
 def test_random_family_empty_when_no_h1(quadric):
     rng = random.Random(13)
-    fam = random_family(rng, quadric, order=3)
+    labels = enumerate_basis(quadric, 1, SuiteConfig().cocycle_cap(quadric))
+    assert labels == []
+    fam = random_family(rng, labels, order=3)
     assert fam.c == () and fam.cbar == ()
 
 
