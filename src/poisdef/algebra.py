@@ -432,8 +432,9 @@ MAX_EXPANSION_TERMS = 2000
 # denominator of a parsed product or power, may have by a bound checked
 # before the expansion, so that "9^100000000" or "(x+y)^1999" is refused
 # instead of expanded.  The slowest single power within both budgets,
-# (x+y)^1024, took 1.1 s to parse under CPython 3.11 on a 2-core x86-64
-# Xeon host, against 0.8 s for (x+y+z)^60 under the term budget alone.
+# (x+y)^1024, took 0.26-0.27 s to parse (three runs) under CPython 3.11.7
+# on a 2-vCPU x86-64 Xeon host, against 0.08-0.09 s for (x+y+z)^60 under
+# the term budget alone.
 MAX_COEFFICIENT_BITS = 1024
 
 # Deepest nesting of parentheses in a parsed expression: each level costs the

@@ -14,6 +14,9 @@ family of rational coefficients in the cohomology label basis:
     F   = sum c[n, l, i] nu^n phi^l u_i      (A-type directions),
     Psi = sum cbar[n, r] nu^n u_r            (B-type directions).
 
+:meth:`CoeffFamily.read` is the one reader of a family file; it reads no
+more bytes than the largest family up to ``MAX_ORDER`` needs.
+
 Since pi_psi is linear in psi, putting F_0 = 1 and Psi_0 = phi gives the
 order-n coefficient evaluated by :func:`build_deformation`:
 
@@ -74,6 +77,16 @@ from .singularity import SingularityData
 # Largest power of the potential a family entry may name, so that one
 # entry of a family file cannot demand an unbounded computation.
 MAX_PHI_POWER = 16
+
+# Largest truncation order a command accepts, so that no command line can
+# demand an unbounded order; it also bounds the size of a family file.
+MAX_ORDER = 32
+
+# Whitespace a family file may carry beyond its compact JSON: per entry
+# (enough for json.dumps(..., indent=2), which puts each index on a line
+# of its own) and once per file.
+_FAMILY_SPACE_PER_ENTRY = 64
+_FAMILY_SPACE_PER_FILE = 1024
 
 
 class InvalidFamilyError(ValueError):
@@ -171,12 +184,23 @@ class CoeffFamily:
         }
 
     @classmethod
-    def from_json_text(cls, text: str) -> "CoeffFamily":
-        """Read a family file: every JSON integer, index or value, is read
-        with the parser's literal rule (at most MAX_COEFFICIENT_BITS bits,
-        checked before it is converted)."""
+    def read(cls, path: str, data: SingularityData) -> "CoeffFamily":
+        """The family in the file at ``path``: at most
+        :func:`_family_byte_limit` bytes (a larger file is refused
+        unparsed), UTF-8, each JSON integer read by :func:`_family_int`."""
+        limit = _family_byte_limit(data)
+        with open(path, "rb") as handle:
+            raw = handle.read(limit + 1)
+        if len(raw) > limit:
+            raise InvalidFamilyError(
+                f"family file is larger than {limit} bytes, the most a family "
+                "for this potential needs")
         try:
-            payload = json.loads(text, parse_int=_family_int)
+            payload = json.loads(raw.decode("utf-8"), parse_int=_family_int)
+        except UnicodeDecodeError as exc:
+            raise InvalidFamilyError(
+                f"family file is not UTF-8: byte {exc.start} cannot be "
+                "decoded") from None
         except RecursionError:
             raise InvalidFamilyError("family JSON is nested too deeply") from None
         return cls.from_json_dict(payload)
@@ -217,6 +241,24 @@ class CoeffFamily:
                 table[key] = _exact_value(entry[-1], name, entry)
             tables.append(table)
         return cls.make(*tables)
+
+
+def _family_byte_limit(data: SingularityData) -> int:
+    """Largest family file read for this potential: the compact JSON of the
+    largest family that can matter (an entry per order up to MAX_ORDER, phi
+    power up to MAX_PHI_POWER and index, each value a signed "p/q" of two
+    MAX_COEFFICIENT_BITS-bit integers), plus whitespace."""
+    digits = len(str(1 << MAX_COEFFICIENT_BITS))
+    value = len('"-/",') + 2 * digits
+    order, power = len(str(MAX_ORDER)), len(str(MAX_PHI_POWER))
+    index = len(str(data.mu))
+    n_c = MAX_ORDER * (MAX_PHI_POWER + 1) * len(a_index_range(data))
+    n_cbar = MAX_ORDER * len(b_index_range(data))
+    compact = (len('{"c":[],"cbar":[]}')
+               + n_c * (len("[,,,]") + order + power + index + value)
+               + n_cbar * (len("[,,]") + order + index + value))
+    return (compact + _FAMILY_SPACE_PER_ENTRY * (n_c + n_cbar)
+            + _FAMILY_SPACE_PER_FILE)
 
 
 _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?")

@@ -15,8 +15,10 @@ Every input is augmented by one column keyed ``(tag,)``, as in the
 textbook [A | I] elimination, so each stored row carries its own record
 as a combination of the inputs.  An input row is primitive as it enters;
 it is reduced by cross-multiplication with the stored rows and its
-content is divided out after each step (fraction-free elimination, after
-Bareiss 1968), so no step forms a ``Fraction``.
+content is divided out once, at the end (fraction-free elimination,
+after Bareiss 1968), so no step forms a ``Fraction``.  Dividing after
+every step would only scale each step's row by a positive factor, so it
+would store the same row.
 
 Its pivot set is that of the leftmost-pivot reduced echelon form, and its
 solutions are the ones that set every free variable to zero, which are
@@ -105,7 +107,7 @@ class Eliminator:
             b = row[pivot]
             g = math.gcd(a, b)
             a, b = a // g, b // g
-            # out <- (b * out - a * row) / content
+            # out <- b * out - a * row
             if b != 1:
                 out = {i: b * v for i, v in out.items()}
             for i, v in row.items():
@@ -114,9 +116,9 @@ class Eliminator:
                     out[i] = acc
                 else:
                     del out[i]
-            content = math.gcd(*out.values()) or 1
-            if content > 1:
-                out = {i: v // content for i, v in out.items()}
+        content = math.gcd(*out.values()) or 1
+        if content > 1:
+            out = {i: v // content for i, v in out.items()}
         return out
 
     def add(self, vec: Mapping[int, ScalarLike],

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from poisdef import (CoeffFamily, a_index_range, infer_weights, milnor_basis,
                      parse_poly)
 from poisdef.algebra import MAX_COEFFICIENT_BITS, MAX_NESTING
-from poisdef.cli import MAX_ORDER, _family_byte_limit, main
-from poisdef.deform import MAX_PHI_POWER
+from poisdef.cli import MAX_ORDER, main
+from poisdef.deform import MAX_PHI_POWER, _family_byte_limit
 
 # -- helpers --------------------------------------------------------------------
 

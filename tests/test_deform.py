@@ -30,7 +30,7 @@ from poisdef import (
     poisson_from_potential,
 )
 from poisdef.cohomology import CohClass
-from poisdef.deform import MAX_PHI_POWER
+from poisdef.deform import MAX_PHI_POWER, _family_byte_limit
 from poisdef.suites import random_family, random_gauge_series
 from shuffle_oracle import evaluate, shuffle_sum
 
@@ -97,6 +97,34 @@ def test_family_refuses_repeated_indices():
     fam = CoeffFamily.from_json_dict(
         {"c": [[1, 0, 1, "3/2"]], "cbar": [[1, 2, 1], [2, 2, 5]]})
     assert fam.cbar == (((1, 2), 1), ((2, 2), 5))
+
+
+def test_family_file_read_up_to_its_byte_limit(brieskorn, tmp_path):
+    """A family file of exactly the byte limit is read; one byte more is
+    refused before it is parsed."""
+    limit = _family_byte_limit(brieskorn)
+    path = tmp_path / "family.json"
+    path.write_bytes(b"{}" + b" " * (limit - 2))
+    assert CoeffFamily.read(str(path), brieskorn) == CoeffFamily.make({}, {})
+    path.write_bytes(b"{}" + b" " * (limit - 1))
+    with pytest.raises(InvalidFamilyError, match=f"larger than {limit} bytes"):
+        CoeffFamily.read(str(path), brieskorn)
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe{", "not UTF-8: byte 0"),
+    (b'{"c": ' + b"[" * 100000 + b"]" * 100000 + b"}", "nested too deeply"),
+], ids=["not-utf8", "nested"])
+def test_family_file_refused_unparsed(brieskorn, tmp_path, content, message):
+    path = tmp_path / "family.json"
+    path.write_bytes(content)
+    with pytest.raises(InvalidFamilyError, match=message):
+        CoeffFamily.read(str(path), brieskorn)
+
+
+def test_family_file_absent(brieskorn, tmp_path):
+    with pytest.raises(FileNotFoundError):
+        CoeffFamily.read(str(tmp_path / "absent.json"), brieskorn)
 
 
 def test_family_validation(brieskorn):

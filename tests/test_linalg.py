@@ -250,6 +250,71 @@ def test_solve_matches_fraction_gauss_jordan(system):
             type(value) is Fraction and value.denominator > 1), value
 
 
+def _per_step_rows(columns):
+    """The rows an elimination stores when it divides a row's content out
+    after every reduction step instead of once, keyed by pivot."""
+    rows = {}
+    for tag, col in enumerate(columns):
+        lcm = math.lcm(*(v.denominator for v in col))
+        out = {i: int(v * lcm) for i, v in enumerate(col) if v}
+        out[(tag,)] = lcm
+        for pivot in sorted(rows):
+            if pivot not in out:
+                continue
+            row = rows[pivot]
+            g = math.gcd(out[pivot], row[pivot])
+            a, b = out[pivot] // g, row[pivot] // g
+            out = {i: b * out.get(i, 0) - a * row.get(i, 0)
+                   for i in out.keys() | row.keys()}
+            content = math.gcd(*out.values())
+            out = {i: v // content for i, v in out.items() if v}
+        pivot = min((i for i in out if type(i) is int), default=None)
+        if pivot is not None:
+            rows[pivot] = out
+    return rows
+
+
+@st.composite
+def scaled_systems(draw):
+    """Entries that are small integers times products of large primes,
+    with combinations of earlier columns, so that rows take several
+    reduction steps and gain large contents on the way; and a target that
+    is consistent or not."""
+    n_rows = draw(st.integers(3, 6))
+    small = st.integers(-6, 6)
+    factor = st.lists(st.sampled_from([2, 3, 7, 2 ** 31 - 1, 10 ** 9 + 7]),
+                      min_size=1, max_size=3).map(math.prod)
+    columns = []
+    for _ in range(draw(st.integers(3, 7))):
+        if len(columns) > 1 and draw(st.booleans()):
+            a, b = draw(st.sampled_from(columns)), draw(st.sampled_from(columns))
+            s, t = draw(small), draw(small)
+            columns.append([s * u + t * v for u, v in zip(a, b)])
+        else:
+            columns.append([Fraction(draw(small) * draw(factor),
+                                     draw(st.sampled_from([1, 1, 4])))
+                            for _ in range(n_rows)])
+    if draw(st.booleans()):
+        x = [draw(small) for _ in columns]
+        target = [sum((c[i] * v for c, v in zip(columns, x)), Fraction(0))
+                  for i in range(n_rows)]
+    else:
+        target = [Fraction(draw(small)) for _ in range(n_rows)]
+    return columns, target
+
+
+@given(scaled_systems())
+def test_content_divided_once_stores_the_per_step_rows(system):
+    """Dividing a row's content out once, after its last reduction step,
+    stores the same primitive rows as dividing it out after every step,
+    and solves as dense Gauss-Jordan does."""
+    columns, target = system
+    elim, _ = tagged(columns)
+    assert elim._rows == _per_step_rows(columns)
+    assert all(math.gcd(*row.values()) == 1 for row in elim._rows.values())
+    assert elim.solve(sparse(target)) == gauss_jordan.solve(columns, target)
+
+
 def test_cubic_bivector_coboundary_rank_matches_sympy(cubic):
     weight = 3  # delta = d - |w| = 0, so vector fields of weight 3 map here
     rows = [(s, m) for s in range(3)

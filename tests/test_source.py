@@ -294,3 +294,31 @@ def test_basis_monomials_built_once_per_potential():
         called = _called_names(ast.parse(textwrap.dedent(
             inspect.getsource(function))))
         assert "monomial" not in called, function.__name__
+
+
+def test_only_the_family_reader_opens_a_file_to_read():
+    """CoeffFamily.read is the one code in src/poisdef that opens a file
+    to read it, so every file read goes through its byte bound; opening a
+    file to write a report stays allowed."""
+    from poisdef.deform import CoeffFamily
+
+    lines, start = inspect.getsourcelines(CoeffFamily.read)
+    owner = range(start, start + len(lines))
+    readers, writers = [], []
+    for path in sorted(SOURCE_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for call in ast.walk(tree):
+            if not (isinstance(call, ast.Call) and (
+                    getattr(call.func, "id", None) == "open"
+                    or getattr(call.func, "attr", None) in (
+                        "open", "read_text", "read_bytes"))):
+                continue
+            mode = call.args[1] if len(call.args) > 1 else next(
+                (k.value for k in call.keywords if k.arg == "mode"), None)
+            writes = (isinstance(mode, ast.Constant)
+                      and set(str(mode.value)) & set("wax"))
+            where = (path.name, call.lineno)
+            (writers if writes else readers).append(where)
+    assert writers, "package sources not found"
+    assert readers and all(name == "deform.py" and line in owner
+                           for name, line in readers), readers
