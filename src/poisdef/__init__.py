@@ -18,6 +18,7 @@ arithmetic:
 """
 
 from .algebra import (
+    DomainError,
     Poly,
     PolyParseError,
     WeightInferenceError,
@@ -25,7 +26,6 @@ from .algebra import (
     infer_weights,
     monomials_of_weight,
     parse_poly,
-    poly_str,
 )
 from .cohomology import (
     BasisLabel,
@@ -34,7 +34,6 @@ from .cohomology import (
     NotACoboundaryError,
     NotACocycleError,
     a_index_range,
-    class_str,
     enumerate_basis,
     f1,
     label_weight,
@@ -68,7 +67,6 @@ from .multivec import (
     coboundary,
     coordinate_volume,
     euler_field,
-    multivec_str,
     poisson_from_potential,
     schouten,
 )
@@ -94,6 +92,7 @@ __all__ = [
     "CohClass",
     "CohomologyError",
     "CoeffFamily",
+    "DomainError",
     "InvalidFamilyError",
     "MultiVec",
     "NotACoboundaryError",
@@ -112,7 +111,6 @@ __all__ = [
     "a_index_range",
     "all_basis_labels",
     "build_deformation",
-    "class_str",
     "coboundary",
     "compute_T",
     "coordinate_volume",
@@ -131,11 +129,9 @@ __all__ = [
     "mc_image",
     "milnor_basis",
     "monomials_of_weight",
-    "multivec_str",
     "parse_label",
     "parse_poly",
     "poisson_from_potential",
-    "poly_str",
     "project",
     "realize",
     "run_suite",

@@ -29,7 +29,11 @@ ScalarLike = Union["Fraction", int]
 VARIABLE_NAMES = ("x", "y", "z")
 
 
-class PolyParseError(ValueError):
+class DomainError(ValueError):
+    """An input the package refuses; the CLI exits 1."""
+
+
+class PolyParseError(DomainError):
     """Raised when a polynomial expression cannot be parsed."""
 
     def __init__(self, message: str, position: int):
@@ -37,7 +41,7 @@ class PolyParseError(ValueError):
         self.position = position
 
 
-class WeightInferenceError(ValueError):
+class WeightInferenceError(DomainError):
     """Raised when no unique primitive weight system fits a polynomial."""
 
 
@@ -108,9 +112,9 @@ class Poly:
     :meth:`coefficient` as a ``Fraction``.  Exponents are plain ``int``s.
 
     Nothing mutates a Poly once it is built, so results are shared freely:
-    :meth:`zero` is one object, and ``_partials`` keeps each partial
-    derivative :meth:`diff` has computed.  Every scalar product, ``p * 1``
-    included, builds a new polynomial.
+    :meth:`zero` and :meth:`one` are one object each, and ``_partials``
+    keeps each partial derivative :meth:`diff` has computed.  Every scalar
+    product, ``p * 1`` included, builds a new polynomial.
     """
 
     __slots__ = ("_nums", "_den", "_partials")
@@ -170,9 +174,10 @@ class Poly:
         """The zero polynomial, one object shared by every caller."""
         return _ZERO
 
-    @classmethod
-    def one(cls) -> "Poly":
-        return cls({(0, 0, 0): 1})
+    @staticmethod
+    def one() -> "Poly":
+        """The constant 1, one object shared by every caller."""
+        return _ONE
 
     @classmethod
     def constant(cls, value: ScalarLike) -> "Poly":
@@ -366,13 +371,15 @@ class Poly:
         return hash((self._den, frozenset(self._nums.items())))
 
     def __str__(self) -> str:
-        return poly_str(self)
+        """Render in the grammar accepted by :func:`parse_poly`."""
+        return signed_sum_str((_monomial_str(e), c) for e, c in self.items())
 
     def __repr__(self) -> str:
-        return f"Poly({poly_str(self)!r})"
+        return f"Poly({str(self)!r})"
 
 
 _ZERO = Poly()
+_ONE = Poly({(0, 0, 0): 1})
 
 X = Poly.variable(0)
 Y = Poly.variable(1)
@@ -409,11 +416,6 @@ def signed_sum_str(terms: Iterable[tuple[str, ScalarLike]]) -> str:
         else:
             pieces.append(f"- {body}" if coeff < 0 else f"+ {body}")
     return " ".join(pieces) or "0"
-
-
-def poly_str(p: Poly) -> str:
-    """Render a polynomial in the grammar accepted by :func:`parse_poly`."""
-    return signed_sum_str((_monomial_str(e), c) for e, c in p.items())
 
 
 # -- parsing ----------------------------------------------------------------
@@ -699,7 +701,7 @@ class WeightSystem:
     def __post_init__(self):
         if len(self.weights) != 3:
             raise ValueError("a weight system needs exactly three weights")
-        if any((not isinstance(w, int)) or w <= 0 for w in self.weights):
+        if any(type(w) is not int or w <= 0 for w in self.weights):
             raise ValueError(f"weights must be positive integers, got {self.weights}")
         if math.gcd(*self.weights) != 1:
             raise ValueError(f"weights must have gcd 1, got {self.weights}")

@@ -11,9 +11,11 @@ and ``--order`` is bounded by :data:`poisdef.deform.MAX_ORDER`.
 Exit codes:
 
 * ``0`` — the command ran and every check passed,
-* ``1`` — domain error (unparsable input, ambiguous or invalid weights,
-  non-isolated singular point, invalid coefficient family, cap
-  violations, unusable files or flags),
+* ``1`` — refused input: a :class:`poisdef.algebra.DomainError`
+  (unparsable input, ambiguous or invalid weights, non-isolated singular
+  point, invalid coefficient family, cap violations, unusable flags), an
+  unreadable file (``OSError``) or a family file that is not JSON
+  (``json.JSONDecodeError``),
 * ``2`` — the command ran but at least one exact check failed.
 """
 
@@ -27,41 +29,27 @@ from typing import Optional, Sequence
 
 from .algebra import (
     MAX_COEFFICIENT_BITS,
-    PolyParseError,
-    WeightInferenceError,
+    DomainError,
     WeightSystem,
     bounded_int,
     infer_weights,
     parse_poly,
-    poly_str,
     weighted_degree,
 )
-from .cohomology import CohomologyError, class_str, enumerate_basis
+from .cohomology import enumerate_basis
 from .deform import (
     MAX_ORDER,
     MAX_PHI_POWER,
     CoeffFamily,
-    InvalidFamilyError,
     build_deformation,
     first_order_class,
     jacobi_residual,
 )
-from .multivec import multivec_str
-from .singularity import SingularityData, SingularityError, milnor_basis
+from .singularity import SingularityData, milnor_basis
 from .suites import SUITE_NAMES, SuiteConfig, run_suites
 
-_DOMAIN_ERRORS = (
-    PolyParseError,
-    WeightInferenceError,
-    SingularityError,
-    InvalidFamilyError,
-    CohomologyError,
-    OSError,
-    json.JSONDecodeError,
-)
 
-
-class CLIUsageError(ValueError):
+class CLIUsageError(DomainError):
     """Unusable command line (unknown flag, bad literal, missing value)."""
 
 
@@ -111,7 +99,7 @@ def _load_data(args) -> tuple[SingularityData, bool]:
         inferred = False
         if weighted_degree(phi, weights) is None:
             raise CLIUsageError(
-                f"{poly_str(phi)} is not weight-homogeneous for weights "
+                f"{phi} is not weight-homogeneous for weights "
                 f"{weights.weights}"
             )
     else:
@@ -139,7 +127,7 @@ def _check_weight_cap(args, data: SingularityData) -> None:
 
 def _potential_block(data: SingularityData, inferred: bool) -> dict:
     return {
-        "phi": poly_str(data.phi),
+        "phi": str(data.phi),
         "weights": list(data.weights.weights),
         "weights_inferred": inferred,
         "degree": data.d,
@@ -147,7 +135,7 @@ def _potential_block(data: SingularityData, inferred: bool) -> dict:
         "case": "special" if data.special else "generic",
         "mu": data.mu,
         "socle": data.socle,
-        "milnor_basis": [poly_str(p) for p in data.basis_polys],
+        "milnor_basis": [str(p) for p in data.basis_polys],
     }
 
 
@@ -200,10 +188,10 @@ def cmd_deform(args) -> int:
         "order": args.order,
         "family": fam.to_json_dict(),
         "coefficients": [
-            {"order": n, "multivector": multivec_str(series.coefficient(n))}
+            {"order": n, "multivector": str(series.coefficient(n))}
             for n in range(args.order + 1)
         ],
-        "first_order_class": class_str(first_order_class(series, data)),
+        "first_order_class": str(first_order_class(series, data)),
         "jacobi_residual": residual_rows,
         "status": "pass" if ok else "fail",
     }
@@ -216,11 +204,13 @@ def cmd_verify(args) -> int:
     data, inferred = _load_data(args)
     _check_weight_cap(args, data)
     names = args.suites if args.suites else list(SUITE_NAMES)
-    for name in names:
+    for i, name in enumerate(names):
         if name not in SUITE_NAMES:
             raise CLIUsageError(
                 f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}"
             )
+        if name in names[:i]:
+            raise CLIUsageError(f"suite {name!r} is named more than once")
     if args.arity_cap < 2:
         raise CLIUsageError("--arity-cap must be at least 2")
     if data.special and "gauge" in names and args.order > args.arity_cap:
@@ -318,7 +308,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (CLIUsageError, *_DOMAIN_ERRORS) as exc:
+    except (DomainError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(_error_report(exc))
         return 1
 

@@ -45,9 +45,11 @@ off the generators by :func:`labels_of_weight`, are checked independent
 cocycles (CohomologyError otherwise), so every row is closed and a solve
 that succeeds certifies that the solved multivector is closed.
 
-Errors form one chain: CohomologyError, then NotACoboundaryError (a
-nonzero class, no coboundary), then NotACocycleError (not closed, so no
-coboundary either); :func:`solve_coboundary` raises the last two.
+Errors form one chain: CohomologyError, a
+:class:`poisdef.algebra.DomainError` (so the CLI exits 1 on it), then
+NotACoboundaryError (a nonzero class, no coboundary), then
+NotACocycleError (not closed, so no coboundary either);
+:func:`solve_coboundary` raises the last two.
 """
 
 from __future__ import annotations
@@ -57,7 +59,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import Exponents, Poly, ScalarLike, exact_scalar, signed_sum_str
+from .algebra import (DomainError, Exponents, Poly, ScalarLike, exact_scalar,
+                      signed_sum_str)
 from .multivec import (
     SLOTS,
     MultiVec,
@@ -72,7 +75,7 @@ from .multivec import (
 from .singularity import SingularityData
 
 
-class CohomologyError(ValueError):
+class CohomologyError(DomainError):
     """Base class for cohomology-level failures."""
 
 
@@ -108,7 +111,7 @@ class BasisLabel:
                 f"label kind {self.kind} takes {_KIND_ARITY[self.kind]} "
                 f"index(es), got {self.indices}"
             )
-        if any((not isinstance(i, int)) or i < 0 for i in self.indices):
+        if any(type(i) is not int or i < 0 for i in self.indices):
             raise ValueError(f"label indices must be nonnegative, got {self.indices}")
         # label tuples key the transfer memos: hash each label once
         object.__setattr__(self, "_hash", hash((self.kind, self.indices)))
@@ -333,12 +336,8 @@ class CohClass:
     __rmul__ = __mul__
 
     def __str__(self) -> str:
-        return class_str(self)
-
-
-def class_str(cls: CohClass) -> str:
-    """Render e.g. '2*A(0,1) + B(2) - 1/2*Top(0,0)'; '0' when empty."""
-    return signed_sum_str((str(label), v) for label, v in cls.coeffs)
+        """Render e.g. '2*A(0,1) + B(2) - 1/2*Top(0,0)'; '0' when empty."""
+        return signed_sum_str((str(label), v) for label, v in self.coeffs)
 
 
 def f1(cls: CohClass, data: SingularityData) -> MultiVec:

@@ -65,8 +65,8 @@ from itertools import combinations
 from math import factorial
 from typing import Optional
 
-from .algebra import (MAX_COEFFICIENT_BITS, Poly, ScalarLike, bounded_int,
-                      exact_scalar)
+from .algebra import (MAX_COEFFICIENT_BITS, DomainError, Poly, ScalarLike,
+                      bounded_int, exact_scalar)
 from .cohomology import (BasisLabel, CohClass, a_index_range, b_index_range,
                          f1, project)
 from .linfty import TransferState
@@ -89,7 +89,7 @@ _FAMILY_SPACE_PER_ENTRY = 64
 _FAMILY_SPACE_PER_FILE = 1024
 
 
-class InvalidFamilyError(ValueError):
+class InvalidFamilyError(DomainError):
     """A coefficient family is malformed, inexact, or refers to indices
     that do not exist."""
 

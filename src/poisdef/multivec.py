@@ -93,7 +93,6 @@ from .algebra import (
     WeightSystem,
     exact_scalar,
     monomials_of_weight,
-    poly_str,
 )
 from .linalg import Eliminator, SparseVec
 
@@ -195,21 +194,16 @@ class MultiVec:
         return MultiVec(self.degree, tuple(c * p for c in self.comps))
 
     def __str__(self) -> str:
-        return multivec_str(self)
+        """Human-readable rendering, e.g. ``(2*z) dy^dz + (x) dx^dy``."""
+        if self.degree == 0:
+            return str(self.comps[0])
+        pieces = [f"({comp}) {name}" for comp, name in
+                  zip(self.comps, SLOT_NAMES.get(self.degree, ()))
+                  if not comp.is_zero()]
+        return " + ".join(pieces) if pieces else "0"
 
 
 _ZEROS: dict[int, MultiVec] = {}
-
-
-def multivec_str(mv: MultiVec) -> str:
-    """Human-readable rendering, e.g. ``(2*z) dy^dz + (x) dx^dy``."""
-    if mv.degree == 0:
-        return poly_str(mv.comps[0])
-    pieces = []
-    for comp, name in zip(mv.comps, SLOT_NAMES.get(mv.degree, ())):
-        if not comp.is_zero():
-            pieces.append(f"({poly_str(comp)}) {name}")
-    return " + ".join(pieces) if pieces else "0"
 
 
 # -- vector calculus on components --------------------------------------------
@@ -219,8 +213,6 @@ def multivec_str(mv: MultiVec) -> str:
 # (s, p, q) terms, int s, for Poly.sum_of_products.
 Comps = tuple[Poly, ...]
 Terms = list[tuple[int, Poly, Poly]]
-
-_ONE = Poly.one()
 
 
 def _grad(f: Poly) -> Comps:
@@ -371,7 +363,8 @@ def linear_sum(degree: int,
     scalars = [exact_scalar(c) for c, _ in terms]
     den = lcm(*[c.denominator for c in scalars])
     nums = [c.numerator * (den // c.denominator) for c in scalars]
-    return _summed(degree, [[(n, p.comps[k], _ONE)
+    one = Poly.one()
+    return _summed(degree, [[(n, p.comps[k], one)
                              for n, (_, p) in zip(nums, terms)]
                             for k in range(len(SLOTS.get(degree, ())))],
                    den)

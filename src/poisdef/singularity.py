@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .algebra import (
+    DomainError,
     Exponents,
     Poly,
     WeightSystem,
@@ -35,7 +36,7 @@ MAX_MILNOR = 4096
 MAX_SLICE_MONOMIALS = 65536
 
 
-class SingularityError(ValueError):
+class SingularityError(DomainError):
     """Raised when a potential fails the preconditions of this module."""
 
 

@@ -68,7 +68,6 @@ from .cohomology import (
     BasisLabel,
     CohClass,
     b_index_range,
-    class_str,
     enumerate_basis,
     label_weight,
     realize,
@@ -89,7 +88,6 @@ from .multivec import (
     SLOTS,
     MultiVec,
     coboundary,
-    multivec_str,
     poisson_from_potential,
     schouten,
 )
@@ -403,8 +401,8 @@ def run_transfer_suite(data: SingularityData, config: SuiteConfig,
         scale = Fraction(2 * data.d, data.weights.total - data.d)
         expected = CohClass.single(phi_bar, scale)
         _record(checks, "ternary_bracket_closed_form_on_potential_volume",
-                value == expected, value=class_str(value),
-                detail=f"expected {class_str(expected)}")
+                value == expected, value=str(value),
+                detail=f"expected {expected}")
 
     return _finish("transfer", checks)
 
@@ -464,8 +462,8 @@ def run_deform_suite(data: SingularityData, config: SuiteConfig,
         ok = (series.coefficient(2) == cross
               and jacobi_residual(series).is_zero())
         _record(checks, "unit_family_order2_cross_term", ok,
-                value=multivec_str(series.coefficient(2)),
-                detail=f"expected {multivec_str(cross)}")
+                value=str(series.coefficient(2)),
+                detail=f"expected {cross}")
 
     return _finish("deform", checks)
 

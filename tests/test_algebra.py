@@ -16,7 +16,6 @@ from poisdef import (
     WeightSystem,
     infer_weights,
     parse_poly,
-    poly_str,
 )
 from poisdef.algebra import (
     MAX_COEFFICIENT_BITS,
@@ -52,6 +51,9 @@ def test_zero_and_one():
     assert not Poly.one().is_zero()
     assert Poly.one() == Poly.constant(1)
     assert Poly.constant(0) == Poly.zero()
+    # the constant 1 is one shared object, as the zero is
+    assert Poly.one() is Poly.one()
+    assert parse_poly("x - 1/2*y") ** 0 is Poly.one()
 
 
 def test_monomial_and_variable():
@@ -447,12 +449,12 @@ def test_parse_nesting_limit():
 
 @given(polys())
 def test_print_parse_round_trip(p):
-    assert parse_poly(poly_str(p)) == p
+    assert parse_poly(str(p)) == p
 
 
 def test_print_canonical_order():
     p = parse_poly("z^5 + y^3 + x^2")
-    assert poly_str(p) == "x^2 + y^3 + z^5"
+    assert str(p) == "x^2 + y^3 + z^5"
 
 
 def test_signed_sum_str_format():
@@ -478,7 +480,9 @@ def test_signed_sum_str_format():
     ("x*y*z - 2*z^4", "x*y*z - 2*z^4"),
 ])
 def test_poly_str_exact_strings(text, expected):
-    assert poly_str(parse_poly(text)) == expected
+    p = parse_poly(text)
+    assert str(p) == f"{p}" == expected
+    assert repr(p) == f"Poly({expected!r})"
 
 
 # -- weight systems ------------------------------------------------------------
@@ -491,6 +495,10 @@ def test_weight_system_validation():
         WeightSystem((2, 2, 2))
     with pytest.raises(ValueError):
         WeightSystem((1, 1))  # type: ignore[arg-type]
+    # a bool is an int to isinstance, and a report would print it as true
+    for weights in [(True, True, True), (1, True, 2)]:
+        with pytest.raises(ValueError, match="must be positive integers"):
+            WeightSystem(weights)
 
 
 def test_weighted_degree():

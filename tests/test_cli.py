@@ -406,6 +406,16 @@ def test_verify_unknown_suite_exit_1(capsys):
     assert error["error"]["type"] == "CLIUsageError"
 
 
+def test_verify_suite_named_twice_exit_1(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "schouten", "tables", "schouten",
+        "--phi", "x^2 + y^2 + z^2")
+    assert code == 1 and not out
+    error = json.loads(err)["error"]
+    assert error == {"type": "CLIUsageError",
+                     "message": "suite 'schouten' is named more than once"}
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--weights", "1,a,2"], "--weights expects integers"),
     (["--arity-cap", "1"], "--arity-cap must be at least 2"),

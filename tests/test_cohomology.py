@@ -17,7 +17,6 @@ from poisdef import (
     NotACoboundaryError,
     NotACocycleError,
     a_index_range,
-    class_str,
     coboundary,
     coordinate_volume,
     enumerate_basis,
@@ -59,6 +58,11 @@ def test_label_validation_rejects_malformed():
         BasisLabel("Nope", (0,))  # unknown kind
     with pytest.raises(ValueError):
         BasisLabel("Cas", (-1,))  # negative index
+    # a bool is an int to isinstance: A(True,1) would equal and hash as
+    # A(1,1) but print as A(True,1)
+    for kind, indices in [("A", (True, 1)), ("A", (0, True)), ("B", (False,))]:
+        with pytest.raises(ValueError, match="indices must be nonnegative"):
+            BasisLabel(kind, indices)
 
 
 def test_parse_label_round_trip():
@@ -426,8 +430,8 @@ def test_class_arithmetic():
     assert combo * 1 is combo
     assert combo * -1 == -combo == CohClass.make(
         1, {parse_label("B(1)"): Fraction(-1, 3), parse_label("A(0,1)"): -2})
-    assert class_str(CohClass.zero(1)) == "0"
-    assert "A(0,1)" in class_str(combo)
+    assert str(CohClass.zero(1)) == "0"
+    assert "A(0,1)" in str(combo)
 
 
 @pytest.mark.parametrize("coeffs,expected", [
@@ -439,10 +443,10 @@ def test_class_arithmetic():
     ({"B(3)": 1, "B(1)": -1}, "-B(1) + B(3)"),
 ])
 def test_class_str_exact_strings(coeffs, expected):
-    """class_str is signed_sum_str over (label, coefficient) in label
-    order, the text CLI reports and the benchmark oracle read."""
+    """str() of a class is signed_sum_str over (label, coefficient) in
+    label order, the text CLI reports and the benchmark oracle read."""
     cls = CohClass.make(1, {parse_label(t): v for t, v in coeffs.items()})
-    assert class_str(cls) == str(cls) == expected
+    assert str(cls) == f"{cls}" == expected
 
 
 def test_class_refuses_inexact_coefficients():

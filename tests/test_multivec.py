@@ -16,7 +16,6 @@ from poisdef import (
     coboundary,
     coordinate_volume,
     euler_field,
-    multivec_str,
     parse_poly,
     poisson_from_potential,
     schouten,
@@ -81,7 +80,7 @@ def test_schouten_sum_needs_terms_of_one_degree():
 
 def test_multivec_str_round_readable():
     pi = poisson_from_potential(parse_poly("x^2 + y^2 + z^2"))
-    assert multivec_str(pi) == "(2*x) dy^dz + (2*y) dz^dx + (2*z) dx^dy"
+    assert str(pi) == "(2*x) dy^dz + (2*y) dz^dx + (2*z) dx^dy"
 
 
 # -- evaluation convention (frozen hand-computed values) ------------------------

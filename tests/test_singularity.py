@@ -17,7 +17,6 @@ from poisdef import (
     monomials_of_weight,
     parse_poly,
     poisson_from_potential,
-    poly_str,
     project,
 )
 import poisdef.singularity as singularity
@@ -80,7 +79,7 @@ def test_quadric_milnor_data(quadric):
     assert quadric.mu == 1
     assert quadric.d == 2
     assert not quadric.special
-    assert [poly_str(p) for p in quadric.basis_polys] == ["1"]
+    assert [str(p) for p in quadric.basis_polys] == ["1"]
     assert quadric.socle == 0
 
 
@@ -88,7 +87,7 @@ def test_cubic_milnor_data(cubic):
     assert cubic.mu == 8
     assert cubic.d == 3
     assert cubic.special
-    assert [poly_str(p) for p in cubic.basis_polys] == [
+    assert [str(p) for p in cubic.basis_polys] == [
         "1", "x", "y", "z", "x*y", "x*z", "y*z", "x*y*z"]
     assert cubic.socle == 3  # 3d - 2|w| = 9 - 6
 
@@ -97,7 +96,7 @@ def test_brieskorn_milnor_data(brieskorn):
     assert brieskorn.mu == 8
     assert brieskorn.d == 30
     assert not brieskorn.special
-    assert [poly_str(p) for p in brieskorn.basis_polys] == [
+    assert [str(p) for p in brieskorn.basis_polys] == [
         "1", "z", "y", "z^2", "y*z", "z^3", "y*z^2", "y*z^3"]
     assert brieskorn.socle == 28  # 3*30 - 2*31
 

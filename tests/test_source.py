@@ -215,12 +215,60 @@ def test_coboundary_is_one_bracket():
 
 def test_signed_sums_have_one_writer():
     """Polynomials and classes print through the one signed-sum writer."""
-    from poisdef import algebra, cohomology
+    from poisdef import CohClass, Poly
 
-    for function in (algebra.poly_str, cohomology.class_str):
+    for function in (Poly.__str__, CohClass.__str__):
         called = _called_names(ast.parse(textwrap.dedent(
             inspect.getsource(function))))
-        assert "signed_sum_str" in called, function.__name__
+        assert "signed_sum_str" in called, function.__qualname__
+
+
+def test_each_rendering_is_str():
+    """Polynomials, classes and multivectors render through str() alone:
+    the one public *_str function of the package is the signed-sum writer
+    their __str__ methods share."""
+    from poisdef import algebra, cohomology, multivec
+
+    renderers = [f"{module.__name__}.{name}"
+                 for module in (algebra, cohomology, multivec)
+                 for name, value in vars(module).items()
+                 if name.endswith("_str") and not name.startswith("_")
+                 and getattr(value, "__module__", None) == module.__name__]
+    assert renderers == ["poisdef.algebra.signed_sum_str"], renderers
+    assert not [name for name in poisdef.__all__ if name.endswith("_str")]
+
+
+def test_every_refusal_is_a_domain_error():
+    """Every exception class of the package derives from DomainError, and
+    the CLI's exit-1 handler names exactly DomainError, OSError and
+    json.JSONDecodeError, so a new refusal needs no edit of the CLI."""
+    import importlib
+
+    from poisdef import cli
+    from poisdef.algebra import DomainError
+
+    errors = []
+    for path in sorted(SOURCE_DIR.rglob("*.py")):
+        module = importlib.import_module(
+            "poisdef" if path.stem == "__init__" else f"poisdef.{path.stem}")
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        classes = [getattr(module, node.name) for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef)]
+        errors += [cls for cls in classes if issubclass(cls, BaseException)]
+    assert {cls.__name__ for cls in errors} >= {
+        "DomainError", "PolyParseError", "CLIUsageError",
+        "InvalidFamilyError", "NotIsolatedError", "ArityCapExceededError"}
+    assert all(issubclass(cls, DomainError) for cls in errors), [
+        cls.__name__ for cls in errors if not issubclass(cls, DomainError)]
+    assert "DomainError" in poisdef.__all__
+
+    handlers = [node for node in ast.walk(ast.parse(textwrap.dedent(
+        inspect.getsource(cli.main)))) if isinstance(node, ast.ExceptHandler)]
+    assert len(handlers) == 1
+    caught = handlers[0].type
+    assert isinstance(caught, ast.Tuple)
+    assert sorted(ast.unparse(e) for e in caught.elts) == [
+        "DomainError", "OSError", "json.JSONDecodeError"]
 
 
 def test_row_rules_read_only_by_image_rows():
